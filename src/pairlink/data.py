@@ -36,7 +36,7 @@ _TOKEN_RE = re.compile(r"\w+(?:['’-]\w+)*|[^\w\s]")
 
 
 class ParseError(InvalidInput):
-    """A dataset file line could not be parsed."""
+    """An input file (a dataset line, a config, a checkpoint) could not be parsed."""
 
 
 class AlignmentError(PairLinkError, ValueError):

@@ -10,6 +10,10 @@ scores the entity sequence, heads 1..N the per-relation head-pair sequences,
 heads N+1..2N the tail-pair sequences).  Gradients are derived by hand and
 cross-checked against central finite differences in the test suite; no
 autograd library is involved.
+
+Inside the model the head logits and probabilities are class-major,
+(2N+1, 3, P), so every head product is one matrix multiply over contiguous
+pair rows; :func:`forward_probs` hands out the (2N+1, P, 3) view.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,6 +36,7 @@ from .core import (
     RelationSchema,
     Triple,
 )
+from .data import ParseError
 from .decoding import decode
 
 UNK = "<unk>"
@@ -234,27 +240,33 @@ def _token_ids(tokens, vocab: dict[str, int]) -> np.ndarray:
     return np.array([vocab.get(t, 0) for t in tokens], dtype=np.int64)
 
 
-def _encoder_forward(tokens, enc: EncoderParams) -> tuple[np.ndarray, dict]:
-    if len(tokens) == 0:
-        raise InvalidInput("cannot encode an empty sentence")
-    ids = _token_ids(tokens, enc.vocab)
+def _recurrence(x: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """States s_t = tanh(x_t wᵀ + s_{t-1} uᵀ + b) along axis 1 of x (B, n, e), s_{-1} = 0."""
+    s = x @ w.T
+    s += b
+    for t in range(s.shape[1]):
+        if t:
+            s[:, t] += s[:, t - 1] @ u.T
+        np.tanh(s[:, t], out=s[:, t])
+    return s
+
+
+def _encode(ids: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, dict]:
+    """Context vectors (B, n, out_dim) for stacked same-length id rows (B, n)."""
     x = enc.embed[ids]
     if enc.mixer is None:
         return x, {"ids": ids, "x": x, "f": None, "g": None}
     m = enc.mixer
-    n, s = len(tokens), m.state_dim
-    f = np.empty((n, s))
-    state = np.zeros(s)
-    for t in range(n):
-        state = np.tanh(m.w_fwd @ x[t] + m.u_fwd @ state + m.b_fwd)
-        f[t] = state
-    g = np.empty((n, s))
-    state = np.zeros(s)
-    for t in range(n - 1, -1, -1):
-        state = np.tanh(m.w_bwd @ x[t] + m.u_bwd @ state + m.b_bwd)
-        g[t] = state
-    h = np.concatenate([f, g], axis=1)
-    return h, {"ids": ids, "x": x, "f": f, "g": g}
+    f = _recurrence(x, m.w_fwd, m.u_fwd, m.b_fwd)
+    g = _recurrence(x[:, ::-1], m.w_bwd, m.u_bwd, m.b_bwd)[:, ::-1]
+    return np.concatenate([f, g], axis=2), {"ids": ids, "x": x, "f": f, "g": g}
+
+
+def _encoder_forward(tokens, enc: EncoderParams) -> tuple[np.ndarray, dict]:
+    if len(tokens) == 0:
+        raise InvalidInput("cannot encode an empty sentence")
+    h, cache = _encode(_token_ids(tokens, enc.vocab)[None], enc)
+    return h[0], {key: None if arr is None else arr[0] for key, arr in cache.items()}
 
 
 def encode_tokens(tokens, encoder: EncoderParams) -> np.ndarray:
@@ -271,9 +283,11 @@ def _pair_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Normalise ``logits`` along ``axis`` in place and return them."""
+    logits -= logits.max(axis=axis, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=axis, keepdims=True)
+    return logits
 
 
 def handshaking_kernel(h_i, h_j, kernel: KernelParams) -> np.ndarray:
@@ -306,25 +320,52 @@ def predict_link(h_pair, taggers: TaggerParams, tagger: int) -> LinkTag:
     return LinkTag(int(np.argmax(tag_distribution(h_pair, taggers, tagger))))
 
 
+def _pair_logits(h: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Pair vectors k (batch, P, pair_dim) and class-major logits (batch, T, 3, P).
+
+    ``h`` stacks same-length sentences, (batch, n, d).  With W = [W_l | W_r]
+    split at the token width, W [h_i; h_j] = A_i + B_j for A = h W_lᵀ and
+    B = h W_rᵀ, so each token is projected once rather than once per pair.
+    The heads run as one (T·3, pair_dim) @ kᵀ product; the class axis sits
+    before the pair axis so that every class row is contiguous over pairs.
+    """
+    rows, cols = _pair_rows(h.shape[1])
+    weight, d = params.kernel.weight, h.shape[2]
+    k = (h @ weight[:, :d].T)[:, rows]
+    k += (h @ weight[:, d:].T)[:, cols]
+    k += params.kernel.bias
+    np.tanh(k, out=k)
+    heads = params.taggers.weight
+    logits = heads.reshape(-1, heads.shape[2]) @ k.transpose(0, 2, 1)
+    logits += params.taggers.bias.reshape(-1, 1)
+    return k, logits.reshape(h.shape[0], heads.shape[0], 3, -1)
+
+
+def _argmax_tags(scores: np.ndarray) -> np.ndarray:
+    """Best tag over the class axis of (..., 3, P) scores; ties go to the smaller label."""
+    none, forward, reverse = scores[..., 0, :], scores[..., 1, :], scores[..., 2, :]
+    tags = (forward > none).astype(np.int8)
+    tags[reverse > np.maximum(none, forward)] = 2
+    return tags
+
+
 @dataclass
 class ForwardCache:
     h: np.ndarray  # (n, d)
     enc: dict
-    rows: np.ndarray
-    cols: np.ndarray
-    x_pair: np.ndarray  # (P, 2d)
     k: np.ndarray  # (P, pair_dim)
-    probs: np.ndarray  # (T, P, 3)
+    class_probs: np.ndarray  # (T, 3, P)
+
+    @property
+    def probs(self) -> np.ndarray:
+        """(T, P, 3) view of ``class_probs``."""
+        return self.class_probs.transpose(0, 2, 1)
 
 
 def _forward(tokens, params: ModelParams) -> ForwardCache:
     h, enc_cache = _encoder_forward(tokens, params.encoder)
-    rows, cols = _pair_rows(len(tokens))
-    x_pair = np.concatenate([h[rows], h[cols]], axis=1)
-    k = np.tanh(x_pair @ params.kernel.weight.T + params.kernel.bias)
-    logits = np.einsum("pd,tcd->tpc", k, params.taggers.weight) + params.taggers.bias[:, None, :]
-    probs = softmax(logits)
-    return ForwardCache(h, enc_cache, rows, cols, x_pair, k, probs)
+    k, logits = _pair_logits(h[None], params)
+    return ForwardCache(h, enc_cache, k[0], softmax(logits[0], axis=1))
 
 
 def forward_probs(tokens, params: ModelParams) -> np.ndarray:
@@ -362,28 +403,47 @@ def batch_loss(batch, params: ModelParams) -> float:
 
 def _backward(gold: np.ndarray, cache: ForwardCache, params: ModelParams,
               grads: dict[str, np.ndarray], weight: float) -> None:
-    probs = cache.probs
-    n_heads, n_pairs, _ = probs.shape
-    dlogits = probs.copy()
-    t_idx = np.arange(n_heads)[:, None]
-    p_idx = np.arange(n_pairs)[None, :]
-    dlogits[t_idx, p_idx, gold] -= 1.0
+    """Add ``weight`` times the sentence's gradients to ``grads``; consumes ``cache``."""
+    dlogits = cache.class_probs  # overwritten in place
+    n_heads, n_classes, n_pairs = dlogits.shape
+    for tag in range(n_classes):
+        dlogits[:, tag] -= gold == tag
     dlogits *= weight / (n_heads * n_pairs)
-
-    grads["taggers.weight"] += np.einsum("tpc,pd->tcd", dlogits, cache.k)
-    grads["taggers.bias"] += dlogits.sum(axis=1)
-    dk = np.einsum("tpc,tcd->pd", dlogits, params.taggers.weight)
-
-    dpre = dk * (1.0 - cache.k**2)
-    grads["kernel.weight"] += dpre.T @ cache.x_pair
+    flat = dlogits.reshape(-1, n_pairs)  # (T·3, P)
+    heads = params.taggers.weight
+    grads["taggers.weight"] += (flat @ cache.k).reshape(heads.shape)
+    grads["taggers.bias"] += dlogits.sum(axis=2)
+    dpre = flat.T @ heads.reshape(flat.shape[0], -1)  # dL/dk, (P, pair_dim)
+    deriv = np.square(cache.k, out=cache.k)  # k is spent; reuse it for tanh' = 1 - k²
+    np.subtract(1.0, deriv, out=deriv)
+    dpre *= deriv
     grads["kernel.bias"] += dpre.sum(axis=0)
-    dxp = dpre @ params.kernel.weight
 
-    d = cache.h.shape[1]
-    dh = np.zeros_like(cache.h)
-    np.add.at(dh, cache.rows, dxp[:, :d])
-    np.add.at(dh, cache.cols, dxp[:, d:])
-    _encoder_backward(cache.enc, params.encoder, dh, grads)
+    # index_map lays pairs out row by row: row i is the slice of pairs
+    # (i, i), ..., (i, n-1), so its sum is dA[i] and its m-th pair adds to dB[i + m]
+    n, d = cache.h.shape
+    d_a = np.empty((n, dpre.shape[1]))
+    d_b = np.zeros_like(d_a)
+    start = 0
+    for i in range(n):
+        seg = dpre[start:start + n - i]
+        d_a[i] = seg.sum(axis=0)
+        d_b[i:] += seg
+        start += n - i
+    weight_l, weight_r = params.kernel.weight[:, :d], params.kernel.weight[:, d:]
+    grads["kernel.weight"][:, :d] += d_a.T @ cache.h
+    grads["kernel.weight"][:, d:] += d_b.T @ cache.h
+    _encoder_backward(cache.enc, params.encoder, d_a @ weight_l + d_b @ weight_r, grads)
+
+
+def _recurrence_backward(ds: np.ndarray, s: np.ndarray, x: np.ndarray,
+                         w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(dw, du, db, dx) of one sentence's :func:`_recurrence` given dL/ds (n, state)."""
+    deriv = 1.0 - s**2
+    dpre = ds * deriv
+    for t in range(len(s) - 2, -1, -1):
+        dpre[t] += (dpre[t + 1] @ u) * deriv[t]
+    return dpre.T @ x, dpre[1:].T @ s[:-1], dpre.sum(axis=0), dpre @ w
 
 
 def _encoder_backward(enc_cache: dict, enc: EncoderParams, dh: np.ndarray,
@@ -394,28 +454,19 @@ def _encoder_backward(enc_cache: dict, enc: EncoderParams, dh: np.ndarray,
         return
     m = enc.mixer
     x, f, g = enc_cache["x"], enc_cache["f"], enc_cache["g"]
-    n, s = f.shape
-    dx = np.zeros_like(x)
-    # forward-direction recurrence, unrolled backwards
-    carry = np.zeros(s)
-    for t in range(n - 1, -1, -1):
-        da = (dh[t, :s] + carry) * (1.0 - f[t] ** 2)
-        grads["encoder.mixer.w_fwd"] += np.outer(da, x[t])
-        grads["encoder.mixer.b_fwd"] += da
-        if t > 0:
-            grads["encoder.mixer.u_fwd"] += np.outer(da, f[t - 1])
-        carry = m.u_fwd.T @ da
-        dx[t] += m.w_fwd.T @ da
-    # backward-direction recurrence, unrolled forwards
-    carry = np.zeros(s)
-    for t in range(n):
-        db = (dh[t, s:] + carry) * (1.0 - g[t] ** 2)
-        grads["encoder.mixer.w_bwd"] += np.outer(db, x[t])
-        grads["encoder.mixer.b_bwd"] += db
-        if t < n - 1:
-            grads["encoder.mixer.u_bwd"] += np.outer(db, g[t + 1])
-        carry = m.u_bwd.T @ db
-        dx[t] += m.w_bwd.T @ db
+    s = f.shape[1]
+    dw, du, db, dx = _recurrence_backward(dh[:, :s], f, x, m.w_fwd, m.u_fwd)
+    grads["encoder.mixer.w_fwd"] += dw
+    grads["encoder.mixer.u_fwd"] += du
+    grads["encoder.mixer.b_fwd"] += db
+    # the backward direction runs from the sentence end: reverse time, then dx back
+    dw, du, db, dx_bwd = _recurrence_backward(
+        dh[::-1, s:], g[::-1], x[::-1], m.w_bwd, m.u_bwd
+    )
+    grads["encoder.mixer.w_bwd"] += dw
+    grads["encoder.mixer.u_bwd"] += du
+    grads["encoder.mixer.b_bwd"] += db
+    dx += dx_bwd[::-1]
     np.add.at(grads["encoder.embed"], ids, dx)
 
 
@@ -474,45 +525,25 @@ def _tags_to_tagging(tags: np.ndarray, n: int, n_rel: int) -> HandshakingTagging
 
 def infer(tokens, params: ModelParams, schema: RelationSchema,
           mode: str = "lenient") -> set[Triple]:
-    """Forward pass, argmax tags (ties toward the smaller label), then decode."""
+    """Forward pass, argmax tags (ties toward the smaller label), then decode.
+
+    Softmax is monotone, so the argmax is taken on the logits directly.
+    """
     check = params.n_relations
     if check != len(schema):
         raise InvalidInput(f"model has {check} relations, schema has {len(schema)}")
     tokens = _fit_length(tokens, params.max_len, mode)
-    cache = _forward(tokens, params)
-    tags = np.argmax(cache.probs, axis=2)
+    h, _ = _encoder_forward(tokens, params.encoder)
+    tags = _argmax_tags(_pair_logits(h[None], params)[1][0])
     tagging = _tags_to_tagging(tags, len(tokens), params.n_relations)
     return decode(tagging, schema, mode=mode)
 
 
 def _forward_group(token_lists, params: ModelParams) -> np.ndarray:
     """Stacked forward for same-length sentences; returns argmax tags (B, T, P)."""
-    enc = params.encoder
-    ids = np.stack([_token_ids(toks, enc.vocab) for toks in token_lists])
-    x = enc.embed[ids]  # (B, n, e)
-    bsz, n = ids.shape
-    if enc.mixer is None:
-        h = x
-    else:
-        m = enc.mixer
-        s = m.state_dim
-        f = np.empty((bsz, n, s))
-        state = np.zeros((bsz, s))
-        for t in range(n):
-            state = np.tanh(x[:, t] @ m.w_fwd.T + state @ m.u_fwd.T + m.b_fwd)
-            f[:, t] = state
-        g = np.empty((bsz, n, s))
-        state = np.zeros((bsz, s))
-        for t in range(n - 1, -1, -1):
-            state = np.tanh(x[:, t] @ m.w_bwd.T + state @ m.u_bwd.T + m.b_bwd)
-            g[:, t] = state
-        h = np.concatenate([f, g], axis=2)
-    rows, cols = _pair_rows(n)
-    x_pair = np.concatenate([h[:, rows, :], h[:, cols, :]], axis=2)  # (B, P, 2d)
-    k = np.tanh(x_pair @ params.kernel.weight.T + params.kernel.bias)
-    logits = np.einsum("bpd,tcd->btpc", k, params.taggers.weight)
-    logits += params.taggers.bias[None, :, None, :]
-    return np.argmax(logits, axis=3)
+    ids = np.stack([_token_ids(toks, params.encoder.vocab) for toks in token_lists])
+    h, _ = _encode(ids, params.encoder)
+    return _argmax_tags(_pair_logits(h, params)[1])
 
 
 def infer_batch(sentences, params: ModelParams, schema: RelationSchema,
@@ -521,7 +552,6 @@ def infer_batch(sentences, params: ModelParams, schema: RelationSchema,
 
     Each batch is grouped by sentence length so a group runs as one stacked
     forward pass; decoded triple sets equal per-sentence :func:`infer`.
-    Softmax is monotone, so argmax is taken on the logits directly.
     """
     if batch_size < 1:
         raise InvalidInput(f"batch size must be >= 1, got {batch_size}")
@@ -577,34 +607,109 @@ def save_checkpoint(path, params: ModelParams, schema: RelationSchema,
     return path
 
 
+def _read_archive(path) -> dict[str, np.ndarray]:
+    """Every array stored in an .npz file."""
+    try:
+        data = np.load(str(path))
+        if isinstance(data, np.lib.npyio.NpzFile):
+            with data:
+                return {key: data[key] for key in data.files}
+        problem = "holds a single array, not an .npz archive"
+    except (IsADirectoryError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        problem = f"{type(exc).__name__}: {exc}".splitlines()[0]
+    raise ParseError(f"{path}: not a readable checkpoint archive ({problem})")
+
+
+def _read_meta(path, raw: np.ndarray | None) -> dict:
+    if raw is None:
+        raise ParseError(f"{path}: not a model checkpoint (no metadata entry)")
+    try:
+        meta = json.loads(raw.tobytes().decode("utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{path}: checkpoint metadata is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path}: checkpoint metadata is not a JSON object")
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise ParseError(f"{path}: unexpected checkpoint format {meta.get('format')!r}")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ParseError(f"{path}: checkpoint version {meta.get('version')!r} is not supported")
+    for key, kind in (("relations", list), ("vocab", list), ("use_mixer", bool),
+                      ("max_len", int)):
+        if not isinstance(meta.get(key), kind):
+            raise ParseError(f"{path}: checkpoint metadata needs {key!r} as a {kind.__name__}")
+    vocab = meta["vocab"]
+    if (not all(isinstance(tok, str) for tok in vocab) or vocab[:1] != [UNK]
+            or len(set(vocab)) != len(vocab)):
+        raise ParseError(f"{path}: checkpoint vocabulary must be distinct strings from {UNK!r}")
+    return meta
+
+
+def _tensor_problems(meta: dict, tensors: dict[str, np.ndarray]) -> list[str]:
+    """Why ``tensors`` are not the parameters of the model ``meta`` describes."""
+
+    def dim(name: str, axis: int) -> int:
+        arr = tensors.get(name)
+        return arr.shape[axis] if arr is not None and arr.ndim > axis else -1
+
+    embed_dim, pair_dim = dim("encoder.embed", 1), dim("kernel.bias", 0)
+    heads = 2 * len(meta["relations"]) + 1
+    want = {"encoder.embed": (len(meta["vocab"]), embed_dim)}
+    out_dim = embed_dim
+    if meta["use_mixer"]:
+        state = dim("encoder.mixer.w_fwd", 0)
+        out_dim = 2 * state
+        for side in ("fwd", "bwd"):
+            want[f"encoder.mixer.w_{side}"] = (state, embed_dim)
+            want[f"encoder.mixer.u_{side}"] = (state, state)
+            want[f"encoder.mixer.b_{side}"] = (state,)
+    want["kernel.weight"] = (pair_dim, 2 * out_dim)
+    want["kernel.bias"] = (pair_dim,)
+    want["taggers.weight"] = (heads, 3, pair_dim)
+    want["taggers.bias"] = (heads, 3)
+    problems = []
+    for label, names in (("missing", [name for name in want if name not in tensors]),
+                         ("unexpected", [name for name in tensors if name not in want])):
+        if names:
+            problems.append(f"{label} {', '.join(names)}")
+    problems += [
+        f"{name} is {tensors[name].dtype}{list(tensors[name].shape)}, "
+        f"expected float64{list(shape)}"
+        for name, shape in want.items()
+        if name in tensors and (tensors[name].shape != shape or tensors[name].dtype != np.float64)
+    ]
+    return problems
+
+
 def load_checkpoint(path) -> tuple[ModelParams, RelationSchema, dict]:
-    """Read a checkpoint back; arrays roundtrip bit-exactly."""
-    with np.load(str(path)) as data:
-        if "__meta__" not in data:
-            raise InvalidInput(f"{path}: not a model checkpoint (no metadata entry)")
-        meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise InvalidInput(f"{path}: unexpected checkpoint format {meta.get('format')!r}")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise InvalidInput(
-                f"{path}: checkpoint version {meta.get('version')!r} is not supported"
-            )
-        tensors = {
-            key.replace("__", "."): data[key] for key in data.files if key != "__meta__"
-        }
-    vocab = {tok: idx for idx, tok in enumerate(meta["vocab"])}
+    """Read a checkpoint back; arrays roundtrip bit-exactly.
+
+    Raises :class:`ParseError` when the file is not a readable archive, its
+    metadata is malformed, or its tensors are incomplete or disagree in shape
+    with the metadata (vocabulary size, relation count, mixer on or off).
+    """
+    arrays = _read_archive(path)
+    meta = _read_meta(path, arrays.pop("__meta__", None))
+    tensors = {key.replace("__", "."): arr for key, arr in arrays.items()}
+    problems = _tensor_problems(meta, tensors)
+    if problems:
+        raise ParseError(f"{path}: checkpoint tensors do not fit its metadata: "
+                         + "; ".join(problems))
+    try:
+        schema = RelationSchema(tuple(meta["relations"]))
+    except InvalidInput as exc:
+        raise ParseError(f"{path}: {exc}") from None
     mixer = None
     if meta["use_mixer"]:
         mixer = MixerParams(
             *(tensors[f"encoder.mixer.{k}"]
               for k in ("w_fwd", "u_fwd", "b_fwd", "w_bwd", "u_bwd", "b_bwd"))
         )
-    schema = RelationSchema(tuple(meta["relations"]))
     params = ModelParams(
-        encoder=EncoderParams(vocab, tensors["encoder.embed"], mixer),
+        encoder=EncoderParams({tok: idx for idx, tok in enumerate(meta["vocab"])},
+                              tensors["encoder.embed"], mixer),
         kernel=KernelParams(tensors["kernel.weight"], tensors["kernel.bias"]),
         taggers=TaggerParams(tensors["taggers.weight"], tensors["taggers.bias"]),
         n_relations=len(schema),
-        max_len=int(meta["max_len"]),
+        max_len=meta["max_len"],
     )
     return params, schema, meta

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from pairlink import RelationSchema
 from pairlink.cli import EXIT_DATA, EXIT_FAILURE, EXIT_INPUT, EXIT_OK, main
-from pairlink.model import load_checkpoint
+from pairlink.model import build_vocab, init_model, load_checkpoint, save_checkpoint
 
 
 def write(path, text):
@@ -244,6 +246,46 @@ class TestTrainEvalBench:
         tmp_path, _, data = workspace
         code = main(["eval", "--data", data, "--ckpt", str(tmp_path / "missing.npz")])
         assert code == EXIT_INPUT
+
+
+def corrupt_checkpoint(tmp_path, kind):
+    """A checkpoint path broken in one way: unreadable, incomplete or misshapen."""
+    path = tmp_path / f"{kind}.npz"
+    if kind == "directory":
+        path.mkdir()
+        return str(path)
+    if kind == "random_bytes":
+        path.write_bytes(np.random.default_rng(0).bytes(512))
+        return str(path)
+    schema = RelationSchema(("works_for", "lives_in"))
+    params = init_model(schema, build_vocab([("Ada", "Navy")]), d_embed=4, d_state=3, d_pair=4)
+    with np.load(save_checkpoint(tmp_path / "good.npz", params, schema)) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    if kind == "metadata_only":
+        arrays = {"__meta__": arrays["__meta__"]}
+    elif kind == "mixer_tensors_missing":
+        arrays = {key: arr for key, arr in arrays.items() if "mixer" not in key}
+    elif kind == "vocab_longer_than_embed":
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        meta["vocab"].append("extra")
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+    return str(path)
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize(
+        "kind",
+        ["directory", "random_bytes", "metadata_only", "mixer_tensors_missing",
+         "vocab_longer_than_embed"],
+    )
+    def test_eval_exits_3_with_one_line_error(self, workspace, capsys, kind):
+        tmp_path, _, data = workspace
+        ckpt = corrupt_checkpoint(tmp_path, kind)
+        code = main(["eval", "--data", data, "--ckpt", ckpt])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
 
 
 class TestSelftestAndUsage:

@@ -31,6 +31,7 @@ from pairlink import (
     load_checkpoint,
     predict_link,
     save_checkpoint,
+    seq_index,
     seq_length,
     tag_distribution,
 )
@@ -213,6 +214,25 @@ class TestForwardAndLoss:
         assert probs.shape == (5, seq_length(4), 3)
         assert np.allclose(probs.sum(axis=2), 1.0)
 
+    def test_forward_probs_match_per_pair_reference(self):
+        schema = RelationSchema(("r0", "r1", "r2"))
+        tokens = ("a", "b", "c", "a", "d", "e", "b")
+        p = tiny_model(schema, [tokens], d_embed=5, d_state=4, d_pair=6, seed=3)
+        np_rng = np.random.default_rng(8)
+        for bias in (p.encoder.mixer.b_fwd, p.encoder.mixer.b_bwd, p.kernel.bias,
+                     p.taggers.bias):
+            bias[...] = np_rng.normal(size=bias.shape)
+        probs = forward_probs(tokens, p)
+        h = encode_tokens(tokens, p.encoder)
+        n = len(tokens)
+        for i in range(n):
+            for j in range(i, n):
+                pair = handshaking_kernel(h[i], h[j], p.kernel)
+                for head in range(p.taggers.n_taggers):
+                    want = tag_distribution(pair, p.taggers, head)
+                    got = probs[head, seq_index(i, j, n)]
+                    assert np.allclose(got, want, rtol=0, atol=1e-12), (i, j, head)
+
     def test_forward_is_deterministic(self, schema2):
         p = tiny_model(schema2, [("a", "b")])
         a = forward_probs(("a", "b"), p)
@@ -367,10 +387,19 @@ class TestInferBatch:
             ("b", "a", "d", "e", "c"),
             ("e", "d"),
         ]
-        p = tiny_model(schema2, sentences, d_embed=8, d_state=6, d_pair=8, seed=2)
-        batched = infer_batch(sentences, p, schema2, batch_size=4)
-        single = [infer(s, p, schema2) for s in sentences]
-        assert batched == single
+        words = [f"w{i}" for i in range(30)]
+        rng = random.Random(7)
+        same_length = [tuple(rng.choice(words) for _ in range(20)) for _ in range(3)]
+        for corpus, dims, batch_size in (
+            (sentences, dict(d_embed=8, d_state=6, d_pair=8), 4),
+            # one stacked group of three 20-token sentences
+            (same_length, dict(d_embed=16, d_state=8, d_pair=16), 24),
+        ):
+            p = tiny_model(schema2, corpus, seed=2, **dims)
+            batched = infer_batch(corpus, p, schema2, batch_size=batch_size)
+            single = [infer(s, p, schema2) for s in corpus]
+            assert batched == single
+        assert all(batched)  # the untrained model links densely in the stacked group
 
     def test_one_stacked_pass_per_length_group(self, schema2, monkeypatch):
         sentences = [("a", "b"), ("c", "d"), ("e", "f"), ("a", "c"), ("b", "d")]
