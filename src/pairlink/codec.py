@@ -59,7 +59,11 @@ def matrix_index(k: int, n: int) -> tuple[int, int]:
 
 
 class IndexMap:
-    """Precomputed bijection between upper-triangle pairs and flat indices."""
+    """Precomputed bijection between upper-triangle pairs and flat indices.
+
+    ``pairs[k]`` is the (i, j) cell at flat index k, and the cell (i, j) sits
+    at flat index ``row_start[i] + (j - i)``.
+    """
 
     __slots__ = ("n", "length", "pairs", "row_start")
 
@@ -72,16 +76,6 @@ class IndexMap:
         self.row_start: tuple[int, ...] = tuple(
             i * n - (i * (i - 1)) // 2 for i in range(n)
         )
-
-    def index(self, i: int, j: int) -> int:
-        if not 0 <= i <= j < self.n:
-            raise InvalidIndex(f"not an upper-triangle pair for n={self.n}: ({i}, {j})")
-        return self.row_start[i] + (j - i)
-
-    def pair(self, k: int) -> tuple[int, int]:
-        if not 0 <= k < self.length:
-            raise InvalidIndex(f"flat index {k} out of range [0, {self.length})")
-        return self.pairs[k]
 
 
 @lru_cache(maxsize=512)

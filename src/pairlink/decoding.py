@@ -48,11 +48,6 @@ def extract_entities(
     return frozenset(spans), {h: tuple(s) for h, s in by_head.items()}
 
 
-def count_reversed_entity_tags(eh2et) -> int:
-    """How many cells lenient entity extraction had to ignore."""
-    return sum(1 for tag in eh2et if tag == 2)
-
-
 def decode(
     tagging: HandshakingTagging, schema: RelationSchema, mode: str = "lenient"
 ) -> set[Triple]:

@@ -11,9 +11,14 @@ heads N+1..2N the tail-pair sequences).  Gradients are derived by hand and
 cross-checked against central finite differences in the test suite; no
 autograd library is involved.
 
-Inside the model the head logits and probabilities are class-major,
-(2N+1, 3, P), so every head product is one matrix multiply over contiguous
-pair rows; :func:`forward_probs` hands out the (2N+1, P, 3) view.
+Training and inference run one forward and one backward, both over a stack
+of same-length sentences, (B, n) token ids.  :func:`gradient` and
+:func:`infer_batch` group their sentences by length and run each group as
+one stack; :func:`forward_probs`, :func:`infer` and :func:`batch_loss` (the
+finite-difference oracle's loss) run one sentence as a stack of one.  Inside
+the model the head logits and probabilities are class-major, (B, 2N+1, 3, P),
+so every head product is one matrix multiply over contiguous pair rows;
+:func:`forward_probs` hands out the (2N+1, P, 3) view.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .codec import index_map
 from .core import (
     HandshakingTagging,
     InvalidInput,
-    LinkTag,
     PairLinkError,
     RelationSchema,
     Triple,
@@ -133,19 +137,6 @@ class ModelParams:
             raise ShapeError("tagger bias must be (2N+1, 3)")
 
 
-def tagger_index(kind: str, relation: int | None, n_relations: int) -> int:
-    """Position of a tag sequence's head in the stacked tagger arrays."""
-    if kind == "eh2et":
-        return 0
-    if relation is None or not 0 <= relation < n_relations:
-        raise InvalidInput(f"relation id {relation!r} out of range for N={n_relations}")
-    if kind == "sh2oh":
-        return 1 + relation
-    if kind == "st2ot":
-        return 1 + n_relations + relation
-    raise InvalidInput(f"unknown sequence kind: {kind!r}")
-
-
 def build_vocab(token_lists) -> dict[str, int]:
     """Token -> id map over a corpus, id 0 reserved for unknown tokens."""
     vocab = {UNK: 0}
@@ -236,8 +227,13 @@ def clone_params(params: ModelParams) -> ModelParams:
 # --- forward -----------------------------------------------------------------
 
 
-def _token_ids(tokens, vocab: dict[str, int]) -> np.ndarray:
-    return np.array([vocab.get(t, 0) for t in tokens], dtype=np.int64)
+def _stack_ids(token_lists, vocab: dict[str, int]) -> np.ndarray:
+    """Token ids (B, n) of same-length sentences; unknown tokens map to id 0."""
+    ids = np.array([[vocab.get(t, 0) for t in tokens] for tokens in token_lists],
+                   dtype=np.int64)
+    if ids.shape[1] == 0:
+        raise InvalidInput("cannot encode an empty sentence")
+    return ids
 
 
 def _recurrence(x: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,16 +258,9 @@ def _encode(ids: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, dict]:
     return np.concatenate([f, g], axis=2), {"ids": ids, "x": x, "f": f, "g": g}
 
 
-def _encoder_forward(tokens, enc: EncoderParams) -> tuple[np.ndarray, dict]:
-    if len(tokens) == 0:
-        raise InvalidInput("cannot encode an empty sentence")
-    h, cache = _encode(_token_ids(tokens, enc.vocab)[None], enc)
-    return h[0], {key: None if arr is None else arr[0] for key, arr in cache.items()}
-
-
 def encode_tokens(tokens, encoder: EncoderParams) -> np.ndarray:
     """Context vectors for one sentence, shape (n, out_dim); runs once per sentence."""
-    return _encoder_forward(tokens, encoder)[0]
+    return _encode(_stack_ids([tokens], encoder.vocab), encoder)[0][0]
 
 
 @lru_cache(maxsize=512)
@@ -315,32 +304,6 @@ def tag_distribution(h_pair, taggers: TaggerParams, tagger: int) -> np.ndarray:
     return softmax(taggers.weight[tagger] @ h_pair + taggers.bias[tagger])
 
 
-def predict_link(h_pair, taggers: TaggerParams, tagger: int) -> LinkTag:
-    """Most likely link tag; ties resolve toward the smaller label."""
-    return LinkTag(int(np.argmax(tag_distribution(h_pair, taggers, tagger))))
-
-
-def _pair_logits(h: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Pair vectors k (batch, P, pair_dim) and class-major logits (batch, T, 3, P).
-
-    ``h`` stacks same-length sentences, (batch, n, d).  With W = [W_l | W_r]
-    split at the token width, W [h_i; h_j] = A_i + B_j for A = h W_lᵀ and
-    B = h W_rᵀ, so each token is projected once rather than once per pair.
-    The heads run as one (T·3, pair_dim) @ kᵀ product; the class axis sits
-    before the pair axis so that every class row is contiguous over pairs.
-    """
-    rows, cols = _pair_rows(h.shape[1])
-    weight, d = params.kernel.weight, h.shape[2]
-    k = (h @ weight[:, :d].T)[:, rows]
-    k += (h @ weight[:, d:].T)[:, cols]
-    k += params.kernel.bias
-    np.tanh(k, out=k)
-    heads = params.taggers.weight
-    logits = heads.reshape(-1, heads.shape[2]) @ k.transpose(0, 2, 1)
-    logits += params.taggers.bias.reshape(-1, 1)
-    return k, logits.reshape(h.shape[0], heads.shape[0], 3, -1)
-
-
 def _argmax_tags(scores: np.ndarray) -> np.ndarray:
     """Best tag over the class axis of (..., 3, P) scores; ties go to the smaller label."""
     none, forward, reverse = scores[..., 0, :], scores[..., 1, :], scores[..., 2, :]
@@ -351,26 +314,48 @@ def _argmax_tags(scores: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    h: np.ndarray  # (n, d)
+    """One stacked forward over B same-length sentences, kept for the backward."""
+
+    h: np.ndarray  # (B, n, d)
     enc: dict
-    k: np.ndarray  # (P, pair_dim)
-    class_probs: np.ndarray  # (T, 3, P)
-
-    @property
-    def probs(self) -> np.ndarray:
-        """(T, P, 3) view of ``class_probs``."""
-        return self.class_probs.transpose(0, 2, 1)
+    k: np.ndarray  # (B, P, pair_dim)
+    logits: np.ndarray  # (B, T, 3, P)
 
 
-def _forward(tokens, params: ModelParams) -> ForwardCache:
-    h, enc_cache = _encoder_forward(tokens, params.encoder)
-    k, logits = _pair_logits(h[None], params)
-    return ForwardCache(h, enc_cache, k[0], softmax(logits[0], axis=1))
+def _forward(token_lists, params: ModelParams) -> ForwardCache:
+    """The model's forward pass over a stack of same-length sentences.
+
+    With W = [W_l | W_r] split at the token width, W [h_i; h_j] = A_i + B_j
+    for A = h W_lᵀ and B = h W_rᵀ, so each token is projected once rather
+    than once per pair.  The heads run as one (T·3, pair_dim) @ kᵀ product;
+    the class axis sits before the pair axis so that every class row is
+    contiguous over pairs.
+    """
+    ids = _stack_ids(token_lists, params.encoder.vocab)
+    h, enc_cache = _encode(ids, params.encoder)
+    rows, cols = _pair_rows(ids.shape[1])
+    weight, d = params.kernel.weight, h.shape[2]
+    k = (h @ weight[:, :d].T)[:, rows]
+    k += (h @ weight[:, d:].T)[:, cols]
+    k += params.kernel.bias
+    np.tanh(k, out=k)
+    heads = params.taggers.weight
+    logits = heads.reshape(-1, heads.shape[2]) @ k.transpose(0, 2, 1)
+    logits += params.taggers.bias.reshape(-1, 1)
+    return ForwardCache(h, enc_cache, k, logits.reshape(len(ids), heads.shape[0], 3, -1))
+
+
+def _length_groups(token_lists) -> list[list[int]]:
+    """Positions in ``token_lists`` grouped by sentence length, in order of first appearance."""
+    by_len: dict[int, list[int]] = {}
+    for idx, tokens in enumerate(token_lists):
+        by_len.setdefault(len(tokens), []).append(idx)
+    return list(by_len.values())
 
 
 def forward_probs(tokens, params: ModelParams) -> np.ndarray:
     """Per-head tag distributions for a sentence, shape (2N+1, P, 3)."""
-    return _forward(tokens, params).probs
+    return softmax(_forward([tokens], params).logits[0], axis=1).transpose(0, 2, 1)
 
 
 def gold_tags(tagging: HandshakingTagging) -> np.ndarray:
@@ -389,12 +374,12 @@ def loss_from_probs(probs: np.ndarray, gold: np.ndarray) -> float:
 
 
 def batch_loss(batch, params: ModelParams) -> float:
-    """Mean per-sentence loss over (tokens, gold tagging) pairs."""
+    """Mean per-sentence loss over (tokens, gold tagging) pairs, one sentence at a time."""
     if not batch:
         raise InvalidInput("empty batch")
     total = 0.0
     for tokens, tagging in batch:
-        total += loss_from_probs(_forward(tokens, params).probs, gold_tags(tagging))
+        total += loss_from_probs(forward_probs(tokens, params), gold_tags(tagging))
     return total / len(batch)
 
 
@@ -403,78 +388,88 @@ def batch_loss(batch, params: ModelParams) -> float:
 
 def _backward(gold: np.ndarray, cache: ForwardCache, params: ModelParams,
               grads: dict[str, np.ndarray], weight: float) -> None:
-    """Add ``weight`` times the sentence's gradients to ``grads``; consumes ``cache``."""
-    dlogits = cache.class_probs  # overwritten in place
-    n_heads, n_classes, n_pairs = dlogits.shape
+    """Add ``weight`` times each stacked sentence's gradients to ``grads``.
+
+    ``gold`` is (B, T, P).  ``cache.logits`` must hold the softmax
+    probabilities; it is consumed, and so is ``cache.k``.
+    """
+    dlogits = cache.logits  # overwritten in place
+    n_sent, n_heads, n_classes, n_pairs = dlogits.shape
     for tag in range(n_classes):
-        dlogits[:, tag] -= gold == tag
+        dlogits[:, :, tag] -= gold == tag
     dlogits *= weight / (n_heads * n_pairs)
-    flat = dlogits.reshape(-1, n_pairs)  # (T·3, P)
+    flat = dlogits.reshape(n_sent, -1, n_pairs)  # (B, T·3, P)
     heads = params.taggers.weight
-    grads["taggers.weight"] += (flat @ cache.k).reshape(heads.shape)
-    grads["taggers.bias"] += dlogits.sum(axis=2)
-    dpre = flat.T @ heads.reshape(flat.shape[0], -1)  # dL/dk, (P, pair_dim)
+    grads["taggers.weight"] += (flat @ cache.k).sum(axis=0).reshape(heads.shape)
+    grads["taggers.bias"] += dlogits.sum(axis=(0, 3))
+    dpre = flat.transpose(0, 2, 1) @ heads.reshape(flat.shape[1], -1)  # dL/dk, (B, P, pair_dim)
     deriv = np.square(cache.k, out=cache.k)  # k is spent; reuse it for tanh' = 1 - k²
     np.subtract(1.0, deriv, out=deriv)
     dpre *= deriv
-    grads["kernel.bias"] += dpre.sum(axis=0)
+    grads["kernel.bias"] += dpre.sum(axis=(0, 1))
 
     # index_map lays pairs out row by row: row i is the slice of pairs
-    # (i, i), ..., (i, n-1), so its sum is dA[i] and its m-th pair adds to dB[i + m]
-    n, d = cache.h.shape
-    d_a = np.empty((n, dpre.shape[1]))
+    # (i, i), ..., (i, n-1), so its sum is dA[:, i] and its m-th pair adds to dB[:, i + m]
+    n, d = cache.h.shape[1:]
+    d_a = np.empty((n_sent, n, dpre.shape[2]))
     d_b = np.zeros_like(d_a)
     start = 0
     for i in range(n):
-        seg = dpre[start:start + n - i]
-        d_a[i] = seg.sum(axis=0)
-        d_b[i:] += seg
+        seg = dpre[:, start:start + n - i]
+        d_a[:, i] = seg.sum(axis=1)
+        d_b[:, i:] += seg
         start += n - i
+    h_rows = cache.h.reshape(-1, d)  # (B·n, d)
     weight_l, weight_r = params.kernel.weight[:, :d], params.kernel.weight[:, d:]
-    grads["kernel.weight"][:, :d] += d_a.T @ cache.h
-    grads["kernel.weight"][:, d:] += d_b.T @ cache.h
+    grads["kernel.weight"][:, :d] += d_a.reshape(len(h_rows), -1).T @ h_rows
+    grads["kernel.weight"][:, d:] += d_b.reshape(len(h_rows), -1).T @ h_rows
     _encoder_backward(cache.enc, params.encoder, d_a @ weight_l + d_b @ weight_r, grads)
 
 
 def _recurrence_backward(ds: np.ndarray, s: np.ndarray, x: np.ndarray,
                          w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(dw, du, db, dx) of one sentence's :func:`_recurrence` given dL/ds (n, state)."""
+    """(dw, du, db, dx) of :func:`_recurrence` given dL/ds (B, n, state)."""
     deriv = 1.0 - s**2
     dpre = ds * deriv
-    for t in range(len(s) - 2, -1, -1):
-        dpre[t] += (dpre[t + 1] @ u) * deriv[t]
-    return dpre.T @ x, dpre[1:].T @ s[:-1], dpre.sum(axis=0), dpre @ w
+    for t in range(s.shape[1] - 2, -1, -1):
+        dpre[:, t] += (dpre[:, t + 1] @ u) * deriv[:, t]
+    state = s.shape[2]
+    rows = dpre.reshape(-1, state)  # (B·n, state)
+    dw = rows.T @ x.reshape(len(rows), -1)
+    du = dpre[:, 1:].reshape(-1, state).T @ s[:, :-1].reshape(-1, state)
+    return dw, du, rows.sum(axis=0), dpre @ w
 
 
 def _encoder_backward(enc_cache: dict, enc: EncoderParams, dh: np.ndarray,
                       grads: dict[str, np.ndarray]) -> None:
-    ids = enc_cache["ids"]
+    ids = enc_cache["ids"].ravel()  # (B·n,), row-major like the (B, n, ·) gradients
     if enc.mixer is None:
-        np.add.at(grads["encoder.embed"], ids, dh)
+        np.add.at(grads["encoder.embed"], ids, dh.reshape(len(ids), -1))
         return
     m = enc.mixer
     x, f, g = enc_cache["x"], enc_cache["f"], enc_cache["g"]
-    s = f.shape[1]
-    dw, du, db, dx = _recurrence_backward(dh[:, :s], f, x, m.w_fwd, m.u_fwd)
+    s = f.shape[2]
+    dw, du, db, dx = _recurrence_backward(dh[:, :, :s], f, x, m.w_fwd, m.u_fwd)
     grads["encoder.mixer.w_fwd"] += dw
     grads["encoder.mixer.u_fwd"] += du
     grads["encoder.mixer.b_fwd"] += db
     # the backward direction runs from the sentence end: reverse time, then dx back
     dw, du, db, dx_bwd = _recurrence_backward(
-        dh[::-1, s:], g[::-1], x[::-1], m.w_bwd, m.u_bwd
+        dh[:, ::-1, s:], g[:, ::-1], x[:, ::-1], m.w_bwd, m.u_bwd
     )
     grads["encoder.mixer.w_bwd"] += dw
     grads["encoder.mixer.u_bwd"] += du
     grads["encoder.mixer.b_bwd"] += db
-    dx += dx_bwd[::-1]
-    np.add.at(grads["encoder.embed"], ids, dx)
+    dx += dx_bwd[:, ::-1]
+    np.add.at(grads["encoder.embed"], ids, dx.reshape(len(ids), -1))
 
 
 def gradient(batch, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
     """(mean batch loss, analytic gradients) for (tokens, gold tagging) pairs.
 
     The loss is the mean over sentences of the per-sentence mean cell loss,
-    so duplicating a sample leaves the gradient unchanged.  Raises
+    so duplicating a sample leaves the gradient unchanged.  Sentences of one
+    length run as one stacked forward and backward.  Raises
     :class:`NumericError` the moment anything stops being finite.
     """
     if not batch:
@@ -482,15 +477,13 @@ def gradient(batch, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
     grads = {name: np.zeros_like(arr) for name, arr in named_tensors(params).items()}
     total = 0.0
     scale = 1.0 / len(batch)
-    for tokens, tagging in batch:
-        cache = _forward(tokens, params)
-        gold = gold_tags(tagging)
-        if gold.shape != cache.probs.shape[:2]:
-            raise ShapeError(
-                f"gold tagging {gold.shape} does not match model output {cache.probs.shape[:2]}"
-            )
-        total += loss_from_probs(cache.probs, gold)
-        _backward(gold, cache, params, grads, scale)
+    for group in _length_groups([tokens for tokens, _ in batch]):
+        cache = _forward([batch[i][0] for i in group], params)
+        probs = softmax(cache.logits, axis=2)
+        golds = [gold_tags(batch[i][1]) for i in group]
+        for row, gold in enumerate(golds):
+            total += loss_from_probs(probs[row].transpose(0, 2, 1), gold)
+        _backward(np.stack(golds), cache, params, grads, scale)
     loss = total * scale
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss: {loss}")
@@ -510,7 +503,7 @@ def _fit_length(tokens, max_len: int, mode: str):
         raise InvalidInput(f"sentence has {len(tokens)} tokens, limit is {max_len}")
     warnings.warn(
         f"truncating a {len(tokens)}-token sentence to {max_len} tokens",
-        stacklevel=3,
+        stacklevel=4,  # _fit_length <- _infer <- infer or infer_batch <- their caller
     )
     return tokens[:max_len]
 
@@ -523,27 +516,35 @@ def _tags_to_tagging(tags: np.ndarray, n: int, n_rel: int) -> HandshakingTagging
     return HandshakingTagging(n, eh, sh, st)
 
 
+def _infer(sentences, params: ModelParams, schema: RelationSchema, batch_size: int,
+           mode: str) -> list[set[Triple]]:
+    """Shared body of :func:`infer` and :func:`infer_batch`."""
+    if params.n_relations != len(schema):
+        raise InvalidInput(
+            f"model has {params.n_relations} relations, schema has {len(schema)}"
+        )
+    fitted = []
+    for tokens in sentences:  # a comprehension would add a frame under the warning
+        fitted.append(_fit_length(tokens, params.max_len, mode))
+    results: list[set[Triple] | None] = [None] * len(fitted)
+    for start in range(0, len(fitted), batch_size):
+        for group in _length_groups(fitted[start:start + batch_size]):
+            idxs = [start + i for i in group]
+            tags = _argmax_tags(_forward([fitted[i] for i in idxs], params).logits)
+            for idx, row in zip(idxs, tags):
+                tagging = _tags_to_tagging(row, len(fitted[idx]), params.n_relations)
+                results[idx] = decode(tagging, schema, mode=mode)
+    return results  # type: ignore[return-value]
+
+
 def infer(tokens, params: ModelParams, schema: RelationSchema,
           mode: str = "lenient") -> set[Triple]:
     """Forward pass, argmax tags (ties toward the smaller label), then decode.
 
-    Softmax is monotone, so the argmax is taken on the logits directly.
+    Softmax is monotone, so the argmax is taken on the logits directly.  The
+    result equals ``infer_batch([tokens], ...)[0]``: both run one body.
     """
-    check = params.n_relations
-    if check != len(schema):
-        raise InvalidInput(f"model has {check} relations, schema has {len(schema)}")
-    tokens = _fit_length(tokens, params.max_len, mode)
-    h, _ = _encoder_forward(tokens, params.encoder)
-    tags = _argmax_tags(_pair_logits(h[None], params)[1][0])
-    tagging = _tags_to_tagging(tags, len(tokens), params.n_relations)
-    return decode(tagging, schema, mode=mode)
-
-
-def _forward_group(token_lists, params: ModelParams) -> np.ndarray:
-    """Stacked forward for same-length sentences; returns argmax tags (B, T, P)."""
-    ids = np.stack([_token_ids(toks, params.encoder.vocab) for toks in token_lists])
-    h, _ = _encode(ids, params.encoder)
-    return _argmax_tags(_pair_logits(h, params)[1])
+    return _infer([tokens], params, schema, 1, mode)[0]
 
 
 def infer_batch(sentences, params: ModelParams, schema: RelationSchema,
@@ -555,23 +556,7 @@ def infer_batch(sentences, params: ModelParams, schema: RelationSchema,
     """
     if batch_size < 1:
         raise InvalidInput(f"batch size must be >= 1, got {batch_size}")
-    if params.n_relations != len(schema):
-        raise InvalidInput(
-            f"model has {params.n_relations} relations, schema has {len(schema)}"
-        )
-    fitted = [_fit_length(toks, params.max_len, mode) for toks in sentences]
-    results: list[set[Triple] | None] = [None] * len(fitted)
-    for start in range(0, len(fitted), batch_size):
-        chunk = range(start, min(start + batch_size, len(fitted)))
-        by_len: dict[int, list[int]] = {}
-        for idx in chunk:
-            by_len.setdefault(len(fitted[idx]), []).append(idx)
-        for n, idxs in by_len.items():
-            tags = _forward_group([fitted[i] for i in idxs], params)
-            for row, idx in enumerate(idxs):
-                tagging = _tags_to_tagging(tags[row], n, params.n_relations)
-                results[idx] = decode(tagging, schema, mode=mode)
-    return results  # type: ignore[return-value]
+    return _infer(sentences, params, schema, batch_size, mode)
 
 
 # --- checkpoints ---------------------------------------------------------------

@@ -75,10 +75,10 @@ class TestPairIndexing:
         m = index_map(9)
         assert m is index_map(9)
         assert m.length == seq_length(9)
-        for k in range(m.length):
-            i, j = m.pair(k)
+        assert len(m.pairs) == m.length
+        for k, (i, j) in enumerate(m.pairs):
             assert matrix_index(k, 9) == (i, j)
-            assert m.index(i, j) == seq_index(i, j, 9) == k
+            assert m.row_start[i] + (j - i) == seq_index(i, j, 9) == k
 
 
 class TestEncode:

@@ -16,7 +16,6 @@ from pairlink import (
     extract_entities,
     seq_length,
 )
-from pairlink.decoding import count_reversed_entity_tags
 from pairlink.synth import random_tagging
 
 from conftest import sequences_with, triple
@@ -37,7 +36,6 @@ class TestExtractEntities:
         assert spans == frozenset({TokenSpan(2, 2)})
         with pytest.raises(InvalidInput):
             extract_entities(eh, 3, mode="strict")
-        assert count_reversed_entity_tags(eh) == 1
 
     def test_length_mismatch_raises(self):
         with pytest.raises(InvalidInput):

@@ -12,9 +12,9 @@ import pytest
 import pairlink.model as model
 from pairlink import (
     EncoderParams,
+    HandshakingTagging,
     InvalidInput,
     KernelParams,
-    LinkTag,
     ModelParams,
     NumericError,
     RelationSchema,
@@ -29,7 +29,6 @@ from pairlink import (
     infer_batch,
     init_model,
     load_checkpoint,
-    predict_link,
     save_checkpoint,
     seq_index,
     seq_length,
@@ -43,7 +42,6 @@ from pairlink.model import (
     gold_tags,
     loss_from_probs,
     named_tensors,
-    tagger_index,
 )
 from pairlink.synth import random_annotation
 
@@ -107,21 +105,6 @@ class TestVocabAndInit:
         assert p.encoder.embed[0, 0] != q.encoder.embed[0, 0]
 
 
-class TestTaggerIndex:
-    def test_layout(self):
-        assert tagger_index("eh2et", None, 3) == 0
-        assert [tagger_index("sh2oh", r, 3) for r in range(3)] == [1, 2, 3]
-        assert [tagger_index("st2ot", r, 3) for r in range(3)] == [4, 5, 6]
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(InvalidInput):
-            tagger_index("sh2oh", 3, 3)
-        with pytest.raises(InvalidInput):
-            tagger_index("st2ot", None, 3)
-        with pytest.raises(InvalidInput):
-            tagger_index("nonsense", 0, 3)
-
-
 class TestEncoder:
     def test_output_shape(self, schema2):
         p = tiny_model(schema2, [("a", "b", "c")])
@@ -182,13 +165,15 @@ class TestTagDistribution:
         taggers = TaggerParams(weight=np.zeros((3, 3, 4)), bias=np.zeros((3, 3)))
         dist = tag_distribution(np.ones(4), taggers, 0)
         assert dist == pytest.approx([1 / 3] * 3)
-        assert predict_link(np.ones(4), taggers, 0) == LinkTag.NONE  # tie -> smallest
+        assert model._argmax_tags(dist[:, None]).tolist() == [0]  # tie -> smallest
 
     def test_bias_tie_resolves_to_smaller_label(self):
         taggers = TaggerParams(
             weight=np.zeros((1, 3, 2)), bias=np.array([[-10.0, 3.0, 3.0]])
         )
-        assert predict_link(np.zeros(2), taggers, 0) == LinkTag.FORWARD
+        dist = tag_distribution(np.zeros(2), taggers, 0)
+        assert dist[1] == dist[2]
+        assert model._argmax_tags(dist[:, None]).tolist() == [1]
 
     def test_saturation_and_normalization(self):
         taggers = TaggerParams(
@@ -197,7 +182,7 @@ class TestTagDistribution:
         dist = tag_distribution(np.zeros(2), taggers, 0)
         assert dist.sum() == pytest.approx(1.0)
         assert dist[1] > 0.999999
-        assert predict_link(np.zeros(2), taggers, 0) == LinkTag.FORWARD
+        assert model._argmax_tags(dist[:, None]).tolist() == [1]
 
     def test_validates_head_index_and_shape(self):
         taggers = TaggerParams(weight=np.zeros((1, 3, 2)), bias=np.zeros((1, 3)))
@@ -232,6 +217,25 @@ class TestForwardAndLoss:
                     want = tag_distribution(pair, p.taggers, head)
                     got = probs[head, seq_index(i, j, n)]
                     assert np.allclose(got, want, rtol=0, atol=1e-12), (i, j, head)
+
+    def test_gold_tags_rows_are_entity_then_heads_then_tails(self):
+        # a distinct cell per sequence; 3 relations put the head-pair rows at
+        # 1, 2, 3 and the tail-pair rows at 4, 5, 6
+        n = 4
+
+        def one_cell(k):
+            seq = [0] * seq_length(n)
+            seq[k] = 1
+            return tuple(seq)
+
+        eh = one_cell(0)
+        sh = tuple(map(one_cell, (1, 2, 3)))
+        st = tuple(map(one_cell, (4, 5, 6)))
+        gold = gold_tags(HandshakingTagging(n, eh, sh, st))
+        assert gold[0].tolist() == list(eh)
+        assert [gold[row].tolist() for row in (1, 2, 3)] == [list(s) for s in sh]
+        assert [gold[row].tolist() for row in (4, 5, 6)] == [list(s) for s in st]
+        assert gold.shape == (7, seq_length(n))
 
     def test_forward_is_deterministic(self, schema2):
         p = tiny_model(schema2, [("a", "b")])
@@ -281,31 +285,59 @@ def make_batch(schema, rng, count, n_max=5):
     return batch
 
 
+def batch_of_lengths(schema, rng, lengths):
+    """One annotated example per entry of ``lengths``, with exactly that many tokens."""
+    batch = []
+    for n in lengths:
+        ann = random_annotation(rng, schema, n_min=n, n_max=n, max_triples=2, min_triples=1)
+        batch.append((ann.tokens, encode(ann, schema)))
+    return batch
+
+
 class TestGradient:
     def test_matches_finite_differences_everywhere(self, schema2):
         # independent oracle: central finite differences on the batch loss,
         # checked at every coordinate of a deliberately tiny model
         rng = random.Random(17)
-        batch = make_batch(schema2, rng, 2, n_max=4)
-        p = tiny_model(
-            schema2, [toks for toks, _ in batch], d_embed=3, d_state=2, d_pair=3
-        )
-        _, grads = gradient(batch, p)
-        step = 1e-5
-        tensors = named_tensors(p)
-        for name, arr in tensors.items():
-            flat = arr.reshape(-1)
-            gflat = grads[name].reshape(-1)
-            for idx in range(flat.size):
-                keep = flat[idx]
-                flat[idx] = keep + step
-                up = batch_loss(batch, p)
-                flat[idx] = keep - step
-                down = batch_loss(batch, p)
-                flat[idx] = keep
-                fd = (up - down) / (2 * step)
-                denom = max(abs(fd), abs(gflat[idx]), 1e-9)
-                assert abs(fd - gflat[idx]) / denom < 1e-4, f"{name}[{idx}]"
+        mixed = make_batch(schema2, rng, 2, n_max=4)
+        # gradient() stacks the two 3-token sentences; batch_loss runs each alone
+        stacked = batch_of_lengths(schema2, rng, (3, 4, 3))
+        assert stacked[0][0] != stacked[2][0]
+        for batch, use_mixer in ((mixed, True), (stacked, True), (stacked, False)):
+            p = tiny_model(
+                schema2, [toks for toks, _ in batch], use_mixer=use_mixer,
+                d_embed=3, d_state=2, d_pair=3,
+            )
+            _, grads = gradient(batch, p)
+            step = 1e-5
+            tensors = named_tensors(p)
+            for name, arr in tensors.items():
+                flat = arr.reshape(-1)
+                gflat = grads[name].reshape(-1)
+                for idx in range(flat.size):
+                    keep = flat[idx]
+                    flat[idx] = keep + step
+                    up = batch_loss(batch, p)
+                    flat[idx] = keep - step
+                    down = batch_loss(batch, p)
+                    flat[idx] = keep
+                    fd = (up - down) / (2 * step)
+                    denom = max(abs(fd), abs(gflat[idx]), 1e-9)
+                    assert abs(fd - gflat[idx]) / denom < 1e-4, f"{name}[{idx}]"
+
+    def test_one_stacked_pass_per_length_group(self, schema2, monkeypatch):
+        batch = batch_of_lengths(schema2, random.Random(4), (3, 3, 3, 4, 4))
+        p = tiny_model(schema2, [toks for toks, _ in batch])
+        calls = []
+        original = model._forward
+
+        def counting(token_lists, params):
+            calls.append(len(token_lists))
+            return original(token_lists, params)
+
+        monkeypatch.setattr(model, "_forward", counting)
+        gradient(batch, p)
+        assert calls == [3, 2]  # one stacked forward per length
 
     def test_duplicating_the_batch_changes_nothing(self, schema2):
         rng = random.Random(23)
@@ -343,13 +375,13 @@ class TestInfer:
     def test_encoder_runs_once_per_sentence(self, schema2, monkeypatch):
         p = tiny_model(schema2, [("a", "b", "c", "d", "e", "f")])
         calls = []
-        original = model._encoder_forward
+        original = model._encode
 
-        def counting(tokens, enc):
-            calls.append(len(tokens))
-            return original(tokens, enc)
+        def counting(ids, enc):
+            calls.append(ids.shape[1])
+            return original(ids, enc)
 
-        monkeypatch.setattr(model, "_encoder_forward", counting)
+        monkeypatch.setattr(model, "_encode", counting)
         infer(("a", "b", "c", "d", "e", "f"), p, schema2)
         assert calls == [6]  # 21 pairs, but one encoder pass
 
@@ -371,10 +403,14 @@ class TestInfer:
         long_sentence = ("a", "b", "c")
         with pytest.raises(InvalidInput):
             infer(long_sentence, p, schema2, mode="strict")
-        with pytest.warns(UserWarning, match="truncating"):
+        with pytest.warns(UserWarning, match="truncating") as record:
             result = infer(long_sentence, p, schema2, mode="lenient")
+        assert record[0].filename == __file__  # points at the caller
         for t in result:
             assert t.subject.tail < 2 and t.object.tail < 2
+        with pytest.warns(UserWarning, match="truncating") as record:
+            infer_batch([long_sentence], p, schema2, mode="lenient")
+        assert record[0].filename == __file__
 
 
 class TestInferBatch:
@@ -405,13 +441,13 @@ class TestInferBatch:
         sentences = [("a", "b"), ("c", "d"), ("e", "f"), ("a", "c"), ("b", "d")]
         p = tiny_model(schema2, sentences)
         calls = []
-        original = model._forward_group
+        original = model._forward
 
         def counting(token_lists, params):
             calls.append(len(token_lists))
             return original(token_lists, params)
 
-        monkeypatch.setattr(model, "_forward_group", counting)
+        monkeypatch.setattr(model, "_forward", counting)
         infer_batch(sentences, p, schema2, batch_size=8)
         assert calls == [5]  # five sentences, one stacked forward
 
