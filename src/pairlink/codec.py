@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .core import (
     HandshakingTagging,
     InvalidIndex,
@@ -62,10 +64,11 @@ class IndexMap:
     """Precomputed bijection between upper-triangle pairs and flat indices.
 
     ``pairs[k]`` is the (i, j) cell at flat index k, and the cell (i, j) sits
-    at flat index ``row_start[i] + (j - i)``.
+    at flat index ``row_start[i] + (j - i)``.  ``rows`` and ``cols`` hold the
+    same cells as two read-only int64 arrays: ``pairs[k] == (rows[k], cols[k])``.
     """
 
-    __slots__ = ("n", "length", "pairs", "row_start")
+    __slots__ = ("n", "length", "pairs", "row_start", "rows", "cols")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -76,6 +79,9 @@ class IndexMap:
         self.row_start: tuple[int, ...] = tuple(
             i * n - (i * (i - 1)) // 2 for i in range(n)
         )
+        self.rows, self.cols = np.triu_indices(n)  # row-major, diagonal included
+        self.rows.flags.writeable = False
+        self.cols.flags.writeable = False
 
 
 @lru_cache(maxsize=512)
@@ -149,24 +155,16 @@ def encode_with_conflicts(
 ) -> tuple[HandshakingTagging, list[EncodeConflict]]:
     """Lenient encode: apply the 1-beats-2 tie-break and report every conflict."""
     entity_spans, cells, conflicts = _collect(ann, schema)
-    n = ann.n
-    imap = index_map(n)
-    length = imap.length
+    n_rel = len(schema)
+    imap = index_map(ann.n)
     row_start = imap.row_start
-
-    eh = [0] * length
+    tags = np.zeros((2 * n_rel + 1, imap.length), dtype=np.int8)
     for span in entity_spans:
-        eh[row_start[span.head] + (span.tail - span.head)] = 1
-    sh = [[0] * length for _ in range(len(schema))]
-    st = [[0] * length for _ in range(len(schema))]
-    for (rid, i, j), tag in cells["sh2oh"].items():
-        sh[rid][row_start[i] + (j - i)] = tag
-    for (rid, i, j), tag in cells["st2ot"].items():
-        st[rid][row_start[i] + (j - i)] = tag
-    tagging = HandshakingTagging(
-        n, tuple(eh), tuple(map(tuple, sh)), tuple(map(tuple, st))
-    )
-    return tagging, conflicts
+        tags[0, row_start[span.head] + (span.tail - span.head)] = 1
+    for first_row, kind in ((1, "sh2oh"), (1 + n_rel, "st2ot")):
+        for (rid, i, j), tag in cells[kind].items():
+            tags[first_row + rid, row_start[i] + (j - i)] = tag
+    return HandshakingTagging(ann.n, tags), conflicts
 
 
 def encode(
@@ -241,11 +239,15 @@ def phantom_triples(ann: SentenceAnnotation, schema: RelationSchema) -> frozense
 _FIELDS = ("n", "relations", "eh2et", "sh2oh", "st2ot")
 
 
-def tagging_to_obj(tagging: HandshakingTagging, schema: RelationSchema) -> dict:
+def _check_relation_count(tagging: HandshakingTagging, schema: RelationSchema) -> None:
     if tagging.n_relations != len(schema):
         raise InvalidInput(
             f"tagging has {tagging.n_relations} relations, schema has {len(schema)}"
         )
+
+
+def tagging_to_obj(tagging: HandshakingTagging, schema: RelationSchema) -> dict:
+    _check_relation_count(tagging, schema)
     return {
         "n": tagging.n,
         "relations": list(schema.relations),
@@ -255,49 +257,96 @@ def tagging_to_obj(tagging: HandshakingTagging, schema: RelationSchema) -> dict:
     }
 
 
-def obj_to_tagging(obj: dict, mode: str = "strict") -> tuple[HandshakingTagging, RelationSchema]:
+def _row_label(row: int, n_rel: int) -> str:
+    """Field name of row ``row`` of a tag array: eh2et, sh2oh[r] or st2ot[r]."""
+    if row == 0:
+        return "eh2et"
+    if row <= n_rel:
+        return f"sh2oh[{row - 1}]"
+    return f"st2ot[{row - 1 - n_rel}]"
+
+
+def _corrupt(label: str, row: list) -> InvalidInput:
+    """The error for the first value of ``row`` that is not a tag 0, 1 or 2."""
+    k, tag = next(
+        (k, v) for k, v in enumerate(row) if type(v) is not int or not 0 <= v <= 2
+    )
+    return InvalidInput(f"corrupt tagging: {label} holds tag {tag!r} at flat index {k}")
+
+
+def dump_tagging_line(tagging: HandshakingTagging, schema: RelationSchema) -> str:
+    """Canonical single-line JSON form; byte-stable for identical inputs.
+
+    The bytes equal ``json.dumps(tagging_to_obj(tagging, schema),
+    separators=(",", ":"))``; the tag rows are written as digits and commas
+    into one uint8 buffer instead of going through Python ints.
+    """
+    _check_relation_count(tagging, schema)
+    tags = tagging.tags
+    text = np.empty((len(tags), 2 * tags.shape[1]), dtype=np.uint8)
+    text[:, 0::2] = tags + ord("0")
+    text[:, 1::2] = ord(",")
+    rows = [row[:-1].tobytes() for row in text]  # drop each row's trailing comma
+    n_rel = tagging.n_relations
+    # json.dumps writes the head, so relation names get its escaping
+    head = json.dumps({"n": tagging.n, "relations": list(schema.relations)},
+                      separators=(",", ":"))
+    return b"".join((
+        head[:-1].encode("ascii"), b',"eh2et":[', rows[0],
+        b'],"sh2oh":[[', b"],[".join(rows[1:1 + n_rel]),
+        b']],"st2ot":[[', b"],[".join(rows[1 + n_rel:]), b"]]}",
+    )).decode("ascii")
+
+
+def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagging, RelationSchema]:
+    """The tagging and schema of one line; :class:`InvalidInput` if it is malformed.
+
+    Each row becomes the tag array through ``bytes(row)``, which rejects
+    anything but ints in [0, 256); values above 2 are then found in the
+    array.  JSON ``true``/``false`` would pass ``bytes`` as 1 and 0, so when
+    the line holds either word the rows are also scanned for bools.  Strict
+    mode also rejects a reversed entity tag.
+    """
     check_mode(mode)
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InvalidInput(f"expected a JSON object, got {type(obj).__name__}")
     missing = [f for f in _FIELDS if f not in obj]
     if missing:
         raise InvalidInput(f"tagging object is missing fields: {missing}")
-    schema = RelationSchema(tuple(obj["relations"]))
-    n = obj["n"]
-    if not isinstance(n, int):
+    n, relations = obj["n"], obj["relations"]
+    if type(n) is not int:
         raise InvalidInput(f"field 'n' must be an int, got {type(n).__name__}")
-    eh = tuple(obj["eh2et"])
-    sh = tuple(tuple(s) for s in obj["sh2oh"])
-    st = tuple(tuple(s) for s in obj["st2ot"])
-    if len(sh) != len(schema) or len(st) != len(schema):
-        raise InvalidInput(
-            f"expected {len(schema)} head and tail sequences, got {len(sh)} and {len(st)}"
-        )
-    tagging = HandshakingTagging(n, eh, sh, st)
-    if mode == "strict":
-        for label, seqs in (("eh2et", (eh,)), ("sh2oh", sh), ("st2ot", st)):
-            for seq in seqs:
-                for k, tag in enumerate(seq):
-                    if tag not in (0, 1, 2):
-                        raise InvalidInput(
-                            f"corrupt tagging: {label} holds tag {tag!r} at flat index {k}"
-                        )
-        for k, tag in enumerate(eh):
-            if tag == 2:
-                raise InvalidInput(
-                    f"corrupt tagging: reversed tag in eh2et at flat index {k}"
-                )
-    return tagging, schema
-
-
-def dump_tagging_line(tagging: HandshakingTagging, schema: RelationSchema) -> str:
-    """Canonical single-line JSON form; byte-stable for identical inputs."""
-    return json.dumps(tagging_to_obj(tagging, schema), separators=(",", ":"))
-
-
-def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagging, RelationSchema]:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"not valid JSON: {exc}") from None
-    return obj_to_tagging(obj, mode=mode)
+    if not isinstance(relations, list) or not all(isinstance(r, str) for r in relations):
+        raise InvalidInput("field 'relations' must be a list of strings")
+    schema = RelationSchema(tuple(relations))
+    n_rel = len(schema)
+    sh, st = obj["sh2oh"], obj["st2ot"]
+    if not (isinstance(sh, list) and isinstance(st, list)) or not len(sh) == len(st) == n_rel:
+        raise InvalidInput(f"expected {n_rel} head and {n_rel} tail sequences as lists")
+    length = seq_length(n)
+    rows = [obj["eh2et"], *sh, *st]
+    may_hold_bools = "true" in line or "false" in line
+    chunks = []
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != length:
+            raise InvalidInput(
+                f"{_row_label(r, n_rel)} must be a list of {length} tags for n={n}"
+            )
+        try:
+            chunks.append(bytes(row))
+        except (TypeError, ValueError):
+            raise _corrupt(_row_label(r, n_rel), row) from None
+        if may_hold_bools and bool in set(map(type, row)):
+            raise _corrupt(_row_label(r, n_rel), row)
+    tags = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(rows), length)
+    if tags.max() > 2:
+        r = int(np.argmax(tags.max(axis=1) > 2))
+        raise _corrupt(_row_label(r, n_rel), rows[r])
+    if mode == "strict" and tags[0].max() == 2:
+        k = int(np.argmax(tags[0] == 2))
+        raise InvalidInput(f"corrupt tagging: reversed tag in eh2et at flat index {k}")
+    return HandshakingTagging(n, tags), schema

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+import numpy as np
+
 
 class PairLinkError(Exception):
     """Base class for every error raised by this package."""
@@ -48,7 +50,7 @@ class LinkTag(IntEnum):
     REVERSED = 2
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TokenSpan:
     """Inclusive token span: ``head`` is the first token, ``tail`` the last."""
 
@@ -63,7 +65,7 @@ class TokenSpan:
         return self.tail - self.head + 1
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Triple:
     """(subject span, relation id, object span). Equality is structural."""
 
@@ -164,58 +166,71 @@ class SentenceAnnotation:
         return frozenset(self.triples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class HandshakingTagging:
     """The 2N+1 flattened tag sequences for one sentence of length ``n``.
 
-    ``eh2et`` aligns entity start tokens with entity end tokens and is shared
-    by all relations; ``sh2oh`` and ``st2ot`` carry one sequence per relation,
-    linking the start tokens (respectively the end tokens) of subject-object
-    pairs.  Every sequence has length ``seq_length(n)`` and cell values are
-    ``LinkTag`` ints.
+    ``tags`` is one read-only ``(2N+1, seq_length(n))`` int8 array of
+    ``LinkTag`` values.  Row 0 is ``eh2et``, which aligns entity start tokens
+    with entity end tokens and is shared by all relations; rows 1..N are
+    ``sh2oh`` and rows N+1..2N are ``st2ot``, one per relation, linking the
+    start tokens (respectively the end tokens) of subject-object pairs.  The
+    constructor takes any integer array-like of that shape and keeps a copy.
     """
 
     n: int
-    eh2et: tuple[int, ...]
-    sh2oh: tuple[tuple[int, ...], ...]
-    st2ot: tuple[tuple[int, ...], ...]
+    tags: np.ndarray
 
     def __post_init__(self) -> None:
         length = seq_length(self.n)
-
-        def as_tuple(seq):
-            # preserve tuple subclasses handed in by callers
-            return seq if isinstance(seq, tuple) else tuple(seq)
-
-        eh2et = as_tuple(self.eh2et)
-        sh2oh = tuple(as_tuple(s) for s in self.sh2oh)
-        st2ot = tuple(as_tuple(s) for s in self.st2ot)
-        if len(sh2oh) != len(st2ot):
+        try:
+            tags = np.asarray(self.tags)
+        except ValueError:  # ragged nested sequences
+            raise InvalidInput("tag sequences must all have the same length") from None
+        if tags.dtype.kind not in "iu":
+            raise InvalidInput(f"tags must be integers, got dtype {tags.dtype}")
+        if tags.ndim != 2 or tags.shape[0] % 2 == 0 or tags.shape[1] != length:
             raise InvalidInput(
-                "need one head sequence and one tail sequence per relation, "
-                f"got {len(sh2oh)} vs {len(st2ot)}"
+                f"tags have shape {tags.shape}, expected (2N+1, {length}) for n={self.n}: "
+                "one entity sequence plus a head and a tail sequence per relation"
             )
-        def check(label: str, seq: tuple[int, ...]) -> None:
-            if len(seq) != length:
-                raise InvalidInput(
-                    f"{label} has length {len(seq)}, expected {length} for n={self.n}"
-                )
-            for tag in seq:
-                if tag not in (0, 1, 2):
-                    raise InvalidInput(f"{label} holds tag {tag!r}, expected 0, 1 or 2")
+        if tags.min() < 0 or tags.max() > 2:
+            row, k = np.argwhere((tags < 0) | (tags > 2))[0]
+            raise InvalidInput(
+                f"tag sequence {row} holds tag {tags[row, k]} at flat index {k}, "
+                "expected 0, 1 or 2"
+            )
+        tags = tags.astype(np.int8)  # always a copy, so nobody else can write to it
+        tags.flags.writeable = False
+        object.__setattr__(self, "tags", tags)
 
-        check("eh2et", eh2et)
-        for label, group in (("sh2oh", sh2oh), ("st2ot", st2ot)):
-            for rid, seq in enumerate(group):
-                check(f"{label}[{rid}]", seq)
-        object.__setattr__(self, "eh2et", eh2et)
-        object.__setattr__(self, "sh2oh", sh2oh)
-        object.__setattr__(self, "st2ot", st2ot)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HandshakingTagging):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.tags, other.tags)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.tags.shape, self.tags.tobytes()))
+
+    def __reduce__(self):
+        # pickle and copy through the constructor, so the copy is read-only too
+        return (type(self), (self.n, self.tags))
 
     @property
     def n_relations(self) -> int:
-        return len(self.sh2oh)
+        return len(self.tags) // 2
 
-    def sequences(self) -> tuple[tuple[int, ...], ...]:
-        """All 2N+1 sequences: entity sequence first, then heads, then tails."""
-        return (self.eh2et, *self.sh2oh, *self.st2ot)
+    @property
+    def eh2et(self) -> tuple[int, ...]:
+        """The entity sequence, as a tuple of ints."""
+        return tuple(self.tags[0].tolist())
+
+    @property
+    def sh2oh(self) -> tuple[tuple[int, ...], ...]:
+        """The per-relation subject-head to object-head sequences, as tuples."""
+        return tuple(map(tuple, self.tags[1:1 + self.n_relations].tolist()))
+
+    @property
+    def st2ot(self) -> tuple[tuple[int, ...], ...]:
+        """The per-relation subject-tail to object-tail sequences, as tuples."""
+        return tuple(map(tuple, self.tags[1 + self.n_relations:].tolist()))

@@ -1,13 +1,17 @@
 """Turning flattened link-tag sequences back into relation triples.
 
-``decode`` is the production path: collect entity spans grouped by head
-position, then per relation collect oriented tail pairs and resolve every
-head link against the span candidates.  It touches each flat index exactly
-once per sequence.  ``decode_oracle`` recomputes the same answer by brute
-force over all entity-span pairs and exists purely to cross-check ``decode``.
+``decode`` is the production path.  One ``np.nonzero`` over the tagging's
+whole (2N+1, P) array finds every tagged cell; everything after it loops in
+Python over those cells only.  It collects the entity spans grouped by head
+position and the oriented tail links of every relation, then resolves each
+head link against the span candidates.  ``decode_oracle`` recomputes the same
+answer in pure Python by brute force over all entity-span pairs and exists
+purely to cross-check ``decode``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .codec import check_mode, index_map
 from .core import (
@@ -56,37 +60,43 @@ def decode(
     For every relation, a head-link cell (tag 1 forward, tag 2 reversed)
     pairs each subject-head candidate with each object-head candidate; the
     pair is kept when its (subject tail, object tail) combination is tagged
-    in the tail sequence.  Output is a set: one occurrence per triple.
+    in the tail sequence.  Output is a set: one occurrence per triple.  A
+    reversed tag in the entity sequence cannot come from encoded data:
+    strict mode raises, lenient mode ignores it.
     """
     check_mode(mode)
     if tagging.n_relations != len(schema):
         raise InvalidInput(
             f"tagging has {tagging.n_relations} relations, schema has {len(schema)}"
         )
-    n = tagging.n
-    pairs = index_map(n).pairs
-    _, by_head = extract_entities(tagging.eh2et, n, mode=mode)
+    n_rel = len(schema)
+    imap = index_map(tagging.n)
+    tags = tagging.tags
+    seq, cell = np.nonzero(tags)  # row-major: entity cells, then head rows, then tail rows
+    forward = tags[seq, cell] == 1
+    # a forward tag links row token to column token; a reversed one the other way
+    rows, cols = imap.rows[cell], imap.cols[cell]
+    source = np.where(forward, rows, cols)
+    target = np.where(forward, cols, rows)
+    heads_at, tails_at = np.searchsorted(seq, (1, 1 + n_rel)).tolist()
+    is_span = forward[:heads_at]
+    if mode == "strict" and not is_span.all():
+        k = int(cell[np.argmin(is_span)])
+        raise InvalidInput(f"reversed tag in entity sequence at flat index {k}")
+    by_head: dict[int, list[TokenSpan]] = {}
+    for i, j in zip(rows[:heads_at][is_span].tolist(), cols[:heads_at][is_span].tolist()):
+        by_head.setdefault(i, []).append(TokenSpan(i, j))
+    tail_links = set(zip((seq[tails_at:] - (1 + n_rel)).tolist(),
+                         source[tails_at:].tolist(), target[tails_at:].tolist()))
     result: set[Triple] = set()
     no_spans: tuple[TokenSpan, ...] = ()
-    for rid in range(len(schema)):
-        tail_pairs: set[tuple[int, int]] = set()
-        for k, tag in enumerate(tagging.st2ot[rid]):
-            if tag == 1:
-                tail_pairs.add(pairs[k])
-            elif tag == 2:
-                i, j = pairs[k]
-                tail_pairs.add((j, i))
-        for k, tag in enumerate(tagging.sh2oh[rid]):
-            if tag == 1:
-                subj_head, obj_head = pairs[k]
-            elif tag == 2:
-                obj_head, subj_head = pairs[k]
-            else:
-                continue
-            for s in by_head.get(subj_head, no_spans):
-                for o in by_head.get(obj_head, no_spans):
-                    if (s.tail, o.tail) in tail_pairs:
-                        result.add(Triple(s, rid, o))
+    for rid, subj_head, obj_head in zip((seq[heads_at:tails_at] - 1).tolist(),
+                                        source[heads_at:tails_at].tolist(),
+                                        target[heads_at:tails_at].tolist()):
+        for s in by_head.get(subj_head, no_spans):
+            for o in by_head.get(obj_head, no_spans):
+                if (rid, s.tail, o.tail) in tail_links:
+                    result.add(Triple(s, rid, o))
     return result
 
 
@@ -123,9 +133,7 @@ def decode_oracle(
         return False
 
     result: set[Triple] = set()
-    for rid in range(len(schema)):
-        sh = tagging.sh2oh[rid]
-        st = tagging.st2ot[rid]
+    for rid, (sh, st) in enumerate(zip(tagging.sh2oh, tagging.st2ot)):
         for s in spans:
             for o in spans:
                 if link_present(sh, s.head, o.head) and link_present(st, s.tail, o.tail):

@@ -28,7 +28,6 @@ import math
 import warnings
 import zipfile
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -263,14 +262,6 @@ def encode_tokens(tokens, encoder: EncoderParams) -> np.ndarray:
     return _encode(_stack_ids([tokens], encoder.vocab), encoder)[0][0]
 
 
-@lru_cache(maxsize=512)
-def _pair_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    imap = index_map(n)
-    rows = np.fromiter((i for i, _ in imap.pairs), dtype=np.int64, count=imap.length)
-    cols = np.fromiter((j for _, j in imap.pairs), dtype=np.int64, count=imap.length)
-    return rows, cols
-
-
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Normalise ``logits`` along ``axis`` in place and return them."""
     logits -= logits.max(axis=axis, keepdims=True)
@@ -333,10 +324,10 @@ def _forward(token_lists, params: ModelParams) -> ForwardCache:
     """
     ids = _stack_ids(token_lists, params.encoder.vocab)
     h, enc_cache = _encode(ids, params.encoder)
-    rows, cols = _pair_rows(ids.shape[1])
+    imap = index_map(ids.shape[1])
     weight, d = params.kernel.weight, h.shape[2]
-    k = (h @ weight[:, :d].T)[:, rows]
-    k += (h @ weight[:, d:].T)[:, cols]
+    k = (h @ weight[:, :d].T)[:, imap.rows]
+    k += (h @ weight[:, d:].T)[:, imap.cols]
     k += params.kernel.bias
     np.tanh(k, out=k)
     heads = params.taggers.weight
@@ -359,8 +350,11 @@ def forward_probs(tokens, params: ModelParams) -> np.ndarray:
 
 
 def gold_tags(tagging: HandshakingTagging) -> np.ndarray:
-    """(2N+1, P) gold tag array in head order: entity, head pairs, tail pairs."""
-    return np.array(tagging.sequences(), dtype=np.int64)
+    """(2N+1, P) gold tag array in head order: entity, head pairs, tail pairs.
+
+    This is the tagging's own read-only int8 array, not a copy.
+    """
+    return tagging.tags
 
 
 def loss_from_probs(probs: np.ndarray, gold: np.ndarray) -> float:
@@ -409,16 +403,16 @@ def _backward(gold: np.ndarray, cache: ForwardCache, params: ModelParams,
     grads["kernel.bias"] += dpre.sum(axis=(0, 1))
 
     # index_map lays pairs out row by row: row i is the slice of pairs
-    # (i, i), ..., (i, n-1), so its sum is dA[:, i] and its m-th pair adds to dB[:, i + m]
+    # (i, i), ..., (i, n-1) from row_start[i], so its sum is dA[:, i] and its
+    # m-th pair adds to dB[:, i + m].  (np.add.at over the table's rows and
+    # cols gives the same bits but is over ten times slower.)
     n, d = cache.h.shape[1:]
     d_a = np.empty((n_sent, n, dpre.shape[2]))
     d_b = np.zeros_like(d_a)
-    start = 0
-    for i in range(n):
+    for i, start in enumerate(index_map(n).row_start):
         seg = dpre[:, start:start + n - i]
         d_a[:, i] = seg.sum(axis=1)
         d_b[:, i:] += seg
-        start += n - i
     h_rows = cache.h.reshape(-1, d)  # (B·n, d)
     weight_l, weight_r = params.kernel.weight[:, :d], params.kernel.weight[:, d:]
     grads["kernel.weight"][:, :d] += d_a.reshape(len(h_rows), -1).T @ h_rows
@@ -508,14 +502,6 @@ def _fit_length(tokens, max_len: int, mode: str):
     return tokens[:max_len]
 
 
-def _tags_to_tagging(tags: np.ndarray, n: int, n_rel: int) -> HandshakingTagging:
-    rows = tags.tolist()
-    eh = tuple(rows[0])
-    sh = tuple(tuple(rows[1 + r]) for r in range(n_rel))
-    st = tuple(tuple(rows[1 + n_rel + r]) for r in range(n_rel))
-    return HandshakingTagging(n, eh, sh, st)
-
-
 def _infer(sentences, params: ModelParams, schema: RelationSchema, batch_size: int,
            mode: str) -> list[set[Triple]]:
     """Shared body of :func:`infer` and :func:`infer_batch`."""
@@ -532,8 +518,8 @@ def _infer(sentences, params: ModelParams, schema: RelationSchema, batch_size: i
             idxs = [start + i for i in group]
             tags = _argmax_tags(_forward([fitted[i] for i in idxs], params).logits)
             for idx, row in zip(idxs, tags):
-                tagging = _tags_to_tagging(row, len(fitted[idx]), params.n_relations)
-                results[idx] = decode(tagging, schema, mode=mode)
+                results[idx] = decode(HandshakingTagging(len(fitted[idx]), row), schema,
+                                      mode=mode)
     return results  # type: ignore[return-value]
 
 

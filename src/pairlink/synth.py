@@ -11,8 +11,18 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .codec import phantom_triples
-from .core import InvalidInput, RelationSchema, SentenceAnnotation, TokenSpan, Triple
+from .core import (
+    HandshakingTagging,
+    InvalidInput,
+    RelationSchema,
+    SentenceAnnotation,
+    TokenSpan,
+    Triple,
+    seq_length,
+)
 
 
 def _random_span(rng: random.Random, n: int, max_width: int) -> TokenSpan:
@@ -139,21 +149,14 @@ def random_tagging(
     evenly between tags 1 and 2, including in the entity sequence, so lenient
     handling of stray reversed entity tags gets exercised.
     """
-    from .core import HandshakingTagging, seq_length
-
     length = seq_length(n)
-
-    def seq() -> tuple[int, ...]:
-        return tuple(
-            0 if rng.random() < zero_bias else rng.choice((1, 2)) for _ in range(length)
-        )
-
-    return HandshakingTagging(
-        n,
-        seq(),
-        tuple(seq() for _ in range(n_relations)),
-        tuple(seq() for _ in range(n_relations)),
-    )
+    # one draw per cell in row-major order: the entity sequence, then the
+    # head sequences, then the tail sequences
+    cells = [
+        0 if rng.random() < zero_bias else rng.choice((1, 2))
+        for _ in range((2 * n_relations + 1) * length)
+    ]
+    return HandshakingTagging(n, np.array(cells, dtype=np.int8).reshape(-1, length))
 
 
 def synthetic_dataset(

@@ -67,10 +67,7 @@ def figure_fixture():
     back_sh = sequences_with(n, {(0, 3): 2})
     back_st = sequences_with(n, {(1, 4): 2, (2, 4): 2})
     tagging = HandshakingTagging(
-        n=n,
-        eh2et=eh2et,
-        sh2oh=(mayor_sh, back_sh, back_sh),
-        st2ot=(mayor_st, back_st, back_st),
+        n, [eh2et, mayor_sh, back_sh, back_sh, mayor_st, back_st, back_st]
     )
     new_york = TokenSpan(0, 1)
     new_york_city = TokenSpan(0, 2)

@@ -131,6 +131,18 @@ class TestEncodeDecode:
         assert code == EXIT_INPUT
         assert "bad.jsonl:1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("eh2et", None), ("eh2et", [True]), ("n", True)])
+    def test_decode_rejects_malformed_field_with_one_line_exit_3(self, tmp_path, capsys,
+                                                                 field, value):
+        obj = {"n": 1, "relations": ["r"], "eh2et": [0], "sh2oh": [[0]], "st2ot": [[0]]}
+        obj[field] = value
+        bad = write_jsonl(tmp_path / "bad.jsonl", [obj])
+        code = main(["decode", "--data", bad, "--out", str(tmp_path / "out.jsonl")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "bad.jsonl:1" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestStats:
     def test_prints_and_writes_report(self, workspace, capsys):

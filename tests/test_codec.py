@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
 from pairlink import (
@@ -27,7 +28,7 @@ from pairlink import (
     seq_length,
 )
 from pairlink.codec import self_relating_triples, tagging_to_obj
-from pairlink.synth import random_annotation
+from pairlink.synth import random_annotation, random_tagging
 
 from conftest import annotation, triple
 
@@ -79,6 +80,9 @@ class TestPairIndexing:
         for k, (i, j) in enumerate(m.pairs):
             assert matrix_index(k, 9) == (i, j)
             assert m.row_start[i] + (j - i) == seq_index(i, j, 9) == k
+        assert list(zip(m.rows.tolist(), m.cols.tolist())) == list(m.pairs)
+        assert m.rows.dtype == m.cols.dtype == np.int64
+        assert not m.rows.flags.writeable and not m.cols.flags.writeable
 
 
 class TestEncode:
@@ -189,13 +193,27 @@ class TestRoundTrip:
 
 class TestSerialization:
     def test_line_round_trip_is_byte_stable(self, figure_fixture):
-        schema, _, tagging, _ = figure_fixture
-        line = dump_tagging_line(tagging, schema)
-        parsed_tagging, parsed_schema = parse_tagging_line(line)
-        assert parsed_tagging == tagging
-        assert parsed_schema == schema
-        assert dump_tagging_line(parsed_tagging, parsed_schema) == line
-        assert "\n" not in line
+        schema, _, figure, _ = figure_fixture
+        rng = random.Random(77)
+        cases = [(schema, figure)]
+        for _ in range(60):
+            rel_schema = RelationSchema(tuple(f"r{r}" for r in range(rng.randint(1, 3))))
+            cases.append((rel_schema, random_tagging(rng, rng.randint(1, 12), len(rel_schema),
+                                                     zero_bias=rng.random())))
+        paper = RelationSchema(tuple(f"rel{r:02d}" for r in range(24)))
+        cases.append((paper, random_tagging(rng, 100, 24, zero_bias=0.99)))
+        # names json.dumps escapes: non-ASCII, a quote, a backslash, a control character
+        odd = RelationSchema(("née_à", 'say "true"', "back\\slash\t"))
+        cases.append((odd, random_tagging(rng, 5, 3, zero_bias=0.5)))
+        for rel_schema, tagging in cases:
+            line = dump_tagging_line(tagging, rel_schema)
+            assert line == json.dumps(tagging_to_obj(tagging, rel_schema), separators=(",", ":"))
+            # random taggings may hold reversed entity tags, which only lenient mode reads
+            parsed_tagging, parsed_schema = parse_tagging_line(line, mode="lenient")
+            assert parsed_tagging == tagging
+            assert parsed_schema == rel_schema
+            assert dump_tagging_line(parsed_tagging, parsed_schema) == line
+            assert "\n" not in line
 
     def test_obj_shape(self, schema2):
         tagging = encode(annotation(3, [triple(0, 0, 0, 1, 2)]), schema2)
@@ -218,6 +236,20 @@ class TestSerialization:
             lambda o: o.__setitem__("sh2oh", o["sh2oh"][:-1]),
             lambda o: o["st2ot"][0].__setitem__(0, 7),
             lambda o: o["eh2et"].__setitem__(0, 2),  # reversed tag in entity sequence
+            lambda o: o.__setitem__("eh2et", None),
+            lambda o: o.__setitem__("sh2oh", 5),
+            lambda o: o["sh2oh"].__setitem__(1, 5),
+            lambda o: o["st2ot"].__setitem__(2, "0" * 15),  # right length, not a list
+            lambda o: o.__setitem__("relations", "abc"),  # three letters, three relations
+            lambda o: o.__setitem__("relations", ["mayor", 1, "live_in"]),
+            # n = 1 with one-cell sequences is well formed, except that n is a bool
+            lambda o: o.update(n=True, eh2et=[0], sh2oh=[[0]] * 3, st2ot=[[0]] * 3),
+            lambda o: o["sh2oh"][0].__setitem__(3, 1.0),  # the mayor head link, as a float
+            lambda o: o["st2ot"][0].__setitem__(8, True),  # the mayor tail link, as a bool
+            lambda o: o["eh2et"].__setitem__(1, False),
+            lambda o: o["st2ot"][1].__setitem__(0, 300),
+            lambda o: o["st2ot"][1].__setitem__(0, -1),
+            lambda o: o["sh2oh"][2].pop(),
         ],
     )
     def test_strict_parse_rejects_corrupt_lines(self, figure_fixture, mutate):

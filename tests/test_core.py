@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from pairlink import (
@@ -123,24 +124,57 @@ class TestSentenceAnnotation:
 class TestHandshakingTagging:
     def test_shape_validation(self):
         with pytest.raises(InvalidInput):
-            HandshakingTagging(n=3, eh2et=(0,) * 5, sh2oh=(), st2ot=())
+            HandshakingTagging(3, [(0,) * 5])  # seq_length(3) is 6
+        with pytest.raises(InvalidInput):
+            HandshakingTagging(3, (0,) * 6)  # one sequence, not a (2N+1, P) array
+        with pytest.raises(InvalidInput):
+            HandshakingTagging(3, [(0,) * 6, (0,) * 5, (0,) * 6])  # ragged
 
     def test_relation_sequences_must_pair_up(self):
         flat = (0,) * seq_length(3)
         with pytest.raises(InvalidInput):
-            HandshakingTagging(n=3, eh2et=flat, sh2oh=(flat,), st2ot=())
+            HandshakingTagging(3, [flat, flat])  # a head sequence without its tail
 
     def test_sequences_order_is_entity_subject_tail(self):
         flat = (0,) * seq_length(2)
         sh = ((1, 0, 0), (0, 1, 0))
         st = ((0, 0, 1), (1, 1, 0))
-        tagging = HandshakingTagging(n=2, eh2et=flat, sh2oh=sh, st2ot=st)
+        tagging = HandshakingTagging(2, [flat, *sh, *st])
         assert tagging.n_relations == 2
-        assert tagging.sequences() == (flat, *sh, *st)
+        assert tagging.tags.shape == (5, 3) and tagging.tags.dtype == np.int8
+        assert tagging.tags.tolist() == [list(flat), *map(list, sh), *map(list, st)]
+        assert (tagging.eh2et, tagging.sh2oh, tagging.st2ot) == (flat, sh, st)
 
     def test_rejects_out_of_range_tags(self):
+        for bad_tag in (3, -1, 255, 258):  # 258 would wrap to 2 in int8
+            with pytest.raises(InvalidInput):
+                HandshakingTagging(2, [(0, bad_tag, 0)])
+            with pytest.raises(InvalidInput):
+                HandshakingTagging(2, np.array([[0, bad_tag, 0]], dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, object])
+    def test_rejects_non_integer_dtypes(self, dtype):
         with pytest.raises(InvalidInput):
-            HandshakingTagging(n=2, eh2et=(0, 3, 0), sh2oh=(), st2ot=())
+            HandshakingTagging(2, np.array([[0, 1, 0]], dtype=dtype))
+
+    def test_array_is_a_read_only_copy(self):
+        source = np.array([[0, 1, 0], [1, 0, 2], [0, 0, 1]], dtype=np.int8)
+        tagging = HandshakingTagging(2, source)
+        assert not tagging.tags.flags.writeable
+        with pytest.raises(ValueError):
+            tagging.tags[0, 0] = 1
+        source[0, 0] = 2  # the caller's array stays its own
+        assert tagging.tags[0, 0] == 0
+        with pytest.raises(AttributeError):
+            tagging.n = 3
+
+    def test_equality_compares_n_and_contents(self):
+        rows = [[0, 1, 0], [1, 0, 2], [0, 0, 1]]
+        tagging = HandshakingTagging(2, rows)
+        same = HandshakingTagging(2, np.array(rows, dtype=np.uint8))
+        assert tagging == same and hash(tagging) == hash(same)
+        assert tagging != HandshakingTagging(2, [[0, 1, 0], [1, 0, 2], [0, 0, 2]])
+        assert tagging != HandshakingTagging(1, [[0], [1], [0]])
 
     def test_link_tag_values(self):
         assert LinkTag.NONE == 0

@@ -231,7 +231,9 @@ class TestForwardAndLoss:
         eh = one_cell(0)
         sh = tuple(map(one_cell, (1, 2, 3)))
         st = tuple(map(one_cell, (4, 5, 6)))
-        gold = gold_tags(HandshakingTagging(n, eh, sh, st))
+        tagging = HandshakingTagging(n, [eh, *sh, *st])
+        gold = gold_tags(tagging)
+        assert gold is tagging.tags  # training reads the tagging's own array
         assert gold[0].tolist() == list(eh)
         assert [gold[row].tolist() for row in (1, 2, 3)] == [list(s) for s in sh]
         assert [gold[row].tolist() for row in (4, 5, 6)] == [list(s) for s in st]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from pairlink import InvalidInput, RelationSchema, detect_conflicts, phantom_triples, seq_length
@@ -86,14 +87,23 @@ class TestRandomTagging:
         assert t1.n_relations == 3
         assert len(t1.eh2et) == seq_length(6)
 
+    def test_cells_take_one_draw_each_in_row_major_order(self):
+        # the tuple-per-sequence generator this replaced drew the entity
+        # sequence, then each head sequence, then each tail sequence
+        n, n_rel, zero_bias = 7, 2, 0.6
+        rng = random.Random(31)
+        want = [
+            [0 if rng.random() < zero_bias else rng.choice((1, 2)) for _ in range(seq_length(n))]
+            for _ in range(2 * n_rel + 1)
+        ]
+        got = random_tagging(random.Random(31), n, n_rel, zero_bias=zero_bias)
+        assert got.tags.tolist() == want
+
     def test_zero_bias_controls_density(self):
         rng = random.Random(1)
         dense = random_tagging(rng, 10, 2, zero_bias=0.1)
         sparse = random_tagging(rng, 10, 2, zero_bias=0.95)
-        count_nonzero = lambda t: sum(
-            sum(1 for v in seq if v) for seq in t.sequences()
-        )
-        assert count_nonzero(dense) > count_nonzero(sparse)
+        assert np.count_nonzero(dense.tags) > np.count_nonzero(sparse.tags)
 
     def test_entity_sequence_may_hold_reversed_tags(self):
         rng = random.Random(2)
