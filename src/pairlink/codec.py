@@ -63,19 +63,16 @@ def matrix_index(k: int, n: int) -> tuple[int, int]:
 class IndexMap:
     """Precomputed bijection between upper-triangle pairs and flat indices.
 
-    ``pairs[k]`` is the (i, j) cell at flat index k, and the cell (i, j) sits
-    at flat index ``row_start[i] + (j - i)``.  ``rows`` and ``cols`` hold the
-    same cells as two read-only int64 arrays: ``pairs[k] == (rows[k], cols[k])``.
+    ``(rows[k], cols[k])`` is the (i, j) cell at flat index k, held as two
+    read-only int64 arrays, and the cell (i, j) sits at flat index
+    ``row_start[i] + (j - i)``.
     """
 
-    __slots__ = ("n", "length", "pairs", "row_start", "rows", "cols")
+    __slots__ = ("n", "length", "row_start", "rows", "cols")
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.length = seq_length(n)
-        self.pairs: tuple[tuple[int, int], ...] = tuple(
-            (i, j) for i in range(n) for j in range(i, n)
-        )
         self.row_start: tuple[int, ...] = tuple(
             i * n - (i * (i - 1)) // 2 for i in range(n)
         )
@@ -239,7 +236,7 @@ def phantom_triples(ann: SentenceAnnotation, schema: RelationSchema) -> frozense
 _FIELDS = ("n", "relations", "eh2et", "sh2oh", "st2ot")
 
 
-def _check_relation_count(tagging: HandshakingTagging, schema: RelationSchema) -> None:
+def check_relation_count(tagging: HandshakingTagging, schema: RelationSchema) -> None:
     if tagging.n_relations != len(schema):
         raise InvalidInput(
             f"tagging has {tagging.n_relations} relations, schema has {len(schema)}"
@@ -247,7 +244,7 @@ def _check_relation_count(tagging: HandshakingTagging, schema: RelationSchema) -
 
 
 def tagging_to_obj(tagging: HandshakingTagging, schema: RelationSchema) -> dict:
-    _check_relation_count(tagging, schema)
+    check_relation_count(tagging, schema)
     return {
         "n": tagging.n,
         "relations": list(schema.relations),
@@ -281,7 +278,7 @@ def dump_tagging_line(tagging: HandshakingTagging, schema: RelationSchema) -> st
     separators=(",", ":"))``; the tag rows are written as digits and commas
     into one uint8 buffer instead of going through Python ints.
     """
-    _check_relation_count(tagging, schema)
+    check_relation_count(tagging, schema)
     tags = tagging.tags
     text = np.empty((len(tags), 2 * tags.shape[1]), dtype=np.uint8)
     text[:, 0::2] = tags + ord("0")
@@ -298,14 +295,31 @@ def dump_tagging_line(tagging: HandshakingTagging, schema: RelationSchema) -> st
     )).decode("ascii")
 
 
+def _may_hold_bools(line: str, relations: list[str]) -> bool:
+    """Whether ``line`` may hold a JSON ``true`` or ``false`` outside its relation names.
+
+    A name such as ``is_true_of`` would match a test on the whole line.  When
+    the line holds the relations field as ``dump_tagging_line`` writes it,
+    that field's text, which holds no bool, is left out of the test; any
+    other layout tests the whole line.
+    """
+    field = '"relations":' + json.dumps(relations, separators=(",", ":"))
+    start = line.find(field)
+    if start < 0:
+        return "true" in line or "false" in line
+    end = start + len(field)
+    return any(line.find(word, 0, start) >= 0 or line.find(word, end) >= 0
+               for word in ("true", "false"))
+
+
 def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagging, RelationSchema]:
     """The tagging and schema of one line; :class:`InvalidInput` if it is malformed.
 
     Each row becomes the tag array through ``bytes(row)``, which rejects
     anything but ints in [0, 256); values above 2 are then found in the
     array.  JSON ``true``/``false`` would pass ``bytes`` as 1 and 0, so when
-    the line holds either word the rows are also scanned for bools.  Strict
-    mode also rejects a reversed entity tag.
+    the line may hold either (see :func:`_may_hold_bools`) the rows are also
+    scanned for bools.  Strict mode also rejects a reversed entity tag.
     """
     check_mode(mode)
     try:
@@ -329,7 +343,7 @@ def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagg
         raise InvalidInput(f"expected {n_rel} head and {n_rel} tail sequences as lists")
     length = seq_length(n)
     rows = [obj["eh2et"], *sh, *st]
-    may_hold_bools = "true" in line or "false" in line
+    may_hold_bools = _may_hold_bools(line, relations)
     chunks = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != length:

@@ -212,10 +212,6 @@ class HandshakingTagging:
     def __hash__(self) -> int:
         return hash((self.n, self.tags.shape, self.tags.tobytes()))
 
-    def __reduce__(self):
-        # pickle and copy through the constructor, so the copy is read-only too
-        return (type(self), (self.n, self.tags))
-
     @property
     def n_relations(self) -> int:
         return len(self.tags) // 2

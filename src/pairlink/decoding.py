@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codec import check_mode, index_map
+from .codec import check_mode, check_relation_count, index_map
 from .core import (
     HandshakingTagging,
     InvalidInput,
@@ -38,12 +38,12 @@ def extract_entities(
         raise InvalidInput(
             f"entity sequence has length {len(eh2et)}, expected {seq_length(n)} for n={n}"
         )
-    pairs = index_map(n).pairs
+    imap = index_map(n)
     spans: list[TokenSpan] = []
     by_head: dict[int, list[TokenSpan]] = {}
     for k, tag in enumerate(eh2et):
         if tag == 1:
-            i, j = pairs[k]
+            i, j = int(imap.rows[k]), int(imap.cols[k])
             span = TokenSpan(i, j)
             spans.append(span)
             by_head.setdefault(i, []).append(span)
@@ -65,10 +65,7 @@ def decode(
     strict mode raises, lenient mode ignores it.
     """
     check_mode(mode)
-    if tagging.n_relations != len(schema):
-        raise InvalidInput(
-            f"tagging has {tagging.n_relations} relations, schema has {len(schema)}"
-        )
+    check_relation_count(tagging, schema)
     n_rel = len(schema)
     imap = index_map(tagging.n)
     tags = tagging.tags
@@ -109,10 +106,7 @@ def decode_oracle(
     index arithmetic (the pair-to-flat map is rebuilt by plain enumeration).
     """
     check_mode(mode)
-    if tagging.n_relations != len(schema):
-        raise InvalidInput(
-            f"tagging has {tagging.n_relations} relations, schema has {len(schema)}"
-        )
+    check_relation_count(tagging, schema)
     n = tagging.n
     flat: dict[tuple[int, int], int] = {}
     k = 0

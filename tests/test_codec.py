@@ -27,7 +27,7 @@ from pairlink import (
     seq_index,
     seq_length,
 )
-from pairlink.codec import self_relating_triples, tagging_to_obj
+from pairlink.codec import _may_hold_bools, self_relating_triples, tagging_to_obj
 from pairlink.synth import random_annotation, random_tagging
 
 from conftest import annotation, triple
@@ -76,11 +76,10 @@ class TestPairIndexing:
         m = index_map(9)
         assert m is index_map(9)
         assert m.length == seq_length(9)
-        assert len(m.pairs) == m.length
-        for k, (i, j) in enumerate(m.pairs):
+        assert len(m.rows) == len(m.cols) == m.length
+        for k, (i, j) in enumerate(zip(m.rows.tolist(), m.cols.tolist())):
             assert matrix_index(k, 9) == (i, j)
             assert m.row_start[i] + (j - i) == seq_index(i, j, 9) == k
-        assert list(zip(m.rows.tolist(), m.cols.tolist())) == list(m.pairs)
         assert m.rows.dtype == m.cols.dtype == np.int64
         assert not m.rows.flags.writeable and not m.cols.flags.writeable
 
@@ -205,11 +204,17 @@ class TestSerialization:
         # names json.dumps escapes: non-ASCII, a quote, a backslash, a control character
         odd = RelationSchema(("née_à", 'say "true"', "back\\slash\t"))
         cases.append((odd, random_tagging(rng, 5, 3, zero_bias=0.5)))
+        # the figure is strict mode's control for valid reversed head and tail tags
+        assert figure.tags[0].max() == 1 and figure.tags[1:].max() == 2
         for rel_schema, tagging in cases:
             line = dump_tagging_line(tagging, rel_schema)
             assert line == json.dumps(tagging_to_obj(tagging, rel_schema), separators=(",", ":"))
             # random taggings may hold reversed entity tags, which only lenient mode reads
-            parsed_tagging, parsed_schema = parse_tagging_line(line, mode="lenient")
+            mode = "lenient" if tagging.tags[0].max() == 2 else "strict"
+            if mode == "lenient":
+                with pytest.raises(InvalidInput, match="reversed tag in eh2et"):
+                    parse_tagging_line(line, mode="strict")
+            parsed_tagging, parsed_schema = parse_tagging_line(line, mode=mode)
             assert parsed_tagging == tagging
             assert parsed_schema == rel_schema
             assert dump_tagging_line(parsed_tagging, parsed_schema) == line
@@ -258,6 +263,19 @@ class TestSerialization:
         mutate(obj)
         with pytest.raises(InvalidInput):
             parse_tagging_line(json.dumps(obj), mode="strict")
+
+    @pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")])
+    @pytest.mark.parametrize("tag", [True, False])
+    def test_parse_finds_bools_when_names_hold_true_or_false(self, separators, tag):
+        schema = RelationSchema(("is_true_of", "false_friend"))
+        tagging = encode(annotation(3, [triple(0, 0, 0, 1, 2)]), schema)
+        obj = tagging_to_obj(tagging, schema)
+        # the canonical relations field is left out of the bool test, so the
+        # names alone do not send the rows through the per-cell scan
+        assert not _may_hold_bools(dump_tagging_line(tagging, schema), obj["relations"])
+        obj["st2ot"][1][4] = tag
+        with pytest.raises(InvalidInput, match="holds tag"):
+            parse_tagging_line(json.dumps(obj, separators=separators), mode="lenient")
 
     def test_lenient_parse_accepts_reversed_entity_tag(self, figure_fixture):
         schema, _, tagging, _ = figure_fixture
