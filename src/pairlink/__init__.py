@@ -53,8 +53,6 @@ from .evaluate import (
     EvalReport,
     MicroScores,
     bench_inference,
-    match_exact,
-    match_partial,
     micro_prf,
     subset_report,
 )
@@ -129,8 +127,6 @@ __all__ = [
     "load_checkpoint",
     "load_dataset",
     "load_schema",
-    "match_exact",
-    "match_partial",
     "matrix_index",
     "micro_prf",
     "parse_tagging_line",

@@ -21,21 +21,9 @@ def check_match_mode(mode: str) -> str:
     return mode
 
 
-def match_exact(pred: Triple, gold: Triple) -> bool:
-    """Relation and both full spans agree."""
-    return pred == gold
-
-
-def match_partial(pred: Triple, gold: Triple) -> bool:
-    """Relation plus subject and object head positions; tails are ignored."""
-    return (
-        pred.relation == gold.relation
-        and pred.subject.head == gold.subject.head
-        and pred.object.head == gold.object.head
-    )
-
-
 def _partial_key(t: Triple) -> tuple[int, int, int]:
+    """What partial mode matches on: the relation and the subject and object
+    head positions; tails are ignored.  Exact mode matches whole triples."""
     return (t.relation, t.subject.head, t.object.head)
 
 

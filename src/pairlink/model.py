@@ -11,14 +11,23 @@ heads N+1..2N the tail-pair sequences).  Gradients are derived by hand and
 cross-checked against central finite differences in the test suite; no
 autograd library is involved.
 
-Training and inference run one forward and one backward, both over a stack
-of same-length sentences, (B, n) token ids.  :func:`gradient` and
-:func:`infer_batch` group their sentences by length and run each group as
-one stack; :func:`forward_probs`, :func:`infer` and :func:`batch_loss` (the
-finite-difference oracle's loss) run one sentence as a stack of one.  Inside
-the model the head logits and probabilities are class-major, (B, 2N+1, 3, P),
-so every head product is one matrix multiply over contiguous pair rows;
-:func:`forward_probs` hands out the (2N+1, P, 3) view.
+Everything runs over a stack of same-length sentences, (B, n) token ids,
+through one encoder and pair kernel (``_encode_pairs``).  :func:`gradient`
+and :func:`infer_batch` group their sentences by length and run each group
+as one stack; :func:`forward_probs`, :func:`infer` and :func:`batch_loss`
+(the finite-difference oracle's loss) run one sentence as a stack of one.
+
+Training and :func:`forward_probs` score every head at every pair in one
+forward (``_forward``) and backward.  Inside them the head logits and
+probabilities are class-major, (B, 2N+1, 3, P), so every head product is one
+matrix multiply over contiguous pair rows; :func:`forward_probs` hands out
+the (2N+1, P, 3) view.
+
+Inference scores the entity head at every pair, but the 2N relation heads
+only at entity-boundary pairs: the head rows at the pairs within the entity
+head positions, the tail rows at the pairs within the entity tail positions.
+No other relation cell can reach a triple in :func:`decode`, so the triples
+equal those of scoring every head everywhere.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import index_map
+from .codec import IndexMap, check_mode, index_map
 from .core import (
     HandshakingTagging,
     InvalidInput,
@@ -313,14 +322,12 @@ class ForwardCache:
     logits: np.ndarray  # (B, T, 3, P)
 
 
-def _forward(token_lists, params: ModelParams) -> ForwardCache:
-    """The model's forward pass over a stack of same-length sentences.
+def _encode_pairs(token_lists, params: ModelParams) -> tuple[np.ndarray, dict, np.ndarray]:
+    """Encoder and pair kernel over a stack of same-length sentences: (h, enc cache, k).
 
     With W = [W_l | W_r] split at the token width, W [h_i; h_j] = A_i + B_j
     for A = h W_lᵀ and B = h W_rᵀ, so each token is projected once rather
-    than once per pair.  The heads run as one (T·3, pair_dim) @ kᵀ product;
-    the class axis sits before the pair axis so that every class row is
-    contiguous over pairs.
+    than once per pair.  ``k`` is (B, P, pair_dim) in ``index_map`` order.
     """
     ids = _stack_ids(token_lists, params.encoder.vocab)
     h, enc_cache = _encode(ids, params.encoder)
@@ -330,10 +337,21 @@ def _forward(token_lists, params: ModelParams) -> ForwardCache:
     k += (h @ weight[:, d:].T)[:, imap.cols]
     k += params.kernel.bias
     np.tanh(k, out=k)
+    return h, enc_cache, k
+
+
+def _forward(token_lists, params: ModelParams) -> ForwardCache:
+    """The model's full forward pass over a stack of same-length sentences.
+
+    The heads run as one (T·3, pair_dim) @ kᵀ product over every pair; the
+    class axis sits before the pair axis so that every class row is
+    contiguous over pairs.
+    """
+    h, enc_cache, k = _encode_pairs(token_lists, params)
     heads = params.taggers.weight
     logits = heads.reshape(-1, heads.shape[2]) @ k.transpose(0, 2, 1)
     logits += params.taggers.bias.reshape(-1, 1)
-    return ForwardCache(h, enc_cache, k, logits.reshape(len(ids), heads.shape[0], 3, -1))
+    return ForwardCache(h, enc_cache, k, logits.reshape(len(k), heads.shape[0], 3, -1))
 
 
 def _length_groups(token_lists) -> list[list[int]]:
@@ -502,9 +520,43 @@ def _fit_length(tokens, max_len: int, mode: str):
     return tokens[:max_len]
 
 
+def _boundary_cells(positions: np.ndarray, imap: IndexMap) -> np.ndarray:
+    """Flat indices of the upper-triangle pairs within token ``positions``, diagonal included."""
+    positions = np.unique(positions)
+    within = index_map(len(positions))
+    i, j = positions[within.rows], positions[within.cols]
+    return np.take(imap.row_start, i) + (j - i)
+
+
+def _entity_first_tags(pairs: np.ndarray, entity: np.ndarray, params: ModelParams,
+                       imap: IndexMap) -> np.ndarray:
+    """One sentence's (2N+1, P) tags from its pair vectors (P, pair_dim) and entity row.
+
+    :func:`decode` emits (s, r, o) only for entity spans s and o with a head
+    link at (s.head, o.head) and a tail link at (s.tail, o.tail).  So the
+    head rows are scored only at the pairs within the entity head positions,
+    the tail rows only at the pairs within the entity tail positions, and
+    every other relation cell stays 0: the triples equal those of the argmax
+    over every head at every pair.
+    """
+    heads, bias, n_rel = params.taggers.weight, params.taggers.bias, params.n_relations
+    tags = np.zeros((len(heads), imap.length), dtype=np.int8)
+    tags[0] = entity
+    spans = entity == 1
+    if spans.any():
+        for rows, ends in ((slice(1, 1 + n_rel), imap.rows[spans]),
+                           (slice(1 + n_rel, None), imap.cols[spans])):
+            cells = _boundary_cells(ends, imap)
+            logits = heads[rows].reshape(-1, heads.shape[2]) @ pairs[cells].T
+            logits += bias[rows].reshape(-1, 1)
+            tags[rows, cells] = _argmax_tags(logits.reshape(n_rel, 3, -1))
+    return tags
+
+
 def _infer(sentences, params: ModelParams, schema: RelationSchema, batch_size: int,
            mode: str) -> list[set[Triple]]:
     """Shared body of :func:`infer` and :func:`infer_batch`."""
+    check_mode(mode)
     if params.n_relations != len(schema):
         raise InvalidInput(
             f"model has {params.n_relations} relations, schema has {len(schema)}"
@@ -512,21 +564,28 @@ def _infer(sentences, params: ModelParams, schema: RelationSchema, batch_size: i
     fitted = []
     for tokens in sentences:  # a comprehension would add a frame under the warning
         fitted.append(_fit_length(tokens, params.max_len, mode))
+    entity_head, entity_bias = params.taggers.weight[0], params.taggers.bias[0]
     results: list[set[Triple] | None] = [None] * len(fitted)
     for start in range(0, len(fitted), batch_size):
         for group in _length_groups(fitted[start:start + batch_size]):
             idxs = [start + i for i in group]
-            tags = _argmax_tags(_forward([fitted[i] for i in idxs], params).logits)
-            for idx, row in zip(idxs, tags):
-                results[idx] = decode(HandshakingTagging(len(fitted[idx]), row), schema,
-                                      mode=mode)
+            n = len(fitted[idxs[0]])
+            _, _, k = _encode_pairs([fitted[i] for i in idxs], params)
+            entity = _argmax_tags(entity_head @ k.transpose(0, 2, 1) + entity_bias[:, None])
+            for idx, pairs, row in zip(idxs, k, entity):
+                tags = _entity_first_tags(pairs, row, params, index_map(n))
+                results[idx] = decode(HandshakingTagging(n, tags), schema, mode=mode)
     return results  # type: ignore[return-value]
 
 
 def infer(tokens, params: ModelParams, schema: RelationSchema,
           mode: str = "lenient") -> set[Triple]:
-    """Forward pass, argmax tags (ties toward the smaller label), then decode.
+    """Encode, score the heads, argmax tags (ties toward the smaller label), decode.
 
+    The entity head is scored at every token pair; the 2N relation heads only
+    at the entity-boundary pairs that can reach a triple (pairs of entity
+    head positions for the head rows, of entity tail positions for the tail
+    rows), which gives the same triples as scoring every head everywhere.
     Softmax is monotone, so the argmax is taken on the logits directly.  The
     result equals ``infer_batch([tokens], ...)[0]``: both run one body.
     """
@@ -538,7 +597,7 @@ def infer_batch(sentences, params: ModelParams, schema: RelationSchema,
     """Inference over many sentences; output order matches input order.
 
     Each batch is grouped by sentence length so a group runs as one stacked
-    forward pass; decoded triple sets equal per-sentence :func:`infer`.
+    encoder and pair kernel; decoded triple sets equal per-sentence :func:`infer`.
     """
     if batch_size < 1:
         raise InvalidInput(f"batch size must be >= 1, got {batch_size}")

@@ -25,6 +25,24 @@ def triple(sh: int, st: int, rid: int, oh: int, ot: int) -> Triple:
     return Triple(TokenSpan(sh, st), rid, TokenSpan(oh, ot))
 
 
+# The match predicates of micro_prf's two modes, one pair of triples at a
+# time: the brute-force maximum-matching oracle and criterion 6 use them.
+
+
+def match_exact(pred: Triple, gold: Triple) -> bool:
+    """Relation and both full spans agree."""
+    return pred == gold
+
+
+def match_partial(pred: Triple, gold: Triple) -> bool:
+    """Relation plus subject and object head positions; tails are ignored."""
+    return (
+        pred.relation == gold.relation
+        and pred.subject.head == gold.subject.head
+        and pred.object.head == gold.object.head
+    )
+
+
 def annotation(n: int, triples, tokens=None) -> SentenceAnnotation:
     toks = tuple(tokens) if tokens is not None else tuple(f"w{i}" for i in range(n))
     return SentenceAnnotation(tokens=toks, triples=tuple(triples))

@@ -34,8 +34,6 @@ from pairlink import (
     infer_batch,
     init_model,
     load_dataset,
-    match_exact,
-    match_partial,
     micro_prf,
     seq_length,
     train,
@@ -45,7 +43,7 @@ from pairlink.data import relation_names, read_records
 from pairlink.model import batch_loss, named_tensors
 from pairlink.synth import random_annotation, random_tagging, synthetic_dataset
 
-from conftest import annotation, triple
+from conftest import annotation, match_exact, match_partial, triple
 
 
 def report(label: str, ok: bool, detail: str) -> None:

@@ -16,14 +16,12 @@ from pairlink import (
     bench_inference,
     build_vocab,
     init_model,
-    match_exact,
-    match_partial,
     micro_prf,
     subset_report,
 )
 from pairlink.evaluate import format_report, parameter_counts
 
-from conftest import annotation, triple
+from conftest import annotation, match_exact, match_partial, triple
 
 
 def all_triples(n_tokens: int, n_relations: int) -> list[Triple]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from pairlink import (
     ShapeError,
     TaggerParams,
     build_vocab,
+    decode,
     encode,
     encode_tokens,
     gradient,
     handshaking_kernel,
+    index_map,
     infer,
     infer_batch,
     init_model,
@@ -414,6 +417,118 @@ class TestInfer:
             infer_batch([long_sentence], p, schema2, mode="lenient")
         assert record[0].filename == __file__
 
+    def test_mode_is_checked_before_any_work(self, schema2):
+        p = tiny_model(schema2, [("a", "b", "c")], max_len=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a truncation warning would fail the test
+            with pytest.raises(InvalidInput, match="mode"):
+                infer_batch([], p, schema2, mode="bogus")
+            with pytest.raises(InvalidInput, match="mode"):
+                infer(("a", "b", "c"), p, schema2, mode="bogus")
+
+
+def full_scoring(tokens, params, schema, mode):
+    """Reference inference: every head scored at every pair, argmax, decode."""
+    logits = model._forward([tokens], params).logits
+    return decode(HandshakingTagging(len(tokens), model._argmax_tags(logits)[0]), schema,
+                  mode=mode)
+
+
+def outcome(call):
+    """``call()``'s result, or "raises" if it raised InvalidInput."""
+    try:
+        return call()
+    except InvalidInput:
+        return "raises"
+
+
+def model_emitting(tagging: HandshakingTagging):
+    """Tokens and a model whose argmax tags are exactly ``tagging``.
+
+    Tokens are one-hot vectors; kernel unit c reads about +1 at cell c and -1
+    at every other cell, so a head's logit for tag t is about +1 at the cells
+    where ``tagging`` holds t and -1 elsewhere, against 0 for tag 0.
+    """
+    n, tags = tagging.n, tagging.tags
+    tokens = tuple(f"w{i}" for i in range(n))
+    imap = index_map(n)
+    cells = np.arange(imap.length)
+    embed = np.vstack([np.zeros(n), np.eye(n)])  # id 0 is the unknown token
+    kernel = np.zeros((imap.length, 2 * n))
+    kernel[cells, imap.rows] = kernel[cells, n + imap.cols] = 20.0
+    heads = np.zeros((len(tags), 3, imap.length))
+    for t in (1, 2):
+        heads[:, t] = tags == t
+    params = ModelParams(
+        encoder=EncoderParams(build_vocab([tokens]), embed),
+        kernel=KernelParams(kernel, np.full(imap.length, -30.0)),
+        taggers=TaggerParams(heads, heads.sum(axis=2) - [0, 1, 1]),
+        n_relations=tagging.n_relations,
+    )
+    return tokens, params
+
+
+def assert_inference_equals_full_scoring(corpus, params, schema) -> int:
+    """infer and infer_batch give full_scoring's triples, or raise where it does.
+
+    Returns the number of triples full scoring emits in lenient mode.
+    """
+    emitted = 0
+    for mode in ("lenient", "strict"):
+        want = [outcome(lambda: full_scoring(tokens, params, schema, mode)) for tokens in corpus]
+        got = [outcome(lambda: infer(tokens, params, schema, mode=mode)) for tokens in corpus]
+        assert got == want, mode
+        batched = outcome(lambda: infer_batch(corpus, params, schema, mode=mode))
+        assert batched == ("raises" if "raises" in want else want), mode
+        if mode == "lenient":
+            emitted = sum(map(len, want))
+    return emitted
+
+
+class TestEntityFirstInference:
+    def test_triples_equal_full_scoring(self, schema2):
+        # toy: a self-relating triple, whose head and tail links sit on the
+        # diagonal; a reversed triple; and relation cells off every entity
+        # boundary, which full scoring tags and entity-first inference skips
+        gold = {triple(1, 2, 0, 1, 2), triple(3, 4, 1, 0, 0), triple(0, 0, 0, 3, 4)}
+        tags = np.array(encode(annotation(5, gold), schema2).tags)
+        tags[1:, [seq_index(1, 4, 5), seq_index(2, 3, 5)]] = 1
+        tokens, p = model_emitting(HandshakingTagging(5, tags))
+        assert full_scoring(tokens, p, schema2, "strict") == gold
+        assert assert_inference_equals_full_scoring([tokens], p, schema2) == len(gold)
+        # a reversed entity tag: strict mode raises, lenient mode ignores it
+        tags[0, seq_index(0, 2, 5)] = 2
+        tokens, p = model_emitting(HandshakingTagging(5, tags))
+        with pytest.raises(InvalidInput, match="reversed tag in entity sequence"):
+            infer(tokens, p, schema2, mode="strict")
+        assert assert_inference_equals_full_scoring([tokens], p, schema2) == len(gold)
+
+        # paper scale: 24 relations, n <= 60, the tag-0 bias raised so that
+        # about 0.1%, 1% and 5% of all cells predict a link
+        schema = RelationSchema(tuple(f"rel{r:02d}" for r in range(24)))
+        words = [f"w{i}" for i in range(300)]
+        shares, emitted = [], 0
+        for seed in (0, 1, 2):
+            rng = random.Random(seed)
+            lengths = [rng.randint(20, 60) for _ in range(3)]
+            # the repeated length makes infer_batch stack two sentences
+            corpus = [tuple(rng.choice(words) for _ in range(n)) for n in lengths + lengths[:1]]
+            p = tiny_model(schema, corpus, seed=seed, d_embed=64, d_state=32, d_pair=64)
+            margins = np.concatenate([
+                np.log(probs[:, :, 1:].max(axis=2) / probs[:, :, 0]).ravel()
+                for probs in (forward_probs(tokens, p) for tokens in corpus)
+            ])
+            base = p.taggers.bias[:, 0].copy()
+            for share in (0.001, 0.01, 0.05):
+                p.taggers.bias[:, 0] = base + np.quantile(margins, 1.0 - share)
+                shares.append(np.mean([
+                    np.mean(model._argmax_tags(model._forward([tokens], p).logits) != 0)
+                    for tokens in corpus
+                ]))
+                emitted += assert_inference_equals_full_scoring(corpus, p, schema)
+        assert min(shares) < 0.002 and max(shares) > 0.04
+        assert emitted > 50
+
 
 class TestInferBatch:
     def test_matches_per_sentence_inference(self, schema2):
@@ -443,15 +558,15 @@ class TestInferBatch:
         sentences = [("a", "b"), ("c", "d"), ("e", "f"), ("a", "c"), ("b", "d")]
         p = tiny_model(schema2, sentences)
         calls = []
-        original = model._forward
+        original = model._encode_pairs
 
         def counting(token_lists, params):
             calls.append(len(token_lists))
             return original(token_lists, params)
 
-        monkeypatch.setattr(model, "_forward", counting)
+        monkeypatch.setattr(model, "_encode_pairs", counting)
         infer_batch(sentences, p, schema2, batch_size=8)
-        assert calls == [5]  # five sentences, one stacked forward
+        assert calls == [5]  # five sentences, one stacked encoder and pair kernel
 
     def test_validates_batch_size(self, schema2):
         p = tiny_model(schema2, [("a",)])
