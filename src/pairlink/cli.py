@@ -60,26 +60,48 @@ def _write(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+# the JSON types a config value may take, by its option's type: numbers must
+# be numbers and booleans JSON booleans (bool("false") would read as true)
+_CONFIG_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
 class _Options:
     """Flag values layered over a JSON config file over defaults."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
         self.config: dict = {}
-        config_path = getattr(args, "config", None)
-        if config_path:
+        self.config_path = getattr(args, "config", None)
+        if self.config_path:
             try:
-                self.config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+                self.config = json.loads(Path(self.config_path).read_text(encoding="utf-8"))
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{config_path}: not valid JSON: {exc}") from None
+                raise ParseError(f"{self.config_path}: not valid JSON: {exc}") from None
             if not isinstance(self.config, dict):
-                raise ParseError(f"{config_path}: config must be a JSON object")
+                raise ParseError(f"{self.config_path}: config must be a JSON object")
         self.resolved: dict = {}
 
-    def get(self, name: str, default):
+    def get(self, name: str, default, kind: type | None = None):
+        """The option's flag, else its config value, else ``default``.
+
+        A config value must have the JSON type of the option, which is
+        ``kind`` or else the type of ``default``; a ``None`` default also
+        admits null.  Anything else raises :class:`ParseError`.
+        """
         value = getattr(self.args, name, None)
-        if value is None:
-            value = self.config.get(name, default)
+        if value is None and name in self.config:
+            value = self.config[name]
+            types, expected = _CONFIG_TYPES[kind or type(default)]
+            if type(value) not in types and not (value is None and default is None):
+                raise ParseError(f"{self.config_path}: config key {name!r} must be "
+                                 f"{expected}, got {json.dumps(value)}")
+        elif value is None:
+            value = default
         self.resolved[name] = value
         return value
 
@@ -218,23 +240,23 @@ def cmd_train(opts: _Options) -> int:
     valid_set = _load_annotations(opts, args.valid, schema) if args.valid else None
     config = TrainConfig(
         learning_rate=float(opts.get("lr", 1e-3)),
-        epochs=int(opts.get("epochs", 100)),
-        batch_size=int(opts.get("batch_size", 6)),
-        seed=int(opts.get("seed", 0)),
-        optimizer=str(opts.get("optimizer", "adam")),
-        grad_check=bool(opts.get("grad_check", False)),
-        early_stop_f1=opts.get("early_stop_f1", None),
+        epochs=opts.get("epochs", 100),
+        batch_size=opts.get("batch_size", 6),
+        seed=opts.get("seed", 0),
+        optimizer=opts.get("optimizer", "adam"),
+        grad_check=opts.get("grad_check", False),
+        early_stop_f1=opts.get("early_stop_f1", None, kind=float),
     )
     result = train(
         train_set,
         schema,
         config,
         valid=valid_set,
-        d_embed=int(opts.get("d_embed", 32)),
-        d_state=int(opts.get("d_state", 16)),
-        d_pair=int(opts.get("d_pair", 32)),
-        use_mixer=bool(opts.get("use_mixer", True)),
-        max_len=int(opts.get("max_len", 100)),
+        d_embed=opts.get("d_embed", 32),
+        d_state=opts.get("d_state", 16),
+        d_pair=opts.get("d_pair", 32),
+        use_mixer=opts.get("use_mixer", True),
+        max_len=opts.get("max_len", 100),
     )
     extra = opts.provenance("train")
     extra["seed"] = config.seed
@@ -263,7 +285,7 @@ def cmd_eval(opts: _Options) -> int:
     params, schema, _ = load_checkpoint(args.ckpt)
     annotations = _load_annotations(opts, args.data, schema)
     match = opts.get("match", "partial")
-    batch_size = int(opts.get("batch_size", 24))
+    batch_size = opts.get("batch_size", 24)
     golds = [set(ann.triples) for ann in annotations]
     preds = infer_batch(
         [ann.tokens for ann in annotations], params, schema, batch_size=batch_size
@@ -290,7 +312,7 @@ def cmd_bench(opts: _Options) -> int:
     args = opts.args
     params, schema, _ = load_checkpoint(args.ckpt)
     annotations = _load_annotations(opts, args.data, schema)
-    batch_size = int(opts.get("batch_size", 24))
+    batch_size = opts.get("batch_size", 24)
     report = evaluate.bench_inference(
         params, schema, [ann.tokens for ann in annotations], batch_size=batch_size
     )
@@ -309,7 +331,7 @@ def cmd_bench(opts: _Options) -> int:
 
 
 def cmd_selftest(opts: _Options) -> int:
-    seed = int(opts.get("seed", 0))
+    seed = opts.get("seed", 0)
     fast = bool(opts.args.fast)
     cases = 120 if fast else 400
     rng = random.Random(seed)

@@ -1,10 +1,11 @@
 """Turning flattened link-tag sequences back into relation triples.
 
-``decode`` is the production path.  One ``np.nonzero`` over the tagging's
-whole (2N+1, P) array finds every tagged cell; everything after it loops in
-Python over those cells only.  It collects the entity spans grouped by head
-position and the oriented tail links of every relation, then resolves each
-head link against the span candidates.  ``decode_oracle`` recomputes the same
+``decode`` is the production path.  It first finds the rows of the
+tagging's (2N+1, P) array that hold a tag, then one ``np.nonzero`` over just
+those rows finds every tagged cell; everything after it loops in Python over
+those cells only.  It collects the entity spans grouped by head position and
+the oriented tail links of every relation, then resolves each head link
+against the span candidates.  ``decode_oracle`` recomputes the same
 answer in pure Python by brute force over all entity-span pairs and exists
 purely to cross-check ``decode``.
 """
@@ -68,9 +69,12 @@ def decode(
     check_relation_count(tagging, schema)
     n_rel = len(schema)
     imap = index_map(tagging.n)
-    tags = tagging.tags
-    seq, cell = np.nonzero(tags)  # row-major: entity cells, then head rows, then tail rows
-    forward = tags[seq, cell] == 1
+    tagged = np.flatnonzero(tagging.tags.any(axis=1))
+    tags = tagging.tags[tagged]
+    # row-major over the tagged rows: entity cells, then head rows, then tail rows
+    local, cell = np.nonzero(tags)
+    seq = tagged[local]
+    forward = tags[local, cell] == 1
     # a forward tag links row token to column token; a reversed one the other way
     rows, cols = imap.rows[cell], imap.cols[cell]
     source = np.where(forward, rows, cols)

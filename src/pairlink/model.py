@@ -244,25 +244,27 @@ def _stack_ids(token_lists, vocab: dict[str, int]) -> np.ndarray:
     return ids
 
 
-def _recurrence(x: np.ndarray, w: np.ndarray, u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """States s_t = tanh(x_t wᵀ + s_{t-1} uᵀ + b) along axis 1 of x (B, n, e), s_{-1} = 0."""
-    s = x @ w.T
-    s += b
-    for t in range(s.shape[1]):
-        if t:
-            s[:, t] += s[:, t - 1] @ u.T
-        np.tanh(s[:, t], out=s[:, t])
-    return s
-
-
 def _encode(ids: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, dict]:
-    """Context vectors (B, n, out_dim) for stacked same-length id rows (B, n)."""
+    """Context vectors (B, n, out_dim) for stacked same-length id rows (B, n).
+
+    Both mixer directions step through one time-major loop over states
+    (n, 2, B, state): direction 0 reads the tokens in order, direction 1
+    reversed, so step t is one stacked product, add and tanh for both.
+    """
     x = enc.embed[ids]
     if enc.mixer is None:
         return x, {"ids": ids, "x": x, "f": None, "g": None}
     m = enc.mixer
-    f = _recurrence(x, m.w_fwd, m.u_fwd, m.b_fwd)
-    g = _recurrence(x[:, ::-1], m.w_bwd, m.u_bwd, m.b_bwd)[:, ::-1]
+    s = np.empty((ids.shape[1], 2, len(ids), m.state_dim))  # s_t = tanh(x_t wᵀ + s_{t-1} uᵀ + b)
+    s[:, 0] = (x @ m.w_fwd.T + m.b_fwd).transpose(1, 0, 2)
+    s[:, 1] = (x[:, ::-1] @ m.w_bwd.T + m.b_bwd).transpose(1, 0, 2)
+    u = np.stack([m.u_fwd, m.u_bwd]).transpose(0, 2, 1)  # (2, state, state), each uᵀ
+    np.tanh(s[0], out=s[0])
+    for t in range(1, len(s)):
+        s[t] += s[t - 1] @ u
+        np.tanh(s[t], out=s[t])
+    f = s[:, 0].transpose(1, 0, 2)  # (B, n, state)
+    g = s[::-1, 1].transpose(1, 0, 2)
     return np.concatenate([f, g], axis=2), {"ids": ids, "x": x, "f": f, "g": g}
 
 
@@ -327,14 +329,18 @@ def _encode_pairs(token_lists, params: ModelParams) -> tuple[np.ndarray, dict, n
 
     With W = [W_l | W_r] split at the token width, W [h_i; h_j] = A_i + B_j
     for A = h W_lᵀ and B = h W_rᵀ, so each token is projected once rather
-    than once per pair.  ``k`` is (B, P, pair_dim) in ``index_map`` order.
+    than once per pair.  ``k`` is (B, P, pair_dim) in ``index_map`` order,
+    which lays pairs out row by row: row i, the pairs (i, i), ..., (i, n-1)
+    from row_start[i], is A_i + B_i, ..., A_i + B_{n-1}.
     """
     ids = _stack_ids(token_lists, params.encoder.vocab)
     h, enc_cache = _encode(ids, params.encoder)
-    imap = index_map(ids.shape[1])
-    weight, d = params.kernel.weight, h.shape[2]
-    k = (h @ weight[:, :d].T)[:, imap.rows]
-    k += (h @ weight[:, d:].T)[:, imap.cols]
+    (n_sent, n, d), weight = h.shape, params.kernel.weight
+    imap = index_map(n)
+    a, b = h @ weight[:, :d].T, h @ weight[:, d:].T
+    k = np.empty((n_sent, imap.length, len(weight)))
+    for i, start in enumerate(imap.row_start):
+        np.add(a[:, i:i + 1], b[:, i:], out=k[:, start:start + n - i])
     k += params.kernel.bias
     np.tanh(k, out=k)
     return h, enc_cache, k
@@ -440,7 +446,12 @@ def _backward(gold: np.ndarray, cache: ForwardCache, params: ModelParams,
 
 def _recurrence_backward(ds: np.ndarray, s: np.ndarray, x: np.ndarray,
                          w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(dw, du, db, dx) of :func:`_recurrence` given dL/ds (B, n, state)."""
+    """(dw, du, db, dx) of one mixer direction given dL/ds (B, n, state).
+
+    ``s`` are that direction's states s_t = tanh(x_t wᵀ + s_{t-1} uᵀ + b)
+    along axis 1 of its input x (B, n, embed), as :func:`_encode` computes
+    them; the backward direction passes its states and input time-reversed.
+    """
     deriv = 1.0 - s**2
     dpre = ds * deriv
     for t in range(s.shape[1] - 2, -1, -1):

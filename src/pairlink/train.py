@@ -9,6 +9,7 @@ parameters.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,9 @@ class TrainConfig:
             raise InvalidInput(f"batch size must be >= 1, got {self.batch_size}")
         if self.optimizer not in ("adam", "sgd"):
             raise InvalidInput(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        stop = self.early_stop_f1
+        if stop is not None and (isinstance(stop, bool) or not isinstance(stop, numbers.Real)):
+            raise InvalidInput(f"early_stop_f1 must be None or a number, got {stop!r}")
 
 
 @dataclass

@@ -326,6 +326,38 @@ class TestSelftestAndUsage:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", "fast"), ("batch_size", "six"), ("early_stop_f1", "x"), ("use_mixer", "false"),
+    ])
+    def test_config_value_of_the_wrong_type_exits_3(self, workspace, capsys, key, value):
+        # rejected before any training, in one line naming the file and key;
+        # "false" is a string, and bool("false") would have read as true
+        tmp_path, schema, data = workspace
+        config = write(tmp_path / "typed.json", json.dumps({key: value}))
+        ckpt = tmp_path / "x.npz"
+        code = main(
+            ["train", "--data", data, "--schema", schema, "--ckpt", str(ckpt), "--config", config]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith(f"error: {config}: config key {key!r} must be ")
+        assert err.count("\n") == 1
+        assert not ckpt.exists()
+
+    def test_config_values_of_the_right_type_are_taken(self, workspace, capsys):
+        # an integer is a number, null turns early stopping off, false is false
+        tmp_path, schema, data = workspace
+        config = write(tmp_path / "typed.json", json.dumps(
+            {"lr": 1, "epochs": 1, "early_stop_f1": None, "use_mixer": False, "d_embed": 4}))
+        ckpt = tmp_path / "typed.npz"
+        code = main(
+            ["train", "--data", data, "--schema", schema, "--ckpt", str(ckpt), "--config", config]
+        )
+        assert code == EXIT_OK
+        params, _, meta = load_checkpoint(ckpt)
+        assert params.encoder.mixer is None
+        assert meta["extra"]["config"]["early_stop_f1"] is None
+
     def test_missing_data_file_exits_3(self, tmp_path, capsys):
         schema = write(tmp_path / "schema.json", '["r"]')
         code = main(

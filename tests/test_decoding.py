@@ -154,9 +154,17 @@ class TestOracleEquivalence:
 
 class TestDecodeCost:
     def test_each_sequence_is_swept_exactly_once(self, figure_fixture, monkeypatch):
-        # every row is read by one np.nonzero over the whole tag array, and
-        # the tuple views are never built
-        schema, _, tagging, expected = figure_fixture
+        # decode first finds the rows that hold a tag (a 1-D scan of a row
+        # mask); one np.nonzero then reads the cells of those rows and no
+        # others, and the tuple views are never built.  The figure's rows sit
+        # among empty relation rows, as under entity-first inference.
+        figure_schema, _, figure, expected = figure_fixture
+        n_rel = len(figure_schema)
+        schema = RelationSchema(figure_schema.relations + ("empty0", "empty1"))
+        empty = np.zeros((2, figure.tags.shape[1]), dtype=np.int8)
+        tagging = HandshakingTagging(figure.n, np.concatenate(
+            [figure.tags[:1 + n_rel], empty, figure.tags[1 + n_rel:], empty]))
+        tagged_rows = [0, 1, 2, 3, 6, 7, 8]
         scanned = []
         real_nonzero = np.nonzero
 
@@ -171,4 +179,39 @@ class TestDecodeCost:
         for view in ("eh2et", "sh2oh", "st2ot"):
             monkeypatch.setattr(HandshakingTagging, view, property(no_tuple_views))
         assert decode(tagging, schema) == expected
-        assert len(scanned) == 1 and scanned[0] is tagging.tags
+        cell_scans = [a for a in scanned if np.ndim(a) == 2]
+        assert len(cell_scans) == 1
+        assert np.array_equal(cell_scans[0], tagging.tags[tagged_rows])
+        assert all(np.shape(a) == (len(tagging.tags),) for a in scanned if np.ndim(a) != 2)
+
+
+def decode_outcome(decoder, tagging, schema, mode):
+    """The decoded triples, or the exception class when decoding raises."""
+    try:
+        return decoder(tagging, schema, mode=mode)
+    except InvalidInput:
+        return InvalidInput
+
+
+class TestRowSkipEdges:
+    # decode skips the rows that hold no tag; it must still agree with the
+    # oracle, in both modes, when the tagged rows are the first, the last,
+    # or none
+    @pytest.mark.parametrize("mode", ["lenient", "strict"])
+    @pytest.mark.parametrize(
+        "cells, want",
+        [
+            pytest.param([{}, {}, {}, {}, {}], set(), id="all-zero"),
+            pytest.param([{(0, 1): 1, (3, 3): 1}, {}, {}, {}, {}], set(), id="entity-row-only"),
+            pytest.param([{(0, 1): 1, (3, 3): 1}, {}, {}, {}, {(1, 3): 1, (0, 0): 2}], set(),
+                         id="last-tail-row-only"),
+            pytest.param([{(0, 0): 1, (2, 3): 2}, {(0, 0): 1}, {}, {(0, 0): 1}, {}],
+                         {triple(0, 0, 0, 0, 0)}, id="reversed-entity-tag"),
+        ],
+    )
+    def test_decode_equals_oracle(self, schema2, mode, cells, want):
+        tagging = HandshakingTagging(4, [sequences_with(4, c) for c in cells])
+        got = decode_outcome(decode, tagging, schema2, mode)
+        assert got == decode_outcome(decode_oracle, tagging, schema2, mode)
+        reversed_entity = 2 in tagging.tags[0]
+        assert got == (InvalidInput if reversed_entity and mode == "strict" else want)

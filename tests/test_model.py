@@ -137,8 +137,49 @@ class TestEncoder:
         with pytest.raises(InvalidInput):
             encode_tokens((), p.encoder)
 
+    @pytest.mark.parametrize("n_sent", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_two_direction_loop_equals_per_direction_recurrences(self, schema2, n_sent, n):
+        # one time-major loop steps both directions; each must be bit for bit
+        # the plain recurrence, the backward one run over the reversed tokens
+        def recurrence(x, w, u, b):
+            s = x @ w.T
+            s += b
+            for t in range(s.shape[1]):
+                if t:
+                    s[:, t] += s[:, t - 1] @ u.T
+                np.tanh(s[:, t], out=s[:, t])
+            return s
+
+        words = [f"w{i}" for i in range(9)]
+        p = tiny_model(schema2, [words], seed=n, d_embed=6, d_state=5)
+        rng = np.random.default_rng(10 * n + n_sent)
+        ids = rng.integers(0, len(words) + 1, size=(n_sent, n))
+        m = p.encoder.mixer
+        x = p.encoder.embed[ids]
+        f = recurrence(x, m.w_fwd, m.u_fwd, m.b_fwd)
+        g = recurrence(x[:, ::-1], m.w_bwd, m.u_bwd, m.b_bwd)[:, ::-1]
+        h, cache = model._encode(ids, p.encoder)
+        assert cache["f"].shape == cache["g"].shape == (n_sent, n, 5)
+        assert np.array_equal(cache["f"], f) and np.array_equal(cache["g"], g)
+        assert np.array_equal(h, np.concatenate([f, g], axis=2))
+
 
 class TestPairKernel:
+    @pytest.mark.parametrize("n", [1, 2, 13])
+    def test_row_slices_equal_the_gathered_kernel(self, schema2, n):
+        # k is built row by row; it must be bit for bit the gathered
+        # tanh(A[:, rows] + B[:, cols] + b) over a stack of 3 sentences
+        words = [f"w{i}" for i in range(20)]
+        p = tiny_model(schema2, [words], seed=n, d_embed=6, d_state=5, d_pair=7)
+        p.kernel.bias[:] = np.random.default_rng(n).normal(size=7)
+        rng = random.Random(n)
+        stack = [tuple(rng.choice(words) for _ in range(n)) for _ in range(3)]
+        h, _, k = model._encode_pairs(stack, p)
+        d, imap = h.shape[2], index_map(n)
+        a, b = h @ p.kernel.weight[:, :d].T, h @ p.kernel.weight[:, d:].T
+        assert np.array_equal(k, np.tanh(a[:, imap.rows] + b[:, imap.cols] + p.kernel.bias))
+
     def test_matches_scalar_loop(self, rng):
         d, pair = 5, 4
         np_rng = np.random.default_rng(3)

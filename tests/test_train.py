@@ -46,11 +46,17 @@ class TestTrainConfig:
             {"epochs": 0},
             {"batch_size": 0},
             {"optimizer": "momentum"},
+            {"early_stop_f1": "x"},
+            {"early_stop_f1": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidInput):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("stop", [None, 1, 0.5, np.float64(0.9)])
+    def test_early_stop_takes_none_or_a_real_number(self, stop):
+        assert TrainConfig(early_stop_f1=stop).early_stop_f1 is stop
 
     def test_make_optimizer_picks_class(self):
         assert isinstance(make_optimizer(TrainConfig(optimizer="sgd")), Sgd)
