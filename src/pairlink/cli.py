@@ -18,9 +18,8 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import codec, decoding, evaluate, synth
 from .core import (
@@ -91,19 +90,31 @@ class _Options:
 
         A config value must have the JSON type of the option, which is
         ``kind`` or else the type of ``default``; a ``None`` default also
-        admits null.  Anything else raises :class:`ParseError`.
+        admits null.  It must also be one of the ``choices`` the option's
+        flag declares, if any.  Anything else raises :class:`ParseError`.
         """
         value = getattr(self.args, name, None)
         if value is None and name in self.config:
             value = self.config[name]
             types, expected = _CONFIG_TYPES[kind or type(default)]
-            if type(value) not in types and not (value is None and default is None):
+            choices = self.args.choices.get(name)
+            if choices:
+                expected = "one of " + ", ".join(map(json.dumps, choices))
+            if ((type(value) not in types and not (value is None and default is None))
+                    or (choices and value not in choices)):
                 raise ParseError(f"{self.config_path}: config key {name!r} must be "
                                  f"{expected}, got {json.dumps(value)}")
         elif value is None:
             value = default
         self.resolved[name] = value
         return value
+
+    def check_all_read(self) -> None:
+        """Raise :class:`ParseError` for a config key no ``get`` has read; call before any work."""
+        unread = [key for key in self.config if key not in self.resolved]
+        if unread:
+            raise ParseError(f"{self.config_path}: config key {unread[0]!r} is not "
+                             f"an option of {self.args.command}")
 
     def provenance(self, command: str) -> dict:
         return {"command": command, "config": dict(sorted(self.resolved.items()))}
@@ -135,6 +146,7 @@ def cmd_encode(opts: _Options) -> int:
     schema = load_schema(args.schema)
     mode = opts.get("mode", "strict")
     standard = opts.get("standard", "whole-span")
+    opts.check_all_read()
     result = load_dataset(args.data, schema, standard=standard, mode="lenient")
     lines = []
     conflict_rows = []
@@ -180,6 +192,7 @@ def cmd_encode(opts: _Options) -> int:
 def cmd_decode(opts: _Options) -> int:
     args = opts.args
     mode = opts.get("mode", "strict")
+    opts.check_all_read()
     out_lines = []
     with open(args.data, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -224,11 +237,12 @@ def cmd_stats(opts: _Options) -> int:
             raise InvalidInput("no relations found; supply --schema")
         schema = RelationSchema(tuple(sorted(names)))
     splits = {name: _load_annotations(opts, path, schema) for name, path in paths.items()}
+    opts.check_all_read()
     report = dataset_stats(splits, schema)
     print(format_stats(report))
     if args.out:
         payload = opts.provenance("stats")
-        payload["stats"] = report.to_json_obj()
+        payload["stats"] = asdict(report)
         _write(args.out, _dump_json(payload))
     return EXIT_OK
 
@@ -247,17 +261,15 @@ def cmd_train(opts: _Options) -> int:
         grad_check=opts.get("grad_check", False),
         early_stop_f1=opts.get("early_stop_f1", None, kind=float),
     )
-    result = train(
-        train_set,
-        schema,
-        config,
-        valid=valid_set,
+    dims = dict(
         d_embed=opts.get("d_embed", 32),
         d_state=opts.get("d_state", 16),
         d_pair=opts.get("d_pair", 32),
         use_mixer=opts.get("use_mixer", True),
         max_len=opts.get("max_len", 100),
     )
+    opts.check_all_read()
+    result = train(train_set, schema, config, valid=valid_set, **dims)
     extra = opts.provenance("train")
     extra["seed"] = config.seed
     extra["history"] = [
@@ -286,6 +298,7 @@ def cmd_eval(opts: _Options) -> int:
     annotations = _load_annotations(opts, args.data, schema)
     match = opts.get("match", "partial")
     batch_size = opts.get("batch_size", 24)
+    opts.check_all_read()
     golds = [set(ann.triples) for ann in annotations]
     preds = infer_batch(
         [ann.tokens for ann in annotations], params, schema, batch_size=batch_size
@@ -294,7 +307,7 @@ def cmd_eval(opts: _Options) -> int:
     if args.by_subset:
         report = subset_report(preds, golds, annotations, mode=match)
         print(format_report(report))
-        payload["report"] = report.to_json_obj()
+        payload["report"] = asdict(report)
     else:
         scores = micro_prf(preds, golds, mode=match)
         print(
@@ -302,7 +315,7 @@ def cmd_eval(opts: _Options) -> int:
             f"  precision {scores.precision:.4f}  recall {scores.recall:.4f}  "
             f"f1 {scores.f1:.4f}  (gold {scores.n_gold}, predicted {scores.n_predicted})"
         )
-        payload["report"] = scores.to_json_obj()
+        payload["report"] = asdict(scores)
     if args.out:
         _write(args.out, _dump_json(payload))
     return EXIT_OK
@@ -313,6 +326,7 @@ def cmd_bench(opts: _Options) -> int:
     params, schema, _ = load_checkpoint(args.ckpt)
     annotations = _load_annotations(opts, args.data, schema)
     batch_size = opts.get("batch_size", 24)
+    opts.check_all_read()
     report = evaluate.bench_inference(
         params, schema, [ann.tokens for ann in annotations], batch_size=batch_size
     )
@@ -325,13 +339,14 @@ def cmd_bench(opts: _Options) -> int:
     )
     if args.out:
         payload = opts.provenance("bench")
-        payload["timing"] = report.to_json_obj()
+        payload["timing"] = asdict(report)
         _write(args.out, _dump_json(payload))
     return EXIT_OK
 
 
 def cmd_selftest(opts: _Options) -> int:
     seed = opts.get("seed", 0)
+    opts.check_all_read()
     fast = bool(opts.args.fast)
     cases = 120 if fast else 400
     rng = random.Random(seed)
@@ -423,10 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, config: bool = True) -> None:
-        if config:
-            p.add_argument("--config", help="JSON config file; flags override it")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
+        # a config value is held to the same choices as its flag
+        p.set_defaults(choices={a.dest: a.choices for a in p._actions if a.choices})
 
     p = sub.add_parser("encode", help="dataset JSONL -> tagging JSONL")
     p.add_argument("--data", required=True)

@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Callable
 
 from .codec import check_mode
 from .core import (
@@ -62,14 +61,13 @@ def tokenize_with_offsets(text: str) -> tuple[list[str], list[tuple[int, int]]]:
     return tokens, offsets
 
 
-def align_mention(tokens, mention: str,
-                  tokenizer: Callable[[str], list[str]] = tokenize) -> TokenSpan:
+def align_mention(tokens, mention: str) -> TokenSpan:
     """Leftmost token span whose tokens equal the tokenized mention.
 
     Raises :class:`AlignmentError` when the mention is absent or would split
     a token (e.g. a mention that is a substring of one token).
     """
-    needle = tuple(tokenizer(mention))
+    needle = tuple(tokenize(mention))
     if not needle:
         raise AlignmentError(f"mention tokenizes to nothing: {mention!r}")
     hay = tuple(tokens)
@@ -163,7 +161,6 @@ def load_dataset(
     schema: RelationSchema,
     standard: str = "whole-span",
     mode: str = "lenient",
-    tokenizer: Callable[[str], list[str]] | None = None,
 ) -> LoadResult:
     """Annotations from a JSONL file under the given annotation standard.
 
@@ -179,7 +176,7 @@ def load_dataset(
         line_no = obj["_line_no"]
         try:
             annotations.append(
-                _record_to_annotation(obj, schema, standard, tokenizer, line_no)
+                _record_to_annotation(obj, schema, standard, line_no)
             )
         except (AlignmentError, InvalidInput) as exc:
             if isinstance(exc, ParseError) or mode == "strict":
@@ -188,15 +185,12 @@ def load_dataset(
     return LoadResult(annotations, skipped)
 
 
-def _record_to_annotation(obj, schema, standard, tokenizer, line_no):
+def _record_to_annotation(obj, schema, standard, line_no):
     text = obj["text"]
     if not isinstance(text, str):
         raise ParseError(f"line {line_no}: 'text' must be a string")
     if obj.get("tokens") is not None:
         tokens = [str(t) for t in obj["tokens"]]
-        offsets = None
-    elif tokenizer is not None:
-        tokens = tokenizer(text)
         offsets = None
     else:
         tokens, offsets = tokenize_with_offsets(text)
@@ -215,7 +209,7 @@ def _record_to_annotation(obj, schema, standard, tokenizer, line_no):
         spans = []
         for ref in (subj_ref, obj_ref):
             if isinstance(ref, str):
-                span = align_mention(tokens, ref, tokenizer or tokenize)
+                span = align_mention(tokens, ref)
             else:
                 if offsets is None:
                     raise AlignmentError(
@@ -301,13 +295,22 @@ class StatsReport:
     bucket_counts: dict[str, int]  # over the test split
     n_relations: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "split_sizes": dict(self.split_sizes),
-            "pattern_counts": dict(self.pattern_counts),
-            "bucket_counts": dict(self.bucket_counts),
-            "n_relations": self.n_relations,
-        }
+
+def subset_members(annotations) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """Positions of the sentences in each overlap pattern and each triple-count bucket.
+
+    A sentence without triples is in no pattern; see :func:`dataset_stats`.
+    """
+    patterns: dict[str, list[int]] = {"normal": [], "seo": [], "epo": []}
+    buckets: dict[str, list[int]] = {key: [] for key in BUCKETS}
+    for i, ann in enumerate(annotations):
+        buckets[triple_bucket(len(ann.triples))].append(i)
+        if ann.triples:
+            p = classify_overlap(ann)
+            for key, members in patterns.items():
+                if getattr(p, key):
+                    members.append(i)
+    return patterns, buckets
 
 
 def dataset_stats(
@@ -319,20 +322,11 @@ def dataset_stats(
     bucket counts always sum to the test size.  Pattern counts may overlap
     (a sentence can be seo and epo at once).
     """
-    test = splits.get("test", [])
-    patterns = {"normal": 0, "seo": 0, "epo": 0}
-    buckets = {key: 0 for key in BUCKETS}
-    for ann in test:
-        buckets[triple_bucket(len(ann.triples))] += 1
-        if ann.triples:
-            p = classify_overlap(ann)
-            patterns["normal"] += p.normal
-            patterns["seo"] += p.seo
-            patterns["epo"] += p.epo
+    patterns, buckets = subset_members(splits.get("test", []))
     return StatsReport(
         split_sizes={name: len(annotations) for name, annotations in splits.items()},
-        pattern_counts=patterns,
-        bucket_counts=buckets,
+        pattern_counts={key: len(members) for key, members in patterns.items()},
+        bucket_counts={key: len(members) for key, members in buckets.items()},
         n_relations=len(schema),
     )
 

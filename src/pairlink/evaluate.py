@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .core import InvalidInput, RelationSchema, Triple
-from .data import BUCKETS, classify_overlap, triple_bucket
+from .data import BUCKETS, subset_members
 from .model import ModelParams, infer, infer_batch, named_tensors
 
 MATCH_MODES = ("partial", "exact")
@@ -36,17 +36,6 @@ class MicroScores:
     n_gold: int
     n_correct: int
     vacuous: bool = False
-
-    def to_json_obj(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "n_predicted": self.n_predicted,
-            "n_gold": self.n_gold,
-            "n_correct": self.n_correct,
-            "vacuous": self.vacuous,
-        }
 
 
 def micro_prf(predictions, golds, mode: str = "exact", warn: bool = True) -> MicroScores:
@@ -95,17 +84,6 @@ class EvalReport:
     by_pattern: dict[str, MicroScores | None]
     by_bucket: dict[str, MicroScores | None]
 
-    def to_json_obj(self) -> dict:
-        def sub(scores):
-            return None if scores is None else scores.to_json_obj()
-
-        return {
-            "mode": self.mode,
-            "overall": self.overall.to_json_obj(),
-            "by_pattern": {k: sub(v) for k, v in self.by_pattern.items()},
-            "by_bucket": {k: sub(v) for k, v in self.by_bucket.items()},
-        }
-
 
 def subset_report(predictions, golds, annotations, mode: str = "exact") -> EvalReport:
     """Micro scores overall plus per overlap pattern and triple-count bucket.
@@ -119,18 +97,7 @@ def subset_report(predictions, golds, annotations, mode: str = "exact") -> EvalR
     if not (len(predictions) == len(golds) == len(annotations)):
         raise InvalidInput("predictions, golds, and annotations must align 1:1")
     overall = micro_prf(predictions, golds, mode)
-    pattern_idx: dict[str, list[int]] = {"normal": [], "seo": [], "epo": []}
-    bucket_idx: dict[str, list[int]] = {key: [] for key in BUCKETS}
-    for i, ann in enumerate(annotations):
-        bucket_idx[triple_bucket(len(ann.triples))].append(i)
-        if ann.triples:
-            p = classify_overlap(ann)
-            if p.normal:
-                pattern_idx["normal"].append(i)
-            if p.seo:
-                pattern_idx["seo"].append(i)
-            if p.epo:
-                pattern_idx["epo"].append(i)
+    pattern_idx, bucket_idx = subset_members(annotations)
 
     def sub(indices):
         if not indices:
@@ -192,13 +159,6 @@ class TimingReport:
     batch_size: int
     n_samples: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "mean_ms_per_sample": self.mean_ms_per_sample,
-            "batch_size": self.batch_size,
-            "n_samples": self.n_samples,
-        }
-
 
 @dataclass(frozen=True)
 class BenchReport:
@@ -206,14 +166,6 @@ class BenchReport:
     single: TimingReport
     params_total: int
     encoder_fraction: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "batched": self.batched.to_json_obj(),
-            "single": self.single.to_json_obj(),
-            "params_total": self.params_total,
-            "encoder_fraction": self.encoder_fraction,
-        }
 
 
 def bench_inference(

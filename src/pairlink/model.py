@@ -32,11 +32,12 @@ equal those of scoring every head everywhere.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import warnings
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -210,26 +211,14 @@ def named_tensors(params: ModelParams) -> dict[str, np.ndarray]:
     }
     m = params.encoder.mixer
     if m is not None:
-        for name in ("w_fwd", "u_fwd", "b_fwd", "w_bwd", "u_bwd", "b_bwd"):
-            out[f"encoder.mixer.{name}"] = getattr(m, name)
+        for f in fields(MixerParams):
+            out[f"encoder.mixer.{f.name}"] = getattr(m, f.name)
     return out
 
 
 def clone_params(params: ModelParams) -> ModelParams:
-    m = params.encoder.mixer
-    mixer = None
-    if m is not None:
-        mixer = MixerParams(
-            m.w_fwd.copy(), m.u_fwd.copy(), m.b_fwd.copy(),
-            m.w_bwd.copy(), m.u_bwd.copy(), m.b_bwd.copy(),
-        )
-    return ModelParams(
-        encoder=EncoderParams(dict(params.encoder.vocab), params.encoder.embed.copy(), mixer),
-        kernel=KernelParams(params.kernel.weight.copy(), params.kernel.bias.copy()),
-        taggers=TaggerParams(params.taggers.weight.copy(), params.taggers.bias.copy()),
-        n_relations=params.n_relations,
-        max_len=params.max_len,
-    )
+    """An independent copy: no array and no vocabulary dict is shared with ``params``."""
+    return copy.deepcopy(params)
 
 
 # --- forward -----------------------------------------------------------------
@@ -741,10 +730,7 @@ def load_checkpoint(path) -> tuple[ModelParams, RelationSchema, dict]:
         raise ParseError(f"{path}: {exc}") from None
     mixer = None
     if meta["use_mixer"]:
-        mixer = MixerParams(
-            *(tensors[f"encoder.mixer.{k}"]
-              for k in ("w_fwd", "u_fwd", "b_fwd", "w_bwd", "u_bwd", "b_bwd"))
-        )
+        mixer = MixerParams(*(tensors[f"encoder.mixer.{f.name}"] for f in fields(MixerParams)))
     params = ModelParams(
         encoder=EncoderParams({tok: idx for idx, tok in enumerate(meta["vocab"])},
                               tensors["encoder.embed"], mixer),

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from .codec import phantom_triples
+from .codec import detect_conflicts, phantom_triples
 from .core import (
     HandshakingTagging,
     InvalidInput,
@@ -42,10 +42,6 @@ def _nested_variant(rng: random.Random, span: TokenSpan, n: int, max_width: int)
     if not choices:
         return span
     return rng.choice(choices)
-
-
-def _oriented_tag(a: int, b: int) -> tuple[int, int, int]:
-    return (a, b, 1) if a <= b else (b, a, 2)
 
 
 def _propose(rng: random.Random, n: int, n_rel: int, triples: list[Triple],
@@ -104,7 +100,6 @@ def random_annotation(
             tokens = tuple(rng.choice(words) for _ in range(n))
         target = rng.randint(min_triples, max_triples)
         triples: list[Triple] = []
-        cells: dict[tuple[str, int, int, int], int] = {}
         attempts = 0
         while len(triples) < target and attempts < 60:
             attempts += 1
@@ -113,23 +108,9 @@ def random_annotation(
                 continue
             if not allow_self and cand.subject == cand.object:
                 continue  # overlap branches can hit this by coincidence
-            staged = []
-            ok = True
-            for kind, a, b in (
-                ("sh2oh", cand.subject.head, cand.object.head),
-                ("st2ot", cand.subject.tail, cand.object.tail),
-            ):
-                i, j, tag = _oriented_tag(a, b)
-                key = (kind, cand.relation, i, j)
-                old = cells.get(key)
-                if old is not None and old != tag:
-                    ok = False
-                    break
-                staged.append((key, tag))
-            if not ok:
+            # the kept triples are conflict-free, so a conflict involves cand
+            if detect_conflicts(SentenceAnnotation(tokens, triples=(*triples, cand)), schema):
                 continue
-            for key, tag in staged:
-                cells[key] = tag
             triples.append(cand)
         ann = SentenceAnnotation(tokens=tokens, text=" ".join(tokens), triples=tuple(triples))
         if len(ann.triples) < min_triples:

@@ -10,7 +10,7 @@ parameters.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .model import (
     batch_loss,
     build_vocab,
     clone_params,
-    gold_tags,
     gradient,
     infer,
     init_model,
@@ -84,12 +83,10 @@ class Sgd:
 class Adam:
     """Adaptive moments with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8) -> None:
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float) -> None:
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -117,24 +114,28 @@ def make_optimizer(config: TrainConfig):
 
 def check_gradients(batch, params: ModelParams, grads: dict[str, np.ndarray] | None = None,
                     step: float = 1e-5, rel_tol: float = 1e-4, abs_tol: float = 1e-8,
-                    max_coords: int = 24, seed: int = 0) -> None:
-    """Compare analytic gradients against central differences on sampled coordinates.
+                    max_coords: int | None = 24, seed: int = 0) -> float:
+    """Compare analytic gradients with central differences; return the worst relative error.
 
-    Raises :class:`NumericError` on the first mismatch.  ``abs_tol`` absorbs
-    the roundoff noise of the difference quotient itself: at ``step`` 1e-5 a
-    double-precision loss evaluation perturbs the quotient by ~1e-10, so
-    differences below 1e-8 say nothing about the analytic gradient and a pair
-    that close always counts as agreeing (in particular when both magnitudes
-    sit near zero, where relative error is meaningless).
+    Checks ``max_coords`` coordinates per tensor sampled with ``seed``, or
+    all of them when it is None.  The first coordinate whose difference
+    exceeds ``abs_tol`` with a relative error of at least ``rel_tol`` raises
+    :class:`NumericError`.  ``abs_tol`` absorbs the roundoff noise of the
+    difference quotient itself: at ``step`` 1e-5 a double-precision loss
+    evaluation perturbs the quotient by ~1e-10, so differences below 1e-8 say
+    nothing about the analytic gradient and count as agreeing.
     """
     if grads is None:
         _, grads = gradient(batch, params)
     rng = np.random.default_rng(seed)
+    worst = 0.0
     for name, arr in named_tensors(params).items():
         flat = arr.reshape(-1)
         gflat = grads[name].reshape(-1)
-        count = min(max_coords, flat.size)
-        coords = rng.choice(flat.size, size=count, replace=False)
+        if max_coords is None:
+            coords = range(flat.size)
+        else:
+            coords = rng.choice(flat.size, size=min(max_coords, flat.size), replace=False)
         for idx in coords:
             original = flat[idx]
             flat[idx] = original + step
@@ -145,12 +146,16 @@ def check_gradients(batch, params: ModelParams, grads: dict[str, np.ndarray] | N
             numeric = (up - down) / (2.0 * step)
             analytic = gflat[idx]
             diff = abs(analytic - numeric)
-            denom = max(abs(analytic), abs(numeric))
-            if diff > abs_tol and denom > 1e-9 and diff / denom > rel_tol:
+            if diff <= abs_tol:
+                continue
+            rel = diff / max(abs(analytic), abs(numeric), 1e-9)
+            if rel >= rel_tol:
                 raise NumericError(
                     f"gradient mismatch in {name}[{idx}]: "
                     f"analytic {analytic:.10g}, numeric {numeric:.10g}"
                 )
+            worst = max(worst, rel)
+    return worst
 
 
 def train(

@@ -221,6 +221,17 @@ class TestTrainEvalBench:
         assert code == EXIT_OK
         assert (tmp_path / "model.npz").read_bytes() == ckpt2.read_bytes()
 
+    def test_embedded_config_written_back_retrains_the_same_checkpoint(self, trained, capsys):
+        tmp_path, schema, data, ckpt, _ = trained
+        _, _, meta = load_checkpoint(ckpt)
+        config = write(tmp_path / "embedded.json", json.dumps(meta["extra"]["config"]))
+        ckpt2 = tmp_path / "from_embedded.npz"
+        code = main(
+            ["train", "--data", data, "--schema", schema, "--ckpt", str(ckpt2), "--config", config]
+        )
+        assert code == EXIT_OK
+        assert (tmp_path / "model.npz").read_bytes() == ckpt2.read_bytes()
+
     def test_eval_scores_the_checkpoint(self, trained, capsys):
         tmp_path, _, data, ckpt, _ = trained
         out = tmp_path / "eval.json"
@@ -260,6 +271,13 @@ class TestTrainEvalBench:
         assert code == EXIT_INPUT
 
 
+def untrained_checkpoint(tmp_path):
+    """A small valid checkpoint for the workspace schema."""
+    schema = RelationSchema(("works_for", "lives_in"))
+    params = init_model(schema, build_vocab([("Ada", "Navy")]), d_embed=4, d_state=3, d_pair=4)
+    return save_checkpoint(tmp_path / "good.npz", params, schema)
+
+
 def corrupt_checkpoint(tmp_path, kind):
     """A checkpoint path broken in one way: unreadable, incomplete or misshapen."""
     path = tmp_path / f"{kind}.npz"
@@ -269,9 +287,7 @@ def corrupt_checkpoint(tmp_path, kind):
     if kind == "random_bytes":
         path.write_bytes(np.random.default_rng(0).bytes(512))
         return str(path)
-    schema = RelationSchema(("works_for", "lives_in"))
-    params = init_model(schema, build_vocab([("Ada", "Navy")]), d_embed=4, d_state=3, d_pair=4)
-    with np.load(save_checkpoint(tmp_path / "good.npz", params, schema)) as archive:
+    with np.load(untrained_checkpoint(tmp_path)) as archive:
         arrays = {key: archive[key] for key in archive.files}
     if kind == "metadata_only":
         arrays = {"__meta__": arrays["__meta__"]}
@@ -357,6 +373,51 @@ class TestSelftestAndUsage:
         params, _, meta = load_checkpoint(ckpt)
         assert params.encoder.mixer is None
         assert meta["extra"]["config"]["early_stop_f1"] is None
+
+    @pytest.mark.parametrize("command", [
+        "encode", "decode", "stats", "train", "eval", "bench", "selftest",
+    ])
+    def test_config_key_the_command_does_not_read_exits_3(self, workspace, capsys, command):
+        # "epoch" is a misspelt "epochs": silently ignored, it left 100 epochs in force
+        tmp_path, schema, data = workspace
+        config = write(tmp_path / "misspelt.json", json.dumps({"epoch": 1}))
+        out = tmp_path / "out"
+        ckpt = untrained_checkpoint(tmp_path)
+        argv = {
+            "encode": ["--data", data, "--schema", schema, "--out", str(out)],
+            "decode": ["--data", data, "--out", str(out)],
+            "stats": ["--data", data, "--out", str(out)],
+            "train": ["--data", data, "--schema", schema, "--ckpt", str(out)],
+            "eval": ["--data", data, "--ckpt", ckpt, "--out", str(out)],
+            "bench": ["--data", data, "--ckpt", ckpt, "--out", str(out)],
+            "selftest": ["--fast"],
+        }[command]
+        code = main([command, *argv, "--config", config])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err == f"error: {config}: config key 'epoch' is not an option of {command}\n"
+        assert not out.exists() and not (tmp_path / "out.npz").exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("train", {"epochs": 1, "mode": "bogus"}),
+        ("eval", {"match": "fuzzy"}),
+    ])
+    def test_config_value_outside_the_flag_choices_exits_3(self, workspace, capsys,
+                                                           command, options):
+        tmp_path, schema, data = workspace
+        config = write(tmp_path / "choices.json", json.dumps(options))
+        out = tmp_path / "out.npz"
+        if command == "train":
+            argv = ["--data", data, "--schema", schema, "--ckpt", str(out)]
+        else:
+            argv = ["--data", data, "--ckpt", untrained_checkpoint(tmp_path), "--out", str(out)]
+        code = main([command, *argv, "--config", config])
+        err = capsys.readouterr().err
+        key, value = list(options.items())[-1]
+        assert code == EXIT_INPUT
+        assert err.startswith(f"error: {config}: config key {key!r} must be one of ")
+        assert err.endswith(f", got {json.dumps(value)}\n") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_data_file_exits_3(self, tmp_path, capsys):
         schema = write(tmp_path / "schema.json", '["r"]')

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -320,7 +321,7 @@ class TestStats:
         assert "overlap patterns:" in text
         assert "buckets:" in text
         assert "relations: 1" in text
-        json.dumps(report.to_json_obj())  # serializable
+        json.dumps(asdict(report))  # serializable
 
     def test_stats_survive_an_empty_test_split(self):
         report = dataset_stats({"train": [annotation(2, [])]}, RelationSchema(("a",)))

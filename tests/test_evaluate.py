@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import warnings
+from dataclasses import asdict
 
 import pytest
 
@@ -202,13 +203,39 @@ class TestSubsetReport:
     def test_report_serializes_and_formats(self):
         preds, golds, anns = self.corpus()
         report = subset_report(preds, golds, anns, mode="partial")
-        obj = report.to_json_obj()
+        obj = asdict(report)
         json.dumps(obj)
         assert obj["by_bucket"]["5+"] is None
         text = format_report(report)
         assert "match mode: partial" in text
         assert "normal" in text and "epo" in text
         assert "-" in text  # empty subsets render as dashes
+
+    def test_json_object_is_unchanged(self):
+        # the object the CLI writes, with None for the empty subsets, as the
+        # hand-written per-report serializers produced it
+        def scores(p, r, f1, n_predicted, n_gold, n_correct, vacuous=False):
+            return {"precision": p, "recall": r, "f1": f1, "n_predicted": n_predicted,
+                    "n_gold": n_gold, "n_correct": n_correct, "vacuous": vacuous}
+
+        expected = {
+            "mode": "partial",
+            "overall": scores(1.0, 0.4, 0.5714285714285715, 2, 5, 2),
+            "by_pattern": {
+                "normal": scores(1.0, 1.0, 1.0, 1, 1, 1),
+                "seo": scores(0.0, 0.0, 0.0, 0, 2, 0),
+                "epo": scores(1.0, 0.5, 0.6666666666666666, 1, 2, 1),
+            },
+            "by_bucket": {
+                "0": scores(1.0, 1.0, 1.0, 0, 0, 0, vacuous=True),
+                "1": scores(1.0, 1.0, 1.0, 1, 1, 1),
+                "2": scores(1.0, 0.25, 0.4, 1, 4, 1),
+                "3": None, "4": None, "5+": None,
+            },
+        }
+        preds, golds, anns = self.corpus()
+        obj = asdict(subset_report(preds, golds, anns, mode="partial"))
+        assert json.dumps(obj) == json.dumps(expected)
 
     def test_misalignment_rejected(self):
         preds, golds, anns = self.corpus()
@@ -247,7 +274,7 @@ class TestParameterCountsAndBench:
         assert report.single.batch_size == 1
         assert report.params_total > 0
         assert 0 < report.encoder_fraction < 1
-        json.dumps(report.to_json_obj())
+        json.dumps(asdict(report))
 
     def test_bench_validates_inputs(self):
         schema = RelationSchema(("r0",))

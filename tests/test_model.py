@@ -22,6 +22,7 @@ from pairlink import (
     ShapeError,
     TaggerParams,
     build_vocab,
+    check_gradients,
     decode,
     encode,
     encode_tokens,
@@ -106,6 +107,19 @@ class TestVocabAndInit:
         q = clone_params(p)
         q.encoder.embed[0, 0] += 1.0
         assert p.encoder.embed[0, 0] != q.encoder.embed[0, 0]
+
+    @pytest.mark.parametrize("use_mixer", [False, True])
+    def test_clone_shares_no_array_and_no_vocab(self, schema2, use_mixer):
+        p = tiny_model(schema2, [("a", "b")], use_mixer=use_mixer)
+        q = clone_params(p)
+        assert (q.encoder.mixer is None) == (not use_mixer)
+        assert q.encoder.vocab == p.encoder.vocab and q.encoder.vocab is not p.encoder.vocab
+        assert (q.n_relations, q.max_len) == (p.n_relations, p.max_len)
+        originals, copies = named_tensors(p), named_tensors(q)
+        assert list(originals) == list(copies)
+        for name, arr in originals.items():
+            assert np.array_equal(arr, copies[name]) and copies[name].dtype == arr.dtype
+            assert not np.shares_memory(arr, copies[name]), name
 
 
 class TestEncoder:
@@ -354,22 +368,8 @@ class TestGradient:
                 schema2, [toks for toks, _ in batch], use_mixer=use_mixer,
                 d_embed=3, d_state=2, d_pair=3,
             )
-            _, grads = gradient(batch, p)
-            step = 1e-5
-            tensors = named_tensors(p)
-            for name, arr in tensors.items():
-                flat = arr.reshape(-1)
-                gflat = grads[name].reshape(-1)
-                for idx in range(flat.size):
-                    keep = flat[idx]
-                    flat[idx] = keep + step
-                    up = batch_loss(batch, p)
-                    flat[idx] = keep - step
-                    down = batch_loss(batch, p)
-                    flat[idx] = keep
-                    fd = (up - down) / (2 * step)
-                    denom = max(abs(fd), abs(gflat[idx]), 1e-9)
-                    assert abs(fd - gflat[idx]) / denom < 1e-4, f"{name}[{idx}]"
+            # abs_tol=0: every coordinate must agree to relative error < 1e-4
+            check_gradients(batch, p, step=1e-5, rel_tol=1e-4, abs_tol=0.0, max_coords=None)
 
     def test_one_stacked_pass_per_length_group(self, schema2, monkeypatch):
         batch = batch_of_lengths(schema2, random.Random(4), (3, 3, 3, 4, 4))

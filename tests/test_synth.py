@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -11,6 +12,39 @@ from pairlink import InvalidInput, RelationSchema, detect_conflicts, phantom_tri
 from pairlink.codec import self_relating_triples
 from pairlink.data import classify_overlap
 from pairlink.synth import random_annotation, random_tagging, synthetic_dataset
+
+
+def digest(annotations) -> str:
+    """SHA-256 over every annotation's tokens and triples, in order."""
+    h = hashlib.sha256()
+    for a in annotations:
+        h.update(repr((a.tokens, [(t.subject.head, t.subject.tail, t.relation,
+                                   t.object.head, t.object.tail) for t in a.triples])).encode())
+    return h.hexdigest()
+
+
+class TestGeneratedDataIsPinned:
+    """The generators' output, pinned by digest: tests, benchmarks and the
+    acceptance criteria all draw their data from these seeds."""
+
+    def test_random_annotation_at_the_roundtrip_criterion_settings(self):
+        rng = random.Random(20260817)
+        schema = RelationSchema(("r0", "r1", "r2", "r3"))
+        anns = [random_annotation(rng, schema, n_min=1, n_max=12, max_triples=6)
+                for _ in range(2000)]
+        assert digest(anns) == "e4c67dcd848d9d41f0fc7539d96235df1b8ef99b582a494fa3f46b04fe967e5e"
+
+    def test_random_annotation_at_paper_scale(self):
+        rng = random.Random(7)
+        schema = RelationSchema(tuple(f"rel{r:02d}" for r in range(24)))
+        words = [f"w{i:04d}" for i in range(2000)]
+        anns = [random_annotation(rng, schema, n_min=n, n_max=n, min_triples=1, max_triples=8,
+                                  vocab=words) for n in range(20, 101, 2)]
+        assert digest(anns) == "b2da47fc6d4d01d76e64932f2c0ac6120e7272316b8830828b0ca5bf42bcf2b5"
+
+    def test_synthetic_dataset(self, schema2):
+        anns = synthetic_dataset(random.Random(0), schema2, 20)
+        assert digest(anns) == "fec32dd88c91a4926c47e630530276f74d1e0d4fb2612004f9a400af3d542d0b"
 
 
 class TestRandomAnnotation:

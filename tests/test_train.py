@@ -226,6 +226,15 @@ class TestCheckGradients:
         with pytest.raises(NumericError, match="kernel.bias"):
             check_gradients(batch, params, grads)
 
+    def test_full_coverage_names_the_one_corrupted_coordinate(self):
+        batch, params = self.make_case()
+        _, grads = gradient(batch, params)
+        assert 0.0 <= check_gradients(batch, params, grads, max_coords=None) < 1e-4
+        grads["kernel.weight"] = grads["kernel.weight"].copy()
+        grads["kernel.weight"].reshape(-1)[7] += 0.5
+        with pytest.raises(NumericError, match=r"kernel\.weight\[7\]"):
+            check_gradients(batch, params, grads, max_coords=None)
+
     def test_sampling_is_seeded(self):
         batch, params = self.make_case()
         _, grads = gradient(batch, params)
