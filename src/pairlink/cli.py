@@ -15,6 +15,7 @@ strict-mode encode conflicts).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import random
 import sys
@@ -31,6 +32,7 @@ from .core import (
     Triple,
 )
 from .data import (
+    STANDARDS,
     AlignmentError,
     ParseError,
     dataset_stats,
@@ -41,7 +43,7 @@ from .data import (
     relation_names,
 )
 from .evaluate import format_report, micro_prf, subset_report
-from .model import NumericError, infer_batch, load_checkpoint, save_checkpoint
+from .model import NumericError, infer_batch, init_model, load_checkpoint, save_checkpoint
 from .train import TrainConfig, check_gradients, train
 
 EXIT_OK = 0
@@ -252,22 +254,19 @@ def cmd_train(opts: _Options) -> int:
     schema = load_schema(args.schema)
     train_set = _load_annotations(opts, args.data, schema)
     valid_set = _load_annotations(opts, args.valid, schema) if args.valid else None
+    default = TrainConfig()
     config = TrainConfig(
-        learning_rate=float(opts.get("lr", 1e-3)),
-        epochs=opts.get("epochs", 100),
-        batch_size=opts.get("batch_size", 6),
-        seed=opts.get("seed", 0),
-        optimizer=opts.get("optimizer", "adam"),
-        grad_check=opts.get("grad_check", False),
-        early_stop_f1=opts.get("early_stop_f1", None, kind=float),
+        learning_rate=float(opts.get("lr", default.learning_rate)),
+        epochs=opts.get("epochs", default.epochs),
+        batch_size=opts.get("batch_size", default.batch_size),
+        seed=opts.get("seed", default.seed),
+        optimizer=opts.get("optimizer", default.optimizer),
+        grad_check=opts.get("grad_check", default.grad_check),
+        early_stop_f1=opts.get("early_stop_f1", default.early_stop_f1, kind=float),
     )
-    dims = dict(
-        d_embed=opts.get("d_embed", 32),
-        d_state=opts.get("d_state", 16),
-        d_pair=opts.get("d_pair", 32),
-        use_mixer=opts.get("use_mixer", True),
-        max_len=opts.get("max_len", 100),
-    )
+    sizes = inspect.signature(init_model).parameters
+    dims = {name: opts.get(name, sizes[name].default)
+            for name in ("d_embed", "d_state", "d_pair", "use_mixer", "max_len")}
     opts.check_all_read()
     result = train(train_set, schema, config, valid=valid_set, **dims)
     extra = opts.provenance("train")
@@ -391,7 +390,7 @@ def cmd_selftest(opts: _Options) -> int:
 
     ok = True
     try:
-        from .model import build_vocab, init_model
+        from .model import build_vocab
         from .codec import encode as _encode
 
         for trial in range(2):
@@ -438,6 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def corpus(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--standard", choices=STANDARDS, default=None)
+        p.add_argument("--mode", choices=codec.MODES, default=None)
+
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
@@ -448,14 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--standard", choices=("whole-span", "last-word"), default=None)
-    p.add_argument("--mode", choices=("strict", "lenient"), default=None)
+    corpus(p)
     common(p)
 
     p = sub.add_parser("decode", help="tagging JSONL -> triples JSONL")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("strict", "lenient"), default=None)
+    p.add_argument("--mode", choices=codec.MODES, default=None)
     common(p)
 
     p = sub.add_parser("stats", help="corpus statistics (patterns, buckets, sizes)")
@@ -464,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", help="test split JSONL")
     p.add_argument("--schema", help="relation schema (derived from data when omitted)")
     p.add_argument("--out", help="write the report as JSON here")
-    p.add_argument("--standard", choices=("whole-span", "last-word"), default=None)
-    p.add_argument("--mode", choices=("strict", "lenient"), default=None)
+    corpus(p)
     common(p)
 
     p = sub.add_parser("train", help="fit a tagger and write a checkpoint")
@@ -476,20 +477,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--standard", choices=("whole-span", "last-word"), default=None)
-    p.add_argument("--mode", choices=("strict", "lenient"), default=None)
+    corpus(p)
     common(p)
 
     p = sub.add_parser("eval", help="score a checkpoint against gold annotations")
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out")
-    p.add_argument("--match", choices=("partial", "exact"), default=None)
+    p.add_argument("--match", choices=evaluate.MATCH_MODES, default=None)
     p.add_argument("--by-subset", dest="by_subset", action="store_true",
                    help="also break scores down by overlap pattern and triple count")
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--standard", choices=("whole-span", "last-word"), default=None)
-    p.add_argument("--mode", choices=("strict", "lenient"), default=None)
+    corpus(p)
     common(p)
 
     p = sub.add_parser("bench", help="time inference, batched and one-by-one")
@@ -497,8 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out")
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--standard", choices=("whole-span", "last-word"), default=None)
-    p.add_argument("--mode", choices=("strict", "lenient"), default=None)
+    corpus(p)
     common(p)
 
     p = sub.add_parser("selftest", help="run quick built-in consistency suites")

@@ -189,8 +189,10 @@ def _record_to_annotation(obj, schema, standard, line_no):
     text = obj["text"]
     if not isinstance(text, str):
         raise ParseError(f"line {line_no}: 'text' must be a string")
-    if obj.get("tokens") is not None:
-        tokens = [str(t) for t in obj["tokens"]]
+    tokens = obj.get("tokens")
+    if tokens is not None:
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise ParseError(f"line {line_no}: 'tokens' must be a list of strings")
         offsets = None
     else:
         tokens, offsets = tokenize_with_offsets(text)

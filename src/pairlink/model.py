@@ -57,11 +57,21 @@ PROB_FLOOR = 1e-12
 
 
 class ShapeError(PairLinkError, ValueError):
-    """Tensor dimensions do not line up."""
+    """Tensor dimensions or dtypes do not line up."""
 
 
 class NumericError(PairLinkError, ArithmeticError):
     """A loss or gradient stopped being finite."""
+
+
+def _axis(arr: np.ndarray, axis: int) -> int:
+    """Length of ``arr`` along ``axis``; -1, which fails any shape check, when it has none."""
+    return arr.shape[axis] if arr.ndim > axis else -1
+
+
+def _check_tensor(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> None:
+    if arr.shape != shape or arr.dtype != np.float64:
+        raise ShapeError(f"{name} is {arr.dtype}{list(arr.shape)}, expected float64{list(shape)}")
 
 
 @dataclass
@@ -87,11 +97,23 @@ class MixerParams:
 
 @dataclass
 class EncoderParams:
-    """Embedding table plus optional context mixer; id 0 is the unknown token."""
+    """Embedding table plus optional context mixer; vocab ids are 0..V-1, 0 the unknown token."""
 
     vocab: dict[str, int]
     embed: np.ndarray  # (V, embed_dim)
     mixer: MixerParams | None = None
+
+    def __post_init__(self) -> None:
+        if self.vocab.get(UNK) != 0 or set(self.vocab.values()) != set(range(len(self.vocab))):
+            raise InvalidInput(f"vocab must map its tokens onto ids 0..V-1 with {UNK!r} at 0")
+        embed_dim = _axis(self.embed, 1)
+        _check_tensor("encoder.embed", self.embed, (len(self.vocab), embed_dim))
+        if self.mixer is not None:
+            state = _axis(self.mixer.w_fwd, 0)
+            shapes = {"w": (state, embed_dim), "u": (state, state), "b": (state,)}
+            for f in fields(MixerParams):
+                _check_tensor(f"encoder.mixer.{f.name}", getattr(self.mixer, f.name),
+                              shapes[f.name[0]])
 
     @property
     def out_dim(self) -> int:
@@ -120,30 +142,30 @@ class TaggerParams:
 
 @dataclass
 class ModelParams:
+    """A whole model; construction checks every tensor's full shape and dtype, and max_len."""
+
     encoder: EncoderParams
     kernel: KernelParams
     taggers: TaggerParams
-    n_relations: int
-    max_len: int = 100
+    max_len: int
 
     def __post_init__(self) -> None:
-        d = self.encoder.out_dim
-        if self.kernel.weight.shape[1] != 2 * d:
-            raise ShapeError(
-                f"kernel expects input {self.kernel.weight.shape[1]}, encoder yields {2 * d}"
-            )
-        if self.kernel.weight.shape[0] != self.kernel.bias.shape[0]:
-            raise ShapeError("kernel weight and bias disagree on pair_dim")
-        expected = 2 * self.n_relations + 1
-        if self.taggers.n_taggers != expected:
-            raise ShapeError(
-                f"need {expected} output heads for {self.n_relations} relations, "
-                f"got {self.taggers.n_taggers}"
-            )
-        if self.taggers.weight.shape[1:] != (3, self.kernel.weight.shape[0]):
-            raise ShapeError("tagger heads do not match the kernel output dimension")
-        if self.taggers.bias.shape != (expected, 3):
-            raise ShapeError("tagger bias must be (2N+1, 3)")
+        if type(self.max_len) is not int or self.max_len < 1:
+            raise InvalidInput(f"max_len must be an integer >= 1, got {self.max_len!r}")
+        heads, pair_dim = _axis(self.taggers.weight, 0), _axis(self.kernel.weight, 0)
+        if heads % 2 == 0:
+            raise ShapeError(f"need an odd number 2N+1 of output heads, got {heads}")
+        for name, arr, shape in (
+            ("kernel.weight", self.kernel.weight, (pair_dim, 2 * self.encoder.out_dim)),
+            ("kernel.bias", self.kernel.bias, (pair_dim,)),
+            ("taggers.weight", self.taggers.weight, (heads, 3, pair_dim)),
+            ("taggers.bias", self.taggers.bias, (heads, 3)),
+        ):
+            _check_tensor(name, arr, shape)
+
+    @property
+    def n_relations(self) -> int:
+        return self.taggers.n_taggers // 2
 
 
 def build_vocab(token_lists) -> dict[str, int]:
@@ -174,8 +196,6 @@ def init_model(
     """Fresh parameters, every weight uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    if UNK not in vocab or vocab[UNK] != 0:
-        raise InvalidInput(f"vocab must map {UNK!r} to id 0")
     n_rel = len(schema)
     embed = _uniform(rng, (len(vocab), d_embed), d_embed)
     mixer = None
@@ -197,7 +217,7 @@ def init_model(
         weight=_uniform(rng, (2 * n_rel + 1, 3, d_pair), d_pair),
         bias=np.zeros((2 * n_rel + 1, 3)),
     )
-    return ModelParams(encoder, kernel, taggers, n_rel, max_len=max_len)
+    return ModelParams(encoder, kernel, taggers, max_len)
 
 
 def named_tensors(params: ModelParams) -> dict[str, np.ndarray]:
@@ -613,14 +633,12 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(path, params: ModelParams, schema: RelationSchema,
                     extra: dict | None = None) -> str:
     """Write a self-describing .npz checkpoint; returns the actual path used."""
-    vocab_tokens = [None] * len(params.encoder.vocab)
-    for tok, idx in params.encoder.vocab.items():
-        vocab_tokens[idx] = tok
+    vocab = params.encoder.vocab
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "relations": list(schema.relations),
-        "vocab": vocab_tokens,
+        "vocab": sorted(vocab, key=vocab.get),
         "use_mixer": params.encoder.mixer is not None,
         "max_len": params.max_len,
         "extra": extra or {},
@@ -663,80 +681,45 @@ def _read_meta(path, raw: np.ndarray | None) -> dict:
         raise ParseError(f"{path}: unexpected checkpoint format {meta.get('format')!r}")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: checkpoint version {meta.get('version')!r} is not supported")
-    for key, kind in (("relations", list), ("vocab", list), ("use_mixer", bool),
-                      ("max_len", int)):
+    for key, kind in (("relations", list), ("vocab", list), ("use_mixer", bool)):
         if not isinstance(meta.get(key), kind):
             raise ParseError(f"{path}: checkpoint metadata needs {key!r} as a {kind.__name__}")
-    vocab = meta["vocab"]
-    if (not all(isinstance(tok, str) for tok in vocab) or vocab[:1] != [UNK]
-            or len(set(vocab)) != len(vocab)):
-        raise ParseError(f"{path}: checkpoint vocabulary must be distinct strings from {UNK!r}")
+    for key in ("relations", "vocab"):
+        if not all(isinstance(name, str) for name in meta[key]):
+            raise ParseError(f"{path}: checkpoint metadata needs {key!r} as a list of strings")
     return meta
-
-
-def _tensor_problems(meta: dict, tensors: dict[str, np.ndarray]) -> list[str]:
-    """Why ``tensors`` are not the parameters of the model ``meta`` describes."""
-
-    def dim(name: str, axis: int) -> int:
-        arr = tensors.get(name)
-        return arr.shape[axis] if arr is not None and arr.ndim > axis else -1
-
-    embed_dim, pair_dim = dim("encoder.embed", 1), dim("kernel.bias", 0)
-    heads = 2 * len(meta["relations"]) + 1
-    want = {"encoder.embed": (len(meta["vocab"]), embed_dim)}
-    out_dim = embed_dim
-    if meta["use_mixer"]:
-        state = dim("encoder.mixer.w_fwd", 0)
-        out_dim = 2 * state
-        for side in ("fwd", "bwd"):
-            want[f"encoder.mixer.w_{side}"] = (state, embed_dim)
-            want[f"encoder.mixer.u_{side}"] = (state, state)
-            want[f"encoder.mixer.b_{side}"] = (state,)
-    want["kernel.weight"] = (pair_dim, 2 * out_dim)
-    want["kernel.bias"] = (pair_dim,)
-    want["taggers.weight"] = (heads, 3, pair_dim)
-    want["taggers.bias"] = (heads, 3)
-    problems = []
-    for label, names in (("missing", [name for name in want if name not in tensors]),
-                         ("unexpected", [name for name in tensors if name not in want])):
-        if names:
-            problems.append(f"{label} {', '.join(names)}")
-    problems += [
-        f"{name} is {tensors[name].dtype}{list(tensors[name].shape)}, "
-        f"expected float64{list(shape)}"
-        for name, shape in want.items()
-        if name in tensors and (tensors[name].shape != shape or tensors[name].dtype != np.float64)
-    ]
-    return problems
 
 
 def load_checkpoint(path) -> tuple[ModelParams, RelationSchema, dict]:
     """Read a checkpoint back; arrays roundtrip bit-exactly.
 
     Raises :class:`ParseError` when the file is not a readable archive, its
-    metadata is malformed, or its tensors are incomplete or disagree in shape
-    with the metadata (vocabulary size, relation count, mixer on or off).
+    metadata is malformed, a tensor is missing or left over, :class:`ModelParams`
+    rejects the model, or its head count does not fit the relations.
     """
     arrays = _read_archive(path)
     meta = _read_meta(path, arrays.pop("__meta__", None))
     tensors = {key.replace("__", "."): arr for key, arr in arrays.items()}
-    problems = _tensor_problems(meta, tensors)
-    if problems:
-        raise ParseError(f"{path}: checkpoint tensors do not fit its metadata: "
-                         + "; ".join(problems))
     try:
         schema = RelationSchema(tuple(meta["relations"]))
-    except InvalidInput as exc:
+        mixer = None
+        if meta["use_mixer"]:
+            mixer = MixerParams(*(tensors.pop(f"encoder.mixer.{f.name}")
+                                  for f in fields(MixerParams)))
+        params = ModelParams(
+            encoder=EncoderParams({tok: idx for idx, tok in enumerate(meta["vocab"])},
+                                  tensors.pop("encoder.embed"), mixer),
+            kernel=KernelParams(tensors.pop("kernel.weight"), tensors.pop("kernel.bias")),
+            taggers=TaggerParams(tensors.pop("taggers.weight"), tensors.pop("taggers.bias")),
+            max_len=meta.get("max_len"),
+        )
+    except KeyError as exc:
+        raise ParseError(f"{path}: checkpoint has no tensor {exc.args[0]}") from None
+    except (ShapeError, InvalidInput) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    mixer = None
-    if meta["use_mixer"]:
-        mixer = MixerParams(*(tensors[f"encoder.mixer.{f.name}"] for f in fields(MixerParams)))
-    params = ModelParams(
-        encoder=EncoderParams({tok: idx for idx, tok in enumerate(meta["vocab"])},
-                              tensors["encoder.embed"], mixer),
-        kernel=KernelParams(tensors["kernel.weight"], tensors["kernel.bias"]),
-        taggers=TaggerParams(tensors["taggers.weight"], tensors["taggers.bias"]),
-        n_relations=len(schema),
-        max_len=meta["max_len"],
-    )
+    if tensors:
+        raise ParseError(f"{path}: unexpected checkpoint tensors {', '.join(tensors)}")
+    if params.n_relations != len(schema):
+        raise ParseError(f"{path}: model has {params.n_relations} relations, "
+                         f"schema has {len(schema)}")
     return params, schema, meta

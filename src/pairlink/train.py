@@ -163,11 +163,7 @@ def train(
     schema: RelationSchema,
     config: TrainConfig,
     valid: list[SentenceAnnotation] | None = None,
-    d_embed: int = 32,
-    d_state: int = 16,
-    d_pair: int = 32,
-    use_mixer: bool = True,
-    max_len: int = 100,
+    **dims,
 ) -> TrainResult:
     """Fit a tagger on gold annotations; returns the best-scoring parameters.
 
@@ -176,17 +172,15 @@ def train(
     exact-match micro F1 on ``valid`` (the training set when none is given)
     and the best parameters are kept.  All randomness flows through one
     generator seeded from the config, so equal seeds give identical
-    histories.
+    histories.  ``dims`` are :func:`init_model`'s size options (``d_embed``,
+    ``d_state``, ``d_pair``, ``use_mixer``, ``max_len``), with its defaults.
     """
     if not dataset:
         raise InvalidInput("empty training set")
     rng = np.random.default_rng(config.seed)
     vocab = build_vocab(ann.tokens for ann in dataset)
-    params = init_model(
-        schema, vocab, d_embed=d_embed, d_state=d_state, d_pair=d_pair,
-        use_mixer=use_mixer, max_len=max_len, rng=rng,
-    )
-    train_view = [truncate_for_training(ann, max_len)[0] for ann in dataset]
+    params = init_model(schema, vocab, seed=config.seed, rng=rng, **dims)
+    train_view = [truncate_for_training(ann, params.max_len)[0] for ann in dataset]
     examples = [
         (ann.tokens, encode(ann, schema, mode="lenient")) for ann in train_view
     ]
@@ -197,7 +191,7 @@ def train(
     optimizer = make_optimizer(config)
     history: list[EpochStats] = []
     best_f1 = -1.0
-    best_params = clone_params(params)
+    best_params: ModelParams | None = None
     best_epoch = -1
     last_finite = clone_params(params)
     diverged = False

@@ -9,7 +9,13 @@ import pytest
 
 from pairlink import RelationSchema
 from pairlink.cli import EXIT_DATA, EXIT_FAILURE, EXIT_INPUT, EXIT_OK, main
-from pairlink.model import build_vocab, init_model, load_checkpoint, save_checkpoint
+from pairlink.model import (
+    build_vocab,
+    init_model,
+    load_checkpoint,
+    named_tensors,
+    save_checkpoint,
+)
 
 
 def write(path, text):
@@ -143,6 +149,19 @@ class TestEncodeDecode:
         assert "bad.jsonl:1" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["encode", "stats"])
+    @pytest.mark.parametrize("tokens", ["Ada", 5, ["Ada", 7]])
+    def test_tokens_that_are_not_a_list_of_strings_exit_3(self, tmp_path, capsys,
+                                                          command, tokens):
+        schema = write(tmp_path / "schema.json", '["rel"]')
+        data = write_jsonl(tmp_path / "data.jsonl",
+                           [{"text": "Ada 7", "tokens": tokens, "triple_list": []}])
+        out = tmp_path / "out.jsonl"
+        code = main([command, "--data", data, "--schema", schema, "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: line 1: 'tokens' must be a list of strings\n"
+        assert not out.exists()
+
 
 class TestStats:
     def test_prints_and_writes_report(self, workspace, capsys):
@@ -186,6 +205,21 @@ class TestTrainEvalBench:
         assert code == EXIT_OK
         assert "trained 4 epoch(s)" in capsys.readouterr().out
         return tmp_path, schema, data, str(ckpt), config
+
+    def test_train_without_config_embeds_every_default(self, workspace, capsys):
+        tmp_path, schema, data = workspace
+        ckpt = tmp_path / "defaults.npz"
+        assert main(["train", "--data", data, "--schema", schema, "--ckpt", str(ckpt)]) == EXIT_OK
+        params, _, meta = load_checkpoint(ckpt)
+        assert meta["extra"]["config"] == {
+            "lr": 1e-3, "epochs": 100, "batch_size": 6, "seed": 0, "optimizer": "adam",
+            "grad_check": False, "early_stop_f1": None,
+            "d_embed": 32, "d_state": 16, "d_pair": 32, "use_mixer": True, "max_len": 100,
+            "standard": "whole-span", "mode": "lenient",
+        }
+        assert len(meta["extra"]["history"]) == 100
+        assert (params.encoder.embed.shape[1], params.encoder.mixer.state_dim,
+                params.kernel.bias.shape[0], params.max_len) == (32, 16, 32, 100)
 
     def test_train_writes_a_loadable_checkpoint_with_provenance(self, trained):
         _, _, _, ckpt, _ = trained
@@ -279,8 +313,11 @@ def untrained_checkpoint(tmp_path):
 
 
 def corrupt_checkpoint(tmp_path, kind):
-    """A checkpoint path broken in one way: unreadable, incomplete or misshapen."""
-    path = tmp_path / f"{kind}.npz"
+    """A checkpoint path broken in one way: unreadable, incomplete, misshapen or mislabelled.
+
+    ``extra_axis:NAME`` and ``float32:NAME`` break the one tensor NAME.
+    """
+    path = tmp_path / "corrupt.npz"
     if kind == "directory":
         path.mkdir()
         return str(path)
@@ -289,23 +326,49 @@ def corrupt_checkpoint(tmp_path, kind):
         return str(path)
     with np.load(untrained_checkpoint(tmp_path)) as archive:
         arrays = {key: archive[key] for key in archive.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    tensor = kind.partition(":")[2].replace(".", "__")
     if kind == "metadata_only":
         arrays = {"__meta__": arrays["__meta__"]}
     elif kind == "mixer_tensors_missing":
         arrays = {key: arr for key, arr in arrays.items() if "mixer" not in key}
     elif kind == "vocab_longer_than_embed":
-        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
         meta["vocab"].append("extra")
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    elif kind == "vocab_duplicate_token":
+        meta["vocab"][2] = meta["vocab"][1]
+    elif kind == "vocab_unknown_not_first":
+        meta["vocab"][:2] = meta["vocab"][1::-1]
+    elif kind == "vocab_token_not_a_string":
+        meta["vocab"][1] = 5
+    elif kind == "relation_names_not_strings":
+        meta["relations"] = [1, 2]
+    elif kind == "unexpected_tensor":
+        arrays["encoder__extra"] = np.zeros(3)
+    elif kind.startswith("max_len="):
+        meta["max_len"] = json.loads(kind.partition("=")[2])
+    elif kind.startswith("extra_axis:"):
+        arrays[tensor] = arrays[tensor][..., None]
+    elif kind.startswith("float32:"):
+        arrays[tensor] = arrays[tensor].astype(np.float32)
+    else:
+        raise ValueError(kind)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     np.savez(path, **arrays)
     return str(path)
+
+
+# every tensor of a checkpoint with the mixer on
+TENSOR_NAMES = list(named_tensors(init_model(RelationSchema(("r",)), build_vocab([]))))
 
 
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize(
         "kind",
         ["directory", "random_bytes", "metadata_only", "mixer_tensors_missing",
-         "vocab_longer_than_embed"],
+         "vocab_longer_than_embed", "vocab_duplicate_token", "vocab_unknown_not_first",
+         "vocab_token_not_a_string", "relation_names_not_strings", "unexpected_tensor",
+         "max_len=0", "max_len=-1", "max_len=true"]
+        + [f"{damage}:{name}" for name in TENSOR_NAMES for damage in ("extra_axis", "float32")],
     )
     def test_eval_exits_3_with_one_line_error(self, workspace, capsys, kind):
         tmp_path, _, data = workspace

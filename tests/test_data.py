@@ -212,6 +212,16 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset(path, schema2, mode="lenient")
 
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("tokens", ["Ada", 5, ["Ada", 7, "here"], {"Ada": 0}])
+    def test_tokens_must_be_a_list_of_strings(self, tmp_path, schema2, mode, tokens):
+        # a string was split into characters, a number raised TypeError and 7 became "7"
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [{"text": "Ada here", "triple_list": []},
+                           {"text": "Ada 7 here", "tokens": tokens, "triple_list": []}])
+        with pytest.raises(ParseError, match="^line 2: 'tokens' must be a list of strings$"):
+            load_dataset(path, schema2, mode=mode)
+
     def test_blank_lines_are_ignored(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('\n{"text": "a", "triple_list": []}\n\n', encoding="utf-8")

@@ -86,6 +86,7 @@ class TestVocabAndInit:
         assert np.all(p.encoder.mixer.b_fwd == 0)
         assert p.encoder.out_dim == 16  # 2 * d_state
         assert p.taggers.n_taggers == 2 * len(schema2) + 1
+        assert p.n_relations == len(schema2)
 
     def test_vocab_must_map_unknown_to_zero(self, schema2):
         with pytest.raises(InvalidInput):
@@ -99,8 +100,35 @@ class TestVocabAndInit:
                 encoder=p.encoder,
                 kernel=p.kernel,
                 taggers=TaggerParams(p.taggers.weight[:-1], p.taggers.bias[:-1]),
-                n_relations=p.n_relations,
+                max_len=p.max_len,
             )
+
+    @pytest.mark.parametrize("vocab, rows, error", [
+        ({UNK: 0, "a": 2}, 2, InvalidInput),  # id gap
+        ({"a": 0, UNK: 1}, 2, InvalidInput),  # <unk> not at 0
+        ({UNK: 0, "a": 1}, 3, ShapeError),  # embed rows != vocab size
+    ])
+    def test_encoder_rejects_vocab_and_embed_that_disagree(self, vocab, rows, error):
+        with pytest.raises(error):
+            EncoderParams(vocab, np.zeros((rows, 4)))
+
+    def test_encoder_rejects_a_misshapen_mixer_tensor(self, schema2):
+        p = tiny_model(schema2, [("a", "b")])
+        mixer = clone_params(p).encoder.mixer
+        mixer.u_bwd = mixer.u_bwd[:, :-1]
+        with pytest.raises(ShapeError, match="encoder.mixer.u_bwd"):
+            EncoderParams(p.encoder.vocab, p.encoder.embed, mixer)
+
+    def test_model_rejects_a_float32_tensor(self, schema2):
+        p = tiny_model(schema2, [("a", "b")])
+        kernel = KernelParams(p.kernel.weight, p.kernel.bias.astype(np.float32))
+        with pytest.raises(ShapeError, match="kernel.bias is float32"):
+            ModelParams(p.encoder, kernel, p.taggers, p.max_len)
+
+    @pytest.mark.parametrize("max_len", [0, -1, True, 2.0])
+    def test_max_len_must_be_a_positive_int(self, schema2, max_len):
+        with pytest.raises(InvalidInput, match="max_len"):
+            init_model(schema2, build_vocab([("a",)]), max_len=max_len)
 
     def test_clone_is_independent(self, schema2):
         p = tiny_model(schema2, [("a", "b")])
@@ -504,7 +532,7 @@ def model_emitting(tagging: HandshakingTagging):
         encoder=EncoderParams(build_vocab([tokens]), embed),
         kernel=KernelParams(kernel, np.full(imap.length, -30.0)),
         taggers=TaggerParams(heads, heads.sum(axis=2) - [0, 1, 1]),
-        n_relations=tagging.n_relations,
+        max_len=100,
     )
     return tokens, params
 

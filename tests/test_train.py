@@ -148,6 +148,13 @@ class TestTrainLoop:
         with pytest.raises(InvalidInput):
             train([], schema, TrainConfig())
 
+    @pytest.mark.parametrize("dims", [{"seed": 1}, {"d_embd": 8}])
+    def test_dims_take_only_init_model_sizes(self, dims):
+        # the seed comes from the config alone; a misspelt size is not ignored
+        data, schema = small_dataset()
+        with pytest.raises(TypeError):
+            train(data, schema, TrainConfig(epochs=1), **dims)
+
     def test_long_sentences_are_truncated_for_training(self):
         schema = RelationSchema(("r0",))
         ann = annotation(8, [triple(0, 0, 0, 1, 1)])
