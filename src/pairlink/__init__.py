@@ -47,7 +47,7 @@ from .data import (
     tokenize,
     truncate_for_training,
 )
-from .decoding import decode, decode_oracle, extract_entities
+from .decoding import decode, decode_oracle
 from .evaluate import (
     BenchReport,
     EvalReport,
@@ -117,7 +117,6 @@ __all__ = [
     "encode",
     "encode_tokens",
     "encode_with_conflicts",
-    "extract_entities",
     "gradient",
     "handshaking_kernel",
     "index_map",

@@ -27,13 +27,13 @@ from .core import (
     InvalidInput,
     PairLinkError,
     RelationSchema,
-    SentenceAnnotation,
     TokenSpan,
     Triple,
 )
 from .data import (
     STANDARDS,
     AlignmentError,
+    LoadResult,
     ParseError,
     dataset_stats,
     format_stats,
@@ -130,9 +130,9 @@ def _triple_obj(t: Triple, schema: RelationSchema) -> dict:
     }
 
 
-def _load_annotations(opts: _Options, path, schema) -> list[SentenceAnnotation]:
+def _load_corpus(opts: _Options, path, schema, default_mode: str = "lenient") -> LoadResult:
     standard = opts.get("standard", "whole-span")
-    mode = opts.get("mode", "lenient")
+    mode = opts.get("mode", default_mode)
     result = load_dataset(path, schema, standard=standard, mode=mode)
     if result.skipped:
         print(
@@ -140,16 +140,15 @@ def _load_annotations(opts: _Options, path, schema) -> list[SentenceAnnotation]:
             f"(first: line {result.skipped[0].line_no}: {result.skipped[0].reason})",
             file=sys.stderr,
         )
-    return result.annotations
+    return result
 
 
 def cmd_encode(opts: _Options) -> int:
     args = opts.args
     schema = load_schema(args.schema)
     mode = opts.get("mode", "strict")
-    standard = opts.get("standard", "whole-span")
+    result = _load_corpus(opts, args.data, schema, mode)
     opts.check_all_read()
-    result = load_dataset(args.data, schema, standard=standard, mode="lenient")
     lines = []
     conflict_rows = []
     phantom_total = 0
@@ -238,7 +237,7 @@ def cmd_stats(opts: _Options) -> int:
         if not names:
             raise InvalidInput("no relations found; supply --schema")
         schema = RelationSchema(tuple(sorted(names)))
-    splits = {name: _load_annotations(opts, path, schema) for name, path in paths.items()}
+    splits = {name: _load_corpus(opts, path, schema).annotations for name, path in paths.items()}
     opts.check_all_read()
     report = dataset_stats(splits, schema)
     print(format_stats(report))
@@ -252,8 +251,8 @@ def cmd_stats(opts: _Options) -> int:
 def cmd_train(opts: _Options) -> int:
     args = opts.args
     schema = load_schema(args.schema)
-    train_set = _load_annotations(opts, args.data, schema)
-    valid_set = _load_annotations(opts, args.valid, schema) if args.valid else None
+    train_set = _load_corpus(opts, args.data, schema).annotations
+    valid_set = _load_corpus(opts, args.valid, schema).annotations if args.valid else None
     default = TrainConfig()
     config = TrainConfig(
         learning_rate=float(opts.get("lr", default.learning_rate)),
@@ -294,7 +293,7 @@ def cmd_train(opts: _Options) -> int:
 def cmd_eval(opts: _Options) -> int:
     args = opts.args
     params, schema, _ = load_checkpoint(args.ckpt)
-    annotations = _load_annotations(opts, args.data, schema)
+    annotations = _load_corpus(opts, args.data, schema).annotations
     match = opts.get("match", "partial")
     batch_size = opts.get("batch_size", 24)
     opts.check_all_read()
@@ -323,7 +322,7 @@ def cmd_eval(opts: _Options) -> int:
 def cmd_bench(opts: _Options) -> int:
     args = opts.args
     params, schema, _ = load_checkpoint(args.ckpt)
-    annotations = _load_annotations(opts, args.data, schema)
+    annotations = _load_corpus(opts, args.data, schema).annotations
     batch_size = opts.get("batch_size", 24)
     opts.check_all_read()
     report = evaluate.bench_inference(

@@ -25,6 +25,8 @@ from .core import (
     SentenceAnnotation,
     TokenSpan,
     Triple,
+    _bad_tag,
+    _row_label,
     seq_length,
 )
 
@@ -245,30 +247,15 @@ def check_relation_count(tagging: HandshakingTagging, schema: RelationSchema) ->
 
 def tagging_to_obj(tagging: HandshakingTagging, schema: RelationSchema) -> dict:
     check_relation_count(tagging, schema)
+    rows = tagging.tags.tolist()
+    n_rel = tagging.n_relations
     return {
         "n": tagging.n,
         "relations": list(schema.relations),
-        "eh2et": list(tagging.eh2et),
-        "sh2oh": [list(s) for s in tagging.sh2oh],
-        "st2ot": [list(s) for s in tagging.st2ot],
+        "eh2et": rows[0],
+        "sh2oh": rows[1:1 + n_rel],
+        "st2ot": rows[1 + n_rel:],
     }
-
-
-def _row_label(row: int, n_rel: int) -> str:
-    """Field name of row ``row`` of a tag array: eh2et, sh2oh[r] or st2ot[r]."""
-    if row == 0:
-        return "eh2et"
-    if row <= n_rel:
-        return f"sh2oh[{row - 1}]"
-    return f"st2ot[{row - 1 - n_rel}]"
-
-
-def _corrupt(label: str, row: list) -> InvalidInput:
-    """The error for the first value of ``row`` that is not a tag 0, 1 or 2."""
-    k, tag = next(
-        (k, v) for k, v in enumerate(row) if type(v) is not int or not 0 <= v <= 2
-    )
-    return InvalidInput(f"corrupt tagging: {label} holds tag {tag!r} at flat index {k}")
 
 
 def dump_tagging_line(tagging: HandshakingTagging, schema: RelationSchema) -> str:
@@ -295,30 +282,13 @@ def dump_tagging_line(tagging: HandshakingTagging, schema: RelationSchema) -> st
     )).decode("ascii")
 
 
-def _may_hold_bools(line: str, relations: list[str]) -> bool:
-    """Whether ``line`` may hold a JSON ``true`` or ``false`` outside its relation names.
-
-    A name such as ``is_true_of`` would match a test on the whole line.  When
-    the line holds the relations field as ``dump_tagging_line`` writes it,
-    that field's text, which holds no bool, is left out of the test; any
-    other layout tests the whole line.
-    """
-    field = '"relations":' + json.dumps(relations, separators=(",", ":"))
-    start = line.find(field)
-    if start < 0:
-        return "true" in line or "false" in line
-    end = start + len(field)
-    return any(line.find(word, 0, start) >= 0 or line.find(word, end) >= 0
-               for word in ("true", "false"))
-
-
 def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagging, RelationSchema]:
     """The tagging and schema of one line; :class:`InvalidInput` if it is malformed.
 
     Each row becomes the tag array through ``bytes(row)``, which rejects
-    anything but ints in [0, 256); values above 2 are then found in the
-    array.  JSON ``true``/``false`` would pass ``bytes`` as 1 and 0, so when
-    the line may hold either (see :func:`_may_hold_bools`) the rows are also
+    anything but ints in [0, 256), and :class:`HandshakingTagging` rejects
+    values above 2.  JSON ``true``/``false`` would pass ``bytes`` as 1 and 0,
+    so a line holding either word, in a relation name too, has its rows also
     scanned for bools.  Strict mode also rejects a reversed entity tag.
     """
     check_mode(mode)
@@ -343,7 +313,7 @@ def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagg
         raise InvalidInput(f"expected {n_rel} head and {n_rel} tail sequences as lists")
     length = seq_length(n)
     rows = [obj["eh2et"], *sh, *st]
-    may_hold_bools = _may_hold_bools(line, relations)
+    may_hold_bools = "true" in line or "false" in line
     chunks = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != length:
@@ -353,14 +323,12 @@ def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagg
         try:
             chunks.append(bytes(row))
         except (TypeError, ValueError):
-            raise _corrupt(_row_label(r, n_rel), row) from None
+            raise _bad_tag(r, n_rel, row) from None
         if may_hold_bools and bool in set(map(type, row)):
-            raise _corrupt(_row_label(r, n_rel), row)
-    tags = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(rows), length)
-    if tags.max() > 2:
-        r = int(np.argmax(tags.max(axis=1) > 2))
-        raise _corrupt(_row_label(r, n_rel), rows[r])
-    if mode == "strict" and tags[0].max() == 2:
-        k = int(np.argmax(tags[0] == 2))
+            raise _bad_tag(r, n_rel, row)
+    tagging = HandshakingTagging(
+        n, np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(rows), length))
+    if mode == "strict" and tagging.tags[0].max() == 2:
+        k = int(np.argmax(tagging.tags[0] == 2))
         raise InvalidInput(f"corrupt tagging: reversed tag in eh2et at flat index {k}")
-    return HandshakingTagging(n, tags), schema
+    return tagging, schema

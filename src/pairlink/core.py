@@ -166,6 +166,24 @@ class SentenceAnnotation:
         return frozenset(self.triples)
 
 
+def _row_label(row: int, n_rel: int) -> str:
+    """Field name of row ``row`` of a tag array: eh2et, sh2oh[r] or st2ot[r]."""
+    if row == 0:
+        return "eh2et"
+    if row <= n_rel:
+        return f"sh2oh[{row - 1}]"
+    return f"st2ot[{row - 1 - n_rel}]"
+
+
+def _bad_tag(row: int, n_rel: int, values: list) -> InvalidInput:
+    """The error for the first of a row's ``values`` that is not the int 0, 1 or 2."""
+    k, tag = next(
+        (k, v) for k, v in enumerate(values) if type(v) is not int or not 0 <= v <= 2
+    )
+    return InvalidInput(f"corrupt tagging: {_row_label(row, n_rel)} holds tag {tag!r} "
+                        f"at flat index {k}, expected 0, 1 or 2")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class HandshakingTagging:
     """The 2N+1 flattened tag sequences for one sentence of length ``n``.
@@ -176,6 +194,8 @@ class HandshakingTagging:
     ``sh2oh`` and rows N+1..2N are ``st2ot``, one per relation, linking the
     start tokens (respectively the end tokens) of subject-object pairs.  The
     constructor takes any integer array-like of that shape and keeps a copy.
+    The library reads only ``tags``; the ``eh2et``/``sh2oh``/``st2ot`` tuple
+    views are kept for the traced hooks of ``perfbench``.
     """
 
     n: int
@@ -195,11 +215,8 @@ class HandshakingTagging:
                 "one entity sequence plus a head and a tail sequence per relation"
             )
         if tags.min() < 0 or tags.max() > 2:
-            row, k = np.argwhere((tags < 0) | (tags > 2))[0]
-            raise InvalidInput(
-                f"tag sequence {row} holds tag {tags[row, k]} at flat index {k}, "
-                "expected 0, 1 or 2"
-            )
+            row = int(np.argmax(((tags < 0) | (tags > 2)).any(axis=1)))
+            raise _bad_tag(row, len(tags) // 2, tags[row].tolist())
         tags = tags.astype(np.int8)  # always a copy, so nobody else can write to it
         tags.flags.writeable = False
         object.__setattr__(self, "tags", tags)

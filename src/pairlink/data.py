@@ -179,8 +179,10 @@ def load_dataset(
                 _record_to_annotation(obj, schema, standard, line_no)
             )
         except (AlignmentError, InvalidInput) as exc:
-            if isinstance(exc, ParseError) or mode == "strict":
+            if isinstance(exc, ParseError):
                 raise
+            if mode == "strict":
+                raise type(exc)(f"{path}:{line_no}: {exc}") from None
             skipped.append(SkippedRecord(line_no, str(exc)))
     return LoadResult(annotations, skipped)
 
@@ -197,7 +199,7 @@ def _record_to_annotation(obj, schema, standard, line_no):
     else:
         tokens, offsets = tokenize_with_offsets(text)
     if not tokens:
-        raise InvalidInput(f"line {line_no}: sentence tokenizes to nothing")
+        raise InvalidInput("sentence tokenizes to nothing")
 
     triples = []
     for entry in obj.get("triple_list", []):
@@ -214,9 +216,7 @@ def _record_to_annotation(obj, schema, standard, line_no):
                 span = align_mention(tokens, ref)
             else:
                 if offsets is None:
-                    raise AlignmentError(
-                        f"line {line_no}: offset references need tokenizer-derived offsets"
-                    )
+                    raise AlignmentError("offset references need tokenizer-derived offsets")
                 span = span_from_offsets(offsets, *ref)
             if standard == "last-word":
                 span = TokenSpan(span.tail, span.tail)

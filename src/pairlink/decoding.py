@@ -6,8 +6,8 @@ those rows finds every tagged cell; everything after it loops in Python over
 those cells only.  It collects the entity spans grouped by head position and
 the oriented tail links of every relation, then resolves each head link
 against the span candidates.  ``decode_oracle`` recomputes the same
-answer in pure Python by brute force over all entity-span pairs and exists
-purely to cross-check ``decode``.
+answer in pure Python by brute force over all entity-span pairs, sharing no
+index code with ``decode``, and exists purely to cross-check it.
 """
 
 from __future__ import annotations
@@ -21,36 +21,7 @@ from .core import (
     RelationSchema,
     TokenSpan,
     Triple,
-    seq_length,
 )
-
-
-def extract_entities(
-    eh2et, n: int, mode: str = "lenient"
-) -> tuple[frozenset[TokenSpan], dict[int, tuple[TokenSpan, ...]]]:
-    """Entity spans tagged in the shared sequence, plus a head-position index.
-
-    Returns ``(spans, by_head)`` where ``by_head[p]`` lists the spans whose
-    first token is ``p``.  A reversed tag cannot occur in encoded data but a
-    model may predict one: strict mode raises, lenient mode ignores it.
-    """
-    check_mode(mode)
-    if len(eh2et) != seq_length(n):
-        raise InvalidInput(
-            f"entity sequence has length {len(eh2et)}, expected {seq_length(n)} for n={n}"
-        )
-    imap = index_map(n)
-    spans: list[TokenSpan] = []
-    by_head: dict[int, list[TokenSpan]] = {}
-    for k, tag in enumerate(eh2et):
-        if tag == 1:
-            i, j = int(imap.rows[k]), int(imap.cols[k])
-            span = TokenSpan(i, j)
-            spans.append(span)
-            by_head.setdefault(i, []).append(span)
-        elif tag == 2 and mode == "strict":
-            raise InvalidInput(f"reversed tag in entity sequence at flat index {k}")
-    return frozenset(spans), {h: tuple(s) for h, s in by_head.items()}
 
 
 def decode(
@@ -106,19 +77,26 @@ def decode_oracle(
 ) -> set[Triple]:
     """Brute-force reference decoder: try every entity pair under every relation.
 
-    Deliberately independent of :func:`decode`'s sweep and of the codec's
-    index arithmetic (the pair-to-flat map is rebuilt by plain enumeration).
+    Independent of :func:`decode` and of the codec's index arithmetic: the
+    tag rows are read once as Python lists, and the pair-to-flat map is
+    rebuilt by plain enumeration.  A reversed entity tag cannot come from
+    encoded data: strict mode raises, lenient mode ignores it.
     """
     check_mode(mode)
     check_relation_count(tagging, schema)
     n = tagging.n
+    rows = tagging.tags.tolist()
     flat: dict[tuple[int, int], int] = {}
+    spans: list[TokenSpan] = []
     k = 0
     for i in range(n):
         for j in range(i, n):
             flat[(i, j)] = k
+            if rows[0][k] == 1:
+                spans.append(TokenSpan(i, j))
+            elif rows[0][k] == 2 and mode == "strict":
+                raise InvalidInput(f"reversed tag in entity sequence at flat index {k}")
             k += 1
-    spans, _ = extract_entities(tagging.eh2et, n, mode=mode)
 
     def link_present(seq, a: int, b: int) -> bool:
         # a forward tag where the link stays in the upper triangle, or a
@@ -131,7 +109,8 @@ def decode_oracle(
         return False
 
     result: set[Triple] = set()
-    for rid, (sh, st) in enumerate(zip(tagging.sh2oh, tagging.st2ot)):
+    n_rel = len(schema)
+    for rid, (sh, st) in enumerate(zip(rows[1:1 + n_rel], rows[1 + n_rel:])):
         for s in spans:
             for o in spans:
                 if link_present(sh, s.head, o.head) and link_present(st, s.tail, o.tail):

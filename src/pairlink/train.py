@@ -43,12 +43,14 @@ class TrainConfig:
     early_stop_f1: float | None = None
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise InvalidInput(f"learning rate must be positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise InvalidInput(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise InvalidInput(f"batch size must be >= 1, got {self.batch_size}")
+        for name, kind, expected in (
+            ("learning_rate", numbers.Real, "a positive number"),
+            ("epochs", numbers.Integral, "a positive int"),
+            ("batch_size", numbers.Integral, "a positive int"),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not value > 0:
+                raise InvalidInput(f"{name} must be {expected}, got {value!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise InvalidInput(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         stop = self.early_stop_f1

@@ -107,6 +107,30 @@ class TestEncodeDecode:
         assert code == EXIT_DATA
         assert "conflict" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [None, "strict", "lenient"])
+    def test_encode_loads_the_corpus_under_its_own_mode(self, tmp_path, capsys, mode):
+        schema = write(tmp_path / "schema.json", '["rel"]')
+        data = write_jsonl(tmp_path / "data.jsonl", [
+            {"text": "alpha beta", "triple_list": [["alpha", "rel", "beta"]]},
+            {"text": "gamma delta", "triple_list": [["gamma", "unknown", "delta"]]},
+        ])
+        out = tmp_path / "tagged.jsonl"
+        flags = ["--mode", mode] if mode else []
+        code = main(["encode", "--data", data, "--schema", schema, "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        if mode == "lenient":
+            assert code == EXIT_OK
+            assert "warning: skipped 1 record(s)" in err and "line 2: unknown relation" in err
+            meta = json.loads((tmp_path / "tagged.jsonl.meta.json").read_text())
+            assert meta["report"]["skipped_records"] == [
+                {"line": 2, "reason": "unknown relation: 'unknown'"}
+            ]
+        else:  # strict, the default
+            assert code == EXIT_DATA
+            assert "data.jsonl:2: unknown relation" in err
+            assert len(err.strip().splitlines()) == 1
+            assert not out.exists()
+
     def test_lenient_encode_reports_conflicts_in_sidecar(self, tmp_path, capsys):
         schema = write(tmp_path / "schema.json", '["rel"]')
         data = write_jsonl(

@@ -27,7 +27,7 @@ from pairlink import (
     seq_index,
     seq_length,
 )
-from pairlink.codec import _may_hold_bools, self_relating_triples, tagging_to_obj
+from pairlink.codec import self_relating_triples, tagging_to_obj
 from pairlink.synth import random_annotation, random_tagging
 
 from conftest import annotation, triple
@@ -270,12 +270,22 @@ class TestSerialization:
         schema = RelationSchema(("is_true_of", "false_friend"))
         tagging = encode(annotation(3, [triple(0, 0, 0, 1, 2)]), schema)
         obj = tagging_to_obj(tagging, schema)
-        # the canonical relations field is left out of the bool test, so the
-        # names alone do not send the rows through the per-cell scan
-        assert not _may_hold_bools(dump_tagging_line(tagging, schema), obj["relations"])
         obj["st2ot"][1][4] = tag
         with pytest.raises(InvalidInput, match="holds tag"):
             parse_tagging_line(json.dumps(obj, separators=separators), mode="lenient")
+
+    @pytest.mark.parametrize("tag", [7, 300, -1, True, 1.0])
+    def test_every_bad_tag_gets_one_message_naming_its_field(self, figure_fixture, tag):
+        # 7 passes bytes() and is rejected by HandshakingTagging; the others
+        # are rejected while the rows are read
+        schema, _, tagging, _ = figure_fixture
+        obj = tagging_to_obj(tagging, schema)
+        obj["st2ot"][1][4] = tag
+        want = f"corrupt tagging: st2ot[1] holds tag {tag!r} at flat index 4, expected 0, 1 or 2"
+        for mode in ("strict", "lenient"):
+            with pytest.raises(InvalidInput) as info:
+                parse_tagging_line(json.dumps(obj), mode=mode)
+            assert str(info.value) == want
 
     def test_lenient_parse_accepts_reversed_entity_tag(self, figure_fixture):
         schema, _, tagging, _ = figure_fixture

@@ -151,6 +151,11 @@ class TestHandshakingTagging:
                 HandshakingTagging(2, [(0, bad_tag, 0)])
             with pytest.raises(InvalidInput):
                 HandshakingTagging(2, np.array([[0, bad_tag, 0]], dtype=np.int64))
+        # the error names the row's field, as the tagging line parser does
+        rows = np.zeros((5, 3), dtype=np.int64)
+        rows[3, 2] = 3
+        with pytest.raises(InvalidInput, match=r"st2ot\[0\] holds tag 3 at flat index 2"):
+            HandshakingTagging(2, rows)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_, object])
     def test_rejects_non_integer_dtypes(self, dtype):

@@ -12,41 +12,62 @@ from pairlink import (
     InvalidInput,
     RelationSchema,
     TokenSpan,
+    Triple,
     decode,
     decode_oracle,
     encode,
-    extract_entities,
     seq_length,
 )
+from pairlink import codec, decoding
+from pairlink.codec import IndexMap
 from pairlink.synth import random_annotation, random_tagging
 
 from conftest import sequences_with, triple
 
 
-class TestExtractEntities:
-    def test_groups_spans_by_head(self):
-        eh = sequences_with(4, {(0, 1): 1, (0, 2): 1, (3, 3): 1})
-        spans, by_head = extract_entities(eh, 4)
-        assert spans == frozenset({TokenSpan(0, 1), TokenSpan(0, 2), TokenSpan(3, 3)})
-        assert by_head[0] == (TokenSpan(0, 1), TokenSpan(0, 2))
-        assert by_head[3] == (TokenSpan(3, 3),)
-        assert 1 not in by_head
-
-    def test_reversed_tag_lenient_vs_strict(self):
-        eh = sequences_with(3, {(0, 1): 2, (2, 2): 1})
-        spans, _ = extract_entities(eh, 3, mode="lenient")
-        assert spans == frozenset({TokenSpan(2, 2)})
-        with pytest.raises(InvalidInput):
-            extract_entities(eh, 3, mode="strict")
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(InvalidInput):
-            extract_entities((0, 0, 0), 3)
-
-
 def make_tagging(n, eh_cells, sh_cells_per_rel, st_cells_per_rel):
     cells = [eh_cells, *sh_cells_per_rel, *st_cells_per_rel]
     return HandshakingTagging(n, [sequences_with(n, c) for c in cells])
+
+
+def self_links(n, eh_cells):
+    """A one-relation tagging whose head and tail rows link every token to
+    itself, so it decodes to one self-relating triple per entity span."""
+    diagonal = {(i, i): 1 for i in range(n)}
+    return make_tagging(n, eh_cells, [diagonal], [diagonal])
+
+
+class TestOracleEntities:
+    def test_spans_come_from_the_entity_row(self):
+        tagging = self_links(4, {(0, 1): 1, (0, 2): 1, (3, 3): 1})
+        spans = {TokenSpan(0, 1), TokenSpan(0, 2), TokenSpan(3, 3)}
+        got = decode_oracle(tagging, RelationSchema(("r",)))
+        assert {t.subject for t in got} == spans
+        assert got == {Triple(s, 0, s) for s in spans}
+
+    def test_reversed_tag_lenient_vs_strict(self):
+        tagging = self_links(3, {(0, 1): 2, (2, 2): 1})
+        schema = RelationSchema(("r",))
+        got = decode_oracle(tagging, schema, mode="lenient")
+        assert {t.subject for t in got} == {TokenSpan(2, 2)}
+        with pytest.raises(InvalidInput):
+            decode_oracle(tagging, schema, mode="strict")
+
+
+def test_oracle_shares_no_index_map_with_decode(figure_fixture, monkeypatch):
+    # a pair map that sends every flat index to the wrong cell: decode reads
+    # through it, the oracle must not
+    def wrong_index_map(n):
+        imap = IndexMap(n)
+        imap.rows, imap.cols = imap.rows[::-1], imap.cols[::-1]
+        return imap
+
+    schema, _, tagging, expected = figure_fixture
+    for module in (codec, decoding):
+        monkeypatch.setattr(module, "index_map", wrong_index_map)
+    assert decode(tagging, schema) != expected
+    assert decode_oracle(tagging, schema) == expected
+    assert decode_oracle(tagging, schema, mode="strict") == expected
 
 
 class TestDecode:

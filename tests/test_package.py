@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pairlink
+from pairlink.cli import main
+from pairlink.codec import tagging_to_obj
 
 
 def test_every_export_resolves_and_the_list_is_sorted():
@@ -10,3 +14,33 @@ def test_every_export_resolves_and_the_list_is_sorted():
     assert missing == []
     assert pairlink.__all__ == sorted(pairlink.__all__)
     assert len(set(pairlink.__all__)) == len(pairlink.__all__)
+
+
+def test_the_library_reads_no_tuple_view(figure_fixture, tmp_path, monkeypatch):
+    # the eh2et/sh2oh/st2ot properties are kept only for the benchmark's
+    # traced hooks; every library path reads the tag array itself
+    schema, tokens, tagging, expected = figure_fixture
+    ann = pairlink.SentenceAnnotation(tokens=tokens, triples=tuple(sorted(expected)))
+    params = pairlink.init_model(schema, pairlink.build_vocab([tokens]),
+                                 d_embed=4, d_state=3, d_pair=4)
+    sentences = [tokens, tokens[:2], tokens[1:]]
+    unpatched = pairlink.infer_batch(sentences, params, schema)
+    data = tmp_path / "tagged.jsonl"
+
+    def no_tuple_view(self):
+        raise AssertionError("a tag row was read through a tuple view")
+
+    for view in ("eh2et", "sh2oh", "st2ot"):
+        monkeypatch.setattr(pairlink.HandshakingTagging, view, property(no_tuple_view))
+    assert pairlink.encode(ann, schema) == tagging
+    line = pairlink.dump_tagging_line(tagging, schema)
+    assert line == json.dumps(tagging_to_obj(tagging, schema), separators=(",", ":"))
+    for mode in ("strict", "lenient"):
+        assert pairlink.parse_tagging_line(line, mode=mode) == (tagging, schema)
+        assert pairlink.decode(tagging, schema, mode=mode) == expected
+        assert pairlink.decode_oracle(tagging, schema, mode=mode) == expected
+    assert pairlink.infer_batch(sentences, params, schema) == unpatched
+    data.write_text(line + "\n", encoding="utf-8")
+    assert main(["decode", "--data", str(data), "--out", str(tmp_path / "out.jsonl")]) == 0
+    decoded = json.loads((tmp_path / "out.jsonl").read_text(encoding="utf-8"))
+    assert len(decoded["triples"]) == len(expected)

@@ -48,6 +48,13 @@ class TestTrainConfig:
             {"optimizer": "momentum"},
             {"early_stop_f1": "x"},
             {"early_stop_f1": True},
+            {"epochs": 1.5},
+            {"epochs": True},
+            {"batch_size": 2.5},
+            {"batch_size": "6"},
+            {"learning_rate": "x"},
+            {"learning_rate": True},
+            {"learning_rate": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -57,6 +64,11 @@ class TestTrainConfig:
     @pytest.mark.parametrize("stop", [None, 1, 0.5, np.float64(0.9)])
     def test_early_stop_takes_none_or_a_real_number(self, stop):
         assert TrainConfig(early_stop_f1=stop).early_stop_f1 is stop
+
+    def test_accepts_numpy_numbers(self):
+        cfg = TrainConfig(learning_rate=np.float64(0.01), epochs=np.int64(3),
+                          batch_size=np.int32(2))
+        assert (cfg.learning_rate, cfg.epochs, cfg.batch_size) == (0.01, 3, 2)
 
     def test_make_optimizer_picks_class(self):
         assert isinstance(make_optimizer(TrainConfig(optimizer="sgd")), Sgd)
