@@ -11,17 +11,18 @@ heads N+1..2N the tail-pair sequences).  Gradients are derived by hand and
 cross-checked against central finite differences in the test suite; no
 autograd library is involved.
 
-Everything runs over a stack of same-length sentences, (B, n) token ids,
-through one encoder and pair kernel (``_encode_pairs``).  :func:`gradient`
-and :func:`infer_batch` group their sentences by length and run each group
-as one stack; :func:`forward_probs`, :func:`infer` and :func:`batch_loss`
-(the finite-difference oracle's loss) run one sentence as a stack of one.
+One encoder path serves training and inference: ``_encode`` runs sentences
+of any lengths as one right-padded (B, n_max) stack.  :func:`gradient` runs
+it forward and backward once per batch, :func:`infer_batch` once per chunk
+of ``batch_size`` sentences; :func:`forward_probs`, :func:`infer` and
+:func:`batch_loss` (the finite-difference oracle's loss) run one sentence
+as a stack of one.  The pair kernel, heads, softmax and their backward then
+run one sentence at a time on 2-D arrays.
 
-Training and :func:`forward_probs` score every head at every pair in one
-forward (``_forward``) and backward.  Inside them the head logits and
-probabilities are class-major, (B, 2N+1, 3, P), so every head product is one
-matrix multiply over contiguous pair rows; :func:`forward_probs` hands out
-the (2N+1, P, 3) view.
+Training and :func:`forward_probs` score every head at every pair.  The head
+logits and probabilities are class-major, (2N+1, 3, P), so every head product
+is one matrix multiply over contiguous pair rows; :func:`forward_probs` hands
+out the (2N+1, P, 3) view.
 
 Inference scores the entity head at every pair, but the 2N relation heads
 only at entity-boundary pairs: the head rows at the pairs within the entity
@@ -244,42 +245,53 @@ def clone_params(params: ModelParams) -> ModelParams:
 # --- forward -----------------------------------------------------------------
 
 
-def _stack_ids(token_lists, vocab: dict[str, int]) -> np.ndarray:
-    """Token ids (B, n) of same-length sentences; unknown tokens map to id 0."""
-    ids = np.array([[vocab.get(t, 0) for t in tokens] for tokens in token_lists],
-                   dtype=np.int64)
-    if ids.shape[1] == 0:
+def _stack_ids(token_lists, vocab: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-padded token ids (B, n_max) and the mask of real tokens; unknown tokens map to id 0."""
+    lengths = [len(tokens) for tokens in token_lists]
+    if min(lengths) == 0:
         raise InvalidInput("cannot encode an empty sentence")
-    return ids
+    mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    ids[mask] = [vocab.get(t, 0) for tokens in token_lists for t in tokens]
+    return ids, mask
 
 
-def _encode(ids: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, dict]:
-    """Context vectors (B, n, out_dim) for stacked same-length id rows (B, n).
+def _encode(token_lists, enc: EncoderParams) -> tuple[np.ndarray, dict]:
+    """Context vectors (B, n_max, out_dim) for sentences of any lengths, right-padded.
 
     Both mixer directions step through one time-major loop over states
-    (n, 2, B, state): direction 0 reads the tokens in order, direction 1
-    reversed, so step t is one stacked product, add and tanh for both.
+    (n_max, 2, B, state): direction 0 reads the stack in order, direction 1
+    reversed, so step t is one stacked product, add and tanh for both.  Read
+    forward, a sentence's padding comes after its last step.  Read reversed,
+    it comes first, with its pre-activations zeroed, so the states stay
+    exactly 0 until the sentence's last token: each sentence is read
+    backward from its own end.  Padded rows of the result are finite filler.
     """
+    ids, mask = _stack_ids(token_lists, enc.vocab)
     x = enc.embed[ids]
+    cache = {"ids": ids, "mask": mask, "x": x}
     if enc.mixer is None:
-        return x, {"ids": ids, "x": x, "f": None, "g": None}
+        return x, cache
     m = enc.mixer
     s = np.empty((ids.shape[1], 2, len(ids), m.state_dim))  # s_t = tanh(x_t wᵀ + s_{t-1} uᵀ + b)
     s[:, 0] = (x @ m.w_fwd.T + m.b_fwd).transpose(1, 0, 2)
-    s[:, 1] = (x[:, ::-1] @ m.w_bwd.T + m.b_bwd).transpose(1, 0, 2)
+    pre = x @ m.w_bwd.T + m.b_bwd
+    pre[~mask] = 0.0
+    s[:, 1] = pre[:, ::-1].transpose(1, 0, 2)
     u = np.stack([m.u_fwd, m.u_bwd]).transpose(0, 2, 1)  # (2, state, state), each uᵀ
+    carry = np.empty_like(s[0])
     np.tanh(s[0], out=s[0])
     for t in range(1, len(s)):
-        s[t] += s[t - 1] @ u
+        np.matmul(s[t - 1], u, out=carry)
+        s[t] += carry
         np.tanh(s[t], out=s[t])
-    f = s[:, 0].transpose(1, 0, 2)  # (B, n, state)
-    g = s[::-1, 1].transpose(1, 0, 2)
-    return np.concatenate([f, g], axis=2), {"ids": ids, "x": x, "f": f, "g": g}
+    cache.update(f=s[:, 0].transpose(1, 0, 2), g=s[::-1, 1].transpose(1, 0, 2))  # (B, n_max, state)
+    return np.concatenate([cache["f"], cache["g"]], axis=2), cache
 
 
 def encode_tokens(tokens, encoder: EncoderParams) -> np.ndarray:
     """Context vectors for one sentence, shape (n, out_dim); runs once per sentence."""
-    return _encode(_stack_ids([tokens], encoder.vocab), encoder)[0][0]
+    return _encode([tokens], encoder)[0][0]
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -323,63 +335,47 @@ def _argmax_tags(scores: np.ndarray) -> np.ndarray:
     return tags
 
 
-@dataclass
-class ForwardCache:
-    """One stacked forward over B same-length sentences, kept for the backward."""
+def _pair_grid(h: np.ndarray, kernel: KernelParams) -> np.ndarray:
+    """One sentence's pair vectors k (P, pair_dim) from its token vectors h (n, d).
 
-    h: np.ndarray  # (B, n, d)
-    enc: dict
-    k: np.ndarray  # (B, P, pair_dim)
-    logits: np.ndarray  # (B, T, 3, P)
-
-
-def _encode_pairs(token_lists, params: ModelParams) -> tuple[np.ndarray, dict, np.ndarray]:
-    """Encoder and pair kernel over a stack of same-length sentences: (h, enc cache, k).
-
-    With W = [W_l | W_r] split at the token width, W [h_i; h_j] = A_i + B_j
-    for A = h W_lᵀ and B = h W_rᵀ, so each token is projected once rather
-    than once per pair.  ``k`` is (B, P, pair_dim) in ``index_map`` order,
-    which lays pairs out row by row: row i, the pairs (i, i), ..., (i, n-1)
-    from row_start[i], is A_i + B_i, ..., A_i + B_{n-1}.
+    With W = [W_l | W_r] split at the token width, W [h_i; h_j] + b = A_i + B_j
+    for A = h W_lᵀ + b and B = h W_rᵀ, so each token is projected once rather
+    than once per pair, and the bias costs a pass over tokens, not pairs.
+    ``k`` is in ``index_map`` order, which lays pairs out row by row: row i,
+    the pairs (i, i), ..., (i, n-1) from row_start[i], is tanh(A_i + B_i),
+    ..., tanh(A_i + B_{n-1}).
     """
-    ids = _stack_ids(token_lists, params.encoder.vocab)
-    h, enc_cache = _encode(ids, params.encoder)
-    (n_sent, n, d), weight = h.shape, params.kernel.weight
-    imap = index_map(n)
-    a, b = h @ weight[:, :d].T, h @ weight[:, d:].T
-    k = np.empty((n_sent, imap.length, len(weight)))
+    (n, d), imap = h.shape, index_map(len(h))
+    a = h @ kernel.weight[:, :d].T
+    a += kernel.bias
+    b = h @ kernel.weight[:, d:].T
+    k = np.empty((imap.length, a.shape[1]))
     for i, start in enumerate(imap.row_start):
-        np.add(a[:, i:i + 1], b[:, i:], out=k[:, start:start + n - i])
-    k += params.kernel.bias
-    np.tanh(k, out=k)
-    return h, enc_cache, k
+        np.add(a[i], b[i:], out=k[start:start + n - i])
+    return np.tanh(k, out=k)
 
 
-def _forward(token_lists, params: ModelParams) -> ForwardCache:
-    """The model's full forward pass over a stack of same-length sentences.
+def _head_logits(k: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Every head's logits (2N+1, 3, P) over one sentence's pair vectors k (P, pair_dim).
 
-    The heads run as one (T·3, pair_dim) @ kᵀ product over every pair; the
-    class axis sits before the pair axis so that every class row is
-    contiguous over pairs.
+    The heads run as one (T·3, pair_dim) @ kᵀ product; the class axis sits
+    before the pair axis so that every class row is contiguous over pairs.
     """
-    h, enc_cache, k = _encode_pairs(token_lists, params)
     heads = params.taggers.weight
-    logits = heads.reshape(-1, heads.shape[2]) @ k.transpose(0, 2, 1)
+    logits = heads.reshape(-1, heads.shape[2]) @ k.T
     logits += params.taggers.bias.reshape(-1, 1)
-    return ForwardCache(h, enc_cache, k, logits.reshape(len(k), heads.shape[0], 3, -1))
+    return logits.reshape(len(heads), 3, -1)
 
 
-def _length_groups(token_lists) -> list[list[int]]:
-    """Positions in ``token_lists`` grouped by sentence length, in order of first appearance."""
-    by_len: dict[int, list[int]] = {}
-    for idx, tokens in enumerate(token_lists):
-        by_len.setdefault(len(tokens), []).append(idx)
-    return list(by_len.values())
+def _logits(tokens, params: ModelParams) -> np.ndarray:
+    """One sentence's full forward: every head's logits (2N+1, 3, P)."""
+    h = _encode([tokens], params.encoder)[0]
+    return _head_logits(_pair_grid(h[0], params.kernel), params)
 
 
 def forward_probs(tokens, params: ModelParams) -> np.ndarray:
     """Per-head tag distributions for a sentence, shape (2N+1, P, 3)."""
-    return softmax(_forward([tokens], params).logits[0], axis=1).transpose(0, 2, 1)
+    return softmax(_logits(tokens, params), axis=1).transpose(0, 2, 1)
 
 
 def gold_tags(tagging: HandshakingTagging) -> np.ndarray:
@@ -413,58 +409,61 @@ def batch_loss(batch, params: ModelParams) -> float:
 # --- backward ----------------------------------------------------------------
 
 
-def _backward(gold: np.ndarray, cache: ForwardCache, params: ModelParams,
-              grads: dict[str, np.ndarray], weight: float) -> None:
-    """Add ``weight`` times each stacked sentence's gradients to ``grads``.
+def _pair_backward(gold: np.ndarray, probs: np.ndarray, k: np.ndarray, h: np.ndarray,
+                   params: ModelParams, grads: dict[str, np.ndarray], weight: float) -> np.ndarray:
+    """Add ``weight`` times one sentence's head and kernel gradients to ``grads``; return dL/dh.
 
-    ``gold`` is (B, T, P).  ``cache.logits`` must hold the softmax
-    probabilities; it is consumed, and so is ``cache.k``.
+    ``gold`` is (T, P), ``probs`` the softmax of :func:`_head_logits`,
+    (T, 3, P), ``k`` the sentence's pair vectors and ``h`` (n, d) its token
+    vectors; ``probs`` and ``k`` are consumed.
     """
-    dlogits = cache.logits  # overwritten in place
-    n_sent, n_heads, n_classes, n_pairs = dlogits.shape
+    dlogits = probs  # overwritten in place
+    n_heads, n_classes, n_pairs = dlogits.shape
     for tag in range(n_classes):
-        dlogits[:, :, tag] -= gold == tag
+        dlogits[:, tag] -= gold == tag
     dlogits *= weight / (n_heads * n_pairs)
-    flat = dlogits.reshape(n_sent, -1, n_pairs)  # (B, T·3, P)
+    flat = dlogits.reshape(-1, n_pairs)  # (T·3, P)
     heads = params.taggers.weight
-    grads["taggers.weight"] += (flat @ cache.k).sum(axis=0).reshape(heads.shape)
-    grads["taggers.bias"] += dlogits.sum(axis=(0, 3))
-    dpre = flat.transpose(0, 2, 1) @ heads.reshape(flat.shape[1], -1)  # dL/dk, (B, P, pair_dim)
-    deriv = np.square(cache.k, out=cache.k)  # k is spent; reuse it for tanh' = 1 - k²
+    grads["taggers.weight"] += (flat @ k).reshape(heads.shape)
+    grads["taggers.bias"] += dlogits.sum(axis=2)
+    dpre = flat.T @ heads.reshape(len(flat), -1)  # dL/dk, (P, pair_dim)
+    deriv = np.square(k, out=k)  # k is spent; reuse it for tanh' = 1 - k²
     np.subtract(1.0, deriv, out=deriv)
     dpre *= deriv
-    grads["kernel.bias"] += dpre.sum(axis=(0, 1))
 
     # index_map lays pairs out row by row: row i is the slice of pairs
-    # (i, i), ..., (i, n-1) from row_start[i], so its sum is dA[:, i] and its
-    # m-th pair adds to dB[:, i + m].  (np.add.at over the table's rows and
+    # (i, i), ..., (i, n-1) from row_start[i], so its sum is dA[i] and its
+    # m-th pair adds to dB[i + m].  (np.add.at over the table's rows and
     # cols gives the same bits but is over ten times slower.)
-    n, d = cache.h.shape[1:]
-    d_a = np.empty((n_sent, n, dpre.shape[2]))
-    d_b = np.zeros_like(d_a)
+    (n, d), pair_dim = h.shape, dpre.shape[1]
+    d_a, d_b = np.empty((n, pair_dim)), np.zeros((n, pair_dim))
     for i, start in enumerate(index_map(n).row_start):
-        seg = dpre[:, start:start + n - i]
-        d_a[:, i] = seg.sum(axis=1)
-        d_b[:, i:] += seg
-    h_rows = cache.h.reshape(-1, d)  # (B·n, d)
+        seg = dpre[start:start + n - i]
+        d_a[i] = seg.sum(axis=0)
+        d_b[i:] += seg
     weight_l, weight_r = params.kernel.weight[:, :d], params.kernel.weight[:, d:]
-    grads["kernel.weight"][:, :d] += d_a.reshape(len(h_rows), -1).T @ h_rows
-    grads["kernel.weight"][:, d:] += d_b.reshape(len(h_rows), -1).T @ h_rows
-    _encoder_backward(cache.enc, params.encoder, d_a @ weight_l + d_b @ weight_r, grads)
+    grads["kernel.bias"] += d_a.sum(axis=0)
+    grads["kernel.weight"][:, :d] += d_a.T @ h
+    grads["kernel.weight"][:, d:] += d_b.T @ h
+    return d_a @ weight_l + d_b @ weight_r
 
 
-def _recurrence_backward(ds: np.ndarray, s: np.ndarray, x: np.ndarray,
-                         w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+def _recurrence_backward(ds: np.ndarray, s: np.ndarray, x: np.ndarray, w: np.ndarray,
+                         u: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
     """(dw, du, db, dx) of one mixer direction given dL/ds (B, n, state).
 
     ``s`` are that direction's states s_t = tanh(x_t wᵀ + s_{t-1} uᵀ + b)
     along axis 1 of its input x (B, n, embed), as :func:`_encode` computes
     them; the backward direction passes its states and input time-reversed.
+    ``mask`` (B, n) marks the real steps: padding has zero ``ds``, and where
+    it comes first its pre-activations are constants, so no gradient passes
+    through a padded step.
     """
     deriv = 1.0 - s**2
     dpre = ds * deriv
     for t in range(s.shape[1] - 2, -1, -1):
         dpre[:, t] += (dpre[:, t + 1] @ u) * deriv[:, t]
+    dpre[~mask] = 0.0
     state = s.shape[2]
     rows = dpre.reshape(-1, state)  # (B·n, state)
     dw = rows.T @ x.reshape(len(rows), -1)
@@ -474,51 +473,57 @@ def _recurrence_backward(ds: np.ndarray, s: np.ndarray, x: np.ndarray,
 
 def _encoder_backward(enc_cache: dict, enc: EncoderParams, dh: np.ndarray,
                       grads: dict[str, np.ndarray]) -> None:
-    ids = enc_cache["ids"].ravel()  # (B·n,), row-major like the (B, n, ·) gradients
+    """Add the encoder's gradients given dL/dh (B, n_max, out_dim), zero at padding."""
+    ids, mask = enc_cache["ids"], enc_cache["mask"]
     if enc.mixer is None:
-        np.add.at(grads["encoder.embed"], ids, dh.reshape(len(ids), -1))
+        np.add.at(grads["encoder.embed"], ids[mask], dh[mask])
         return
     m = enc.mixer
     x, f, g = enc_cache["x"], enc_cache["f"], enc_cache["g"]
     s = f.shape[2]
-    dw, du, db, dx = _recurrence_backward(dh[:, :, :s], f, x, m.w_fwd, m.u_fwd)
+    dw, du, db, dx = _recurrence_backward(dh[:, :, :s], f, x, m.w_fwd, m.u_fwd, mask)
     grads["encoder.mixer.w_fwd"] += dw
     grads["encoder.mixer.u_fwd"] += du
     grads["encoder.mixer.b_fwd"] += db
-    # the backward direction runs from the sentence end: reverse time, then dx back
+    # the backward direction runs from the stack's end: reverse time, then dx back
     dw, du, db, dx_bwd = _recurrence_backward(
-        dh[:, ::-1, s:], g[:, ::-1], x[:, ::-1], m.w_bwd, m.u_bwd
+        dh[:, ::-1, s:], g[:, ::-1], x[:, ::-1], m.w_bwd, m.u_bwd, mask[:, ::-1]
     )
     grads["encoder.mixer.w_bwd"] += dw
     grads["encoder.mixer.u_bwd"] += du
     grads["encoder.mixer.b_bwd"] += db
     dx += dx_bwd[:, ::-1]
-    np.add.at(grads["encoder.embed"], ids, dx.reshape(len(ids), -1))
+    np.add.at(grads["encoder.embed"], ids[mask], dx[mask])
 
 
 def gradient(batch, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
     """(mean batch loss, analytic gradients) for (tokens, gold tagging) pairs.
 
     The loss is the mean over sentences of the per-sentence mean cell loss,
-    so duplicating a sample leaves the gradient unchanged.  Sentences of one
-    length run as one stacked forward and backward.  Raises
-    :class:`NumericError` the moment anything stops being finite.
+    so duplicating a sample leaves the gradient unchanged.  The encoder runs
+    forward and backward once over the whole batch as a right-padded stack;
+    the pair kernel, heads and their backward run one sentence at a time,
+    and padding gets zero dL/dh.  Raises :class:`NumericError` the moment
+    anything stops being finite.
     """
     if not batch:
         raise InvalidInput("empty batch")
     grads = {name: np.zeros_like(arr) for name, arr in named_tensors(params).items()}
+    h, enc_cache = _encode([tokens for tokens, _ in batch], params.encoder)
+    dh = np.zeros_like(h)
     total = 0.0
     scale = 1.0 / len(batch)
-    for group in _length_groups([tokens for tokens, _ in batch]):
-        cache = _forward([batch[i][0] for i in group], params)
-        probs = softmax(cache.logits, axis=2)
-        golds = [gold_tags(batch[i][1]) for i in group]
-        for row, gold in enumerate(golds):
-            total += loss_from_probs(probs[row].transpose(0, 2, 1), gold)
-        _backward(np.stack(golds), cache, params, grads, scale)
+    for row, (tokens, tagging) in enumerate(batch):
+        h_row = h[row, :len(tokens)]
+        k = _pair_grid(h_row, params.kernel)
+        probs = softmax(_head_logits(k, params), axis=1)
+        gold = gold_tags(tagging)
+        total += loss_from_probs(probs.transpose(0, 2, 1), gold)
+        dh[row, :len(tokens)] = _pair_backward(gold, probs, k, h_row, params, grads, scale)
     loss = total * scale
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss: {loss}")
+    _encoder_backward(enc_cache, params.encoder, dh, grads)
     for name, arr in grads.items():
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"non-finite gradient in {name}")
@@ -585,17 +590,17 @@ def _infer(sentences, params: ModelParams, schema: RelationSchema, batch_size: i
     for tokens in sentences:  # a comprehension would add a frame under the warning
         fitted.append(_fit_length(tokens, params.max_len, mode))
     entity_head, entity_bias = params.taggers.weight[0], params.taggers.bias[0]
-    results: list[set[Triple] | None] = [None] * len(fitted)
+    results = []
     for start in range(0, len(fitted), batch_size):
-        for group in _length_groups(fitted[start:start + batch_size]):
-            idxs = [start + i for i in group]
-            n = len(fitted[idxs[0]])
-            _, _, k = _encode_pairs([fitted[i] for i in idxs], params)
-            entity = _argmax_tags(entity_head @ k.transpose(0, 2, 1) + entity_bias[:, None])
-            for idx, pairs, row in zip(idxs, k, entity):
-                tags = _entity_first_tags(pairs, row, params, index_map(n))
-                results[idx] = decode(HandshakingTagging(n, tags), schema, mode=mode)
-    return results  # type: ignore[return-value]
+        chunk = fitted[start:start + batch_size]
+        h = _encode(chunk, params.encoder)[0]
+        for tokens, h_row in zip(chunk, h):
+            n = len(tokens)
+            k = _pair_grid(h_row[:n], params.kernel)
+            entity = _argmax_tags(entity_head @ k.T + entity_bias[:, None])
+            tags = _entity_first_tags(k, entity, params, index_map(n))
+            results.append(decode(HandshakingTagging(n, tags), schema, mode=mode))
+    return results
 
 
 def infer(tokens, params: ModelParams, schema: RelationSchema,
@@ -616,8 +621,9 @@ def infer_batch(sentences, params: ModelParams, schema: RelationSchema,
                 batch_size: int = 24, mode: str = "lenient") -> list[set[Triple]]:
     """Inference over many sentences; output order matches input order.
 
-    Each batch is grouped by sentence length so a group runs as one stacked
-    encoder and pair kernel; decoded triple sets equal per-sentence :func:`infer`.
+    Each chunk of ``batch_size`` sentences runs one encoder pass as a
+    right-padded stack, then the pair kernel and heads one sentence at a
+    time; decoded triple sets equal per-sentence :func:`infer`.
     """
     if batch_size < 1:
         raise InvalidInput(f"batch size must be >= 1, got {batch_size}")

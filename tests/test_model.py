@@ -179,11 +179,14 @@ class TestEncoder:
         with pytest.raises(InvalidInput):
             encode_tokens((), p.encoder)
 
-    @pytest.mark.parametrize("n_sent", [1, 3])
-    @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_two_direction_loop_equals_per_direction_recurrences(self, schema2, n_sent, n):
-        # one time-major loop steps both directions; each must be bit for bit
-        # the plain recurrence, the backward one run over the reversed tokens
+    @pytest.mark.parametrize("lengths", [
+        (1,), (2,), (7,), (1, 1, 1), (2, 2, 2), (7, 7, 7), (1, 2, 7), (7, 1, 2),
+    ])
+    def test_two_direction_loop_equals_per_direction_recurrences(self, schema2, lengths):
+        # one time-major loop steps both directions over a right-padded stack;
+        # each sentence's rows must be bit for bit the plain recurrence over
+        # that stack, the backward one over each sentence reversed from its
+        # own end, and equal the sentence encoded alone
         def recurrence(x, w, u, b):
             s = x @ w.T
             s += b
@@ -194,33 +197,53 @@ class TestEncoder:
             return s
 
         words = [f"w{i}" for i in range(9)]
-        p = tiny_model(schema2, [words], seed=n, d_embed=6, d_state=5)
-        rng = np.random.default_rng(10 * n + n_sent)
-        ids = rng.integers(0, len(words) + 1, size=(n_sent, n))
-        m = p.encoder.mixer
-        x = p.encoder.embed[ids]
+        p = tiny_model(schema2, [words], seed=max(lengths), d_embed=6, d_state=5)
+        rng = random.Random(10 * max(lengths) + len(lengths))
+        stack = [tuple(rng.choice(words + ["unseen"]) for _ in range(n)) for n in lengths]
+        ids = np.zeros((len(stack), max(lengths)), dtype=np.int64)
+        for row, n in enumerate(lengths):
+            ids[row, :n] = [p.encoder.vocab.get(t, 0) for t in stack[row]]
+        m, x = p.encoder.mixer, p.encoder.embed[ids]
         f = recurrence(x, m.w_fwd, m.u_fwd, m.b_fwd)
-        g = recurrence(x[:, ::-1], m.w_bwd, m.u_bwd, m.b_bwd)[:, ::-1]
-        h, cache = model._encode(ids, p.encoder)
-        assert cache["f"].shape == cache["g"].shape == (n_sent, n, 5)
-        assert np.array_equal(cache["f"], f) and np.array_equal(cache["g"], g)
-        assert np.array_equal(h, np.concatenate([f, g], axis=2))
+        # the backward inputs of each sentence, reversed within its own length
+        x_rev = np.zeros_like(x)
+        for row, n in enumerate(lengths):
+            x_rev[row, :n] = x[row, n - 1::-1]
+        g_rev = recurrence(x_rev, m.w_bwd, m.u_bwd, m.b_bwd)
+        h, _ = model._encode(stack, p.encoder)
+        assert h.shape == (len(stack), max(lengths), 10)
+        for row, n in enumerate(lengths):
+            assert np.array_equal(h[row, :n, :5], f[row, :n])
+            assert np.array_equal(h[row, :n, 5:], g_rev[row, n - 1::-1])
+            alone = encode_tokens(stack[row], p.encoder)
+            assert np.allclose(h[row, :n], alone, rtol=1e-12, atol=0)
+
+    def test_empty_sentence_in_a_mixed_batch_rejected(self, schema2):
+        p = tiny_model(schema2, [("a", "b", "c")])
+        with pytest.raises(InvalidInput, match="empty sentence"):
+            infer_batch([("a", "b"), (), ("c",)], p, schema2)
+        tagging = encode(annotation(2, []), schema2)
+        with pytest.raises(InvalidInput, match="empty sentence"):
+            gradient([(("a", "b"), tagging), ((), tagging), (("c", "a"), tagging)], p)
 
 
 class TestPairKernel:
     @pytest.mark.parametrize("n", [1, 2, 13])
     def test_row_slices_equal_the_gathered_kernel(self, schema2, n):
-        # k is built row by row; it must be bit for bit the gathered
-        # tanh(A[:, rows] + B[:, cols] + b) over a stack of 3 sentences
+        # k is built row by row, one sentence at a time; it must be bit for
+        # bit the gathered tanh((A + b)[rows] + B[cols]) of each sentence in a
+        # stack of 3
         words = [f"w{i}" for i in range(20)]
         p = tiny_model(schema2, [words], seed=n, d_embed=6, d_state=5, d_pair=7)
         p.kernel.bias[:] = np.random.default_rng(n).normal(size=7)
         rng = random.Random(n)
         stack = [tuple(rng.choice(words) for _ in range(n)) for _ in range(3)]
-        h, _, k = model._encode_pairs(stack, p)
+        h, _ = model._encode(stack, p.encoder)
         d, imap = h.shape[2], index_map(n)
-        a, b = h @ p.kernel.weight[:, :d].T, h @ p.kernel.weight[:, d:].T
-        assert np.array_equal(k, np.tanh(a[:, imap.rows] + b[:, imap.cols] + p.kernel.bias))
+        for row in h:
+            a, b = row @ p.kernel.weight[:, :d].T, row @ p.kernel.weight[:, d:].T
+            want = np.tanh((a + p.kernel.bias)[imap.rows] + b[imap.cols])
+            assert np.array_equal(model._pair_grid(row, p.kernel), want)
 
     def test_matches_scalar_loop(self, rng):
         d, pair = 5, 4
@@ -382,13 +405,31 @@ def batch_of_lengths(schema, rng, lengths):
     return batch
 
 
+def count_calls(monkeypatch) -> dict[str, list[int]]:
+    """Record each ``_encode`` call's sentence count and each ``_pair_grid`` call's length."""
+    calls = {"encode": [], "pair_grid": []}
+    encode_stack, pair_grid = model._encode, model._pair_grid
+
+    def counting_encode(token_lists, enc):
+        calls["encode"].append(len(token_lists))
+        return encode_stack(token_lists, enc)
+
+    def counting_pair_grid(h, kernel):
+        calls["pair_grid"].append(len(h))
+        return pair_grid(h, kernel)
+
+    monkeypatch.setattr(model, "_encode", counting_encode)
+    monkeypatch.setattr(model, "_pair_grid", counting_pair_grid)
+    return calls
+
+
 class TestGradient:
     def test_matches_finite_differences_everywhere(self, schema2):
         # independent oracle: central finite differences on the batch loss,
         # checked at every coordinate of a deliberately tiny model
         rng = random.Random(17)
         mixed = make_batch(schema2, rng, 2, n_max=4)
-        # gradient() stacks the two 3-token sentences; batch_loss runs each alone
+        # gradient() runs each batch as one padded stack; batch_loss runs each alone
         stacked = batch_of_lengths(schema2, rng, (3, 4, 3))
         assert stacked[0][0] != stacked[2][0]
         for batch, use_mixer in ((mixed, True), (stacked, True), (stacked, False)):
@@ -399,19 +440,21 @@ class TestGradient:
             # abs_tol=0: every coordinate must agree to relative error < 1e-4
             check_gradients(batch, p, step=1e-5, rel_tol=1e-4, abs_tol=0.0, max_coords=None)
 
-    def test_one_stacked_pass_per_length_group(self, schema2, monkeypatch):
+    @pytest.mark.parametrize("use_mixer", [True, False])
+    def test_padded_batch_matches_finite_differences(self, schema2, use_mixer):
+        # mixed lengths exercise the padding, each sentence's reversal and
+        # the dL/dh scatter; batch_loss runs each sentence alone
+        batch = batch_of_lengths(schema2, random.Random(29), (1, 4, 2, 4))
+        p = tiny_model(schema2, [toks for toks, _ in batch], use_mixer=use_mixer,
+                       d_embed=3, d_state=2, d_pair=3)
+        check_gradients(batch, p, step=1e-5, rel_tol=1e-4, abs_tol=0.0, max_coords=None)
+
+    def test_one_encoder_call_per_batch_one_kernel_per_sentence(self, schema2, monkeypatch):
         batch = batch_of_lengths(schema2, random.Random(4), (3, 3, 3, 4, 4))
         p = tiny_model(schema2, [toks for toks, _ in batch])
-        calls = []
-        original = model._forward
-
-        def counting(token_lists, params):
-            calls.append(len(token_lists))
-            return original(token_lists, params)
-
-        monkeypatch.setattr(model, "_forward", counting)
+        calls = count_calls(monkeypatch)
         gradient(batch, p)
-        assert calls == [3, 2]  # one stacked forward per length
+        assert calls == {"encode": [5], "pair_grid": [3, 3, 3, 4, 4]}
 
     def test_duplicating_the_batch_changes_nothing(self, schema2):
         rng = random.Random(23)
@@ -446,18 +489,11 @@ class TestGradient:
 
 
 class TestInfer:
-    def test_encoder_runs_once_per_sentence(self, schema2, monkeypatch):
+    def test_one_encoder_call_one_kernel(self, schema2, monkeypatch):
         p = tiny_model(schema2, [("a", "b", "c", "d", "e", "f")])
-        calls = []
-        original = model._encode
-
-        def counting(ids, enc):
-            calls.append(ids.shape[1])
-            return original(ids, enc)
-
-        monkeypatch.setattr(model, "_encode", counting)
+        calls = count_calls(monkeypatch)
         infer(("a", "b", "c", "d", "e", "f"), p, schema2)
-        assert calls == [6]  # 21 pairs, but one encoder pass
+        assert calls == {"encode": [1], "pair_grid": [6]}  # 21 pairs, but one encoder pass
 
     def test_returns_triples_within_bounds(self, schema2):
         p = tiny_model(schema2, [("a", "b", "c")])
@@ -498,8 +534,8 @@ class TestInfer:
 
 def full_scoring(tokens, params, schema, mode):
     """Reference inference: every head scored at every pair, argmax, decode."""
-    logits = model._forward([tokens], params).logits
-    return decode(HandshakingTagging(len(tokens), model._argmax_tags(logits)[0]), schema,
+    logits = model._logits(tokens, params)
+    return decode(HandshakingTagging(len(tokens), model._argmax_tags(logits)), schema,
                   mode=mode)
 
 
@@ -580,7 +616,7 @@ class TestEntityFirstInference:
         for seed in (0, 1, 2):
             rng = random.Random(seed)
             lengths = [rng.randint(20, 60) for _ in range(3)]
-            # the repeated length makes infer_batch stack two sentences
+            # infer_batch runs all four as one padded stack, two of one length
             corpus = [tuple(rng.choice(words) for _ in range(n)) for n in lengths + lengths[:1]]
             p = tiny_model(schema, corpus, seed=seed, d_embed=64, d_state=32, d_pair=64)
             margins = np.concatenate([
@@ -591,7 +627,7 @@ class TestEntityFirstInference:
             for share in (0.001, 0.01, 0.05):
                 p.taggers.bias[:, 0] = base + np.quantile(margins, 1.0 - share)
                 shares.append(np.mean([
-                    np.mean(model._argmax_tags(model._forward([tokens], p).logits) != 0)
+                    np.mean(model._argmax_tags(model._logits(tokens, p)) != 0)
                     for tokens in corpus
                 ]))
                 emitted += assert_inference_equals_full_scoring(corpus, p, schema)
@@ -623,19 +659,18 @@ class TestInferBatch:
             assert batched == single
         assert all(batched)  # the untrained model links densely in the stacked group
 
-    def test_one_stacked_pass_per_length_group(self, schema2, monkeypatch):
+    def test_one_encoder_call_per_batch_one_kernel_per_sentence(self, schema2, monkeypatch):
         sentences = [("a", "b"), ("c", "d"), ("e", "f"), ("a", "c"), ("b", "d")]
         p = tiny_model(schema2, sentences)
-        calls = []
-        original = model._encode_pairs
-
-        def counting(token_lists, params):
-            calls.append(len(token_lists))
-            return original(token_lists, params)
-
-        monkeypatch.setattr(model, "_encode_pairs", counting)
+        calls = count_calls(monkeypatch)
         infer_batch(sentences, p, schema2, batch_size=8)
-        assert calls == [5]  # five sentences, one stacked encoder and pair kernel
+        # five sentences, one stacked encoder, a pair kernel each
+        assert calls == {"encode": [5], "pair_grid": [2, 2, 2, 2, 2]}
+        mixed = [("a",), ("b", "c", "d"), ("e", "f"), ("a", "b", "c", "d", "e")]
+        for seen in calls.values():
+            seen.clear()
+        infer_batch(mixed, p, schema2, batch_size=3)
+        assert calls == {"encode": [3, 1], "pair_grid": [1, 3, 2, 5]}
 
     def test_validates_batch_size(self, schema2):
         p = tiny_model(schema2, [("a",)])
