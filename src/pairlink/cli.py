@@ -2,10 +2,10 @@
 
 Thin composition over the library: every subcommand parses flags, resolves
 them against an optional JSON config file (flag beats config beats default),
-calls the library, and writes artifacts that embed the resolved config and
-seed.  JSONL artifacts get a ``<out>.meta.json`` sidecar instead, because
-their line format is fixed.  Artifacts carry no timestamps, so rerunning an
-embedded config reproduces them byte for byte.
+calls the library, and writes artifacts that embed the resolved config (and,
+for ``train``, the seed).  JSONL artifacts get a ``<out>.meta.json`` sidecar
+instead, because their line format is fixed.  Artifacts carry no timestamps,
+so rerunning an embedded config reproduces them byte for byte.
 
 Exit codes: 0 success, 1 internal failure or training divergence, 2 usage,
 3 unreadable or malformed input files, 4 schema/data mismatches (including
@@ -17,19 +17,12 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import random
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import codec, decoding, evaluate, synth
-from .core import (
-    InvalidInput,
-    PairLinkError,
-    RelationSchema,
-    TokenSpan,
-    Triple,
-)
+from . import codec, decoding, evaluate
+from .core import InvalidInput, PairLinkError, RelationSchema, Triple
 from .data import (
     STANDARDS,
     AlignmentError,
@@ -43,8 +36,8 @@ from .data import (
     relation_names,
 )
 from .evaluate import format_report, micro_prf, subset_report
-from .model import NumericError, infer_batch, init_model, load_checkpoint, save_checkpoint
-from .train import TrainConfig, check_gradients, train
+from .model import infer_batch, init_model, load_checkpoint, save_checkpoint
+from .train import TrainConfig, train
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -260,7 +253,6 @@ def cmd_train(opts: _Options) -> int:
         batch_size=opts.get("batch_size", default.batch_size),
         seed=opts.get("seed", default.seed),
         optimizer=opts.get("optimizer", default.optimizer),
-        grad_check=opts.get("grad_check", default.grad_check),
         early_stop_f1=opts.get("early_stop_f1", default.early_stop_f1, kind=float),
     )
     sizes = inspect.signature(init_model).parameters
@@ -342,92 +334,6 @@ def cmd_bench(opts: _Options) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(opts: _Options) -> int:
-    seed = opts.get("seed", 0)
-    opts.check_all_read()
-    fast = bool(opts.args.fast)
-    cases = 120 if fast else 400
-    rng = random.Random(seed)
-    schema = RelationSchema(("r0", "r1", "r2"))
-    failures = 0
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {label}")
-        if not ok:
-            failures += 1
-
-    # index arithmetic agrees with plain enumeration
-    ok = True
-    for n in range(1, 41):
-        k = 0
-        for i in range(n):
-            for j in range(i, n):
-                if codec.seq_index(i, j, n) != k or codec.matrix_index(k, n) != (i, j):
-                    ok = False
-                k += 1
-        if codec.index_map(n).length != k:
-            ok = False
-    check("pair index arithmetic (n <= 40)", ok)
-
-    ok = True
-    for _ in range(cases):
-        ann = synth.random_annotation(rng, schema, n_max=10, max_triples=5)
-        tagging = codec.encode(ann, schema, mode="strict")
-        if decoding.decode(tagging, schema) != set(ann.triples):
-            ok = False
-            break
-    check(f"encode/decode roundtrip ({cases} random annotations)", ok)
-
-    ok = True
-    for _ in range(cases):
-        tagging = synth.random_tagging(rng, rng.randint(1, 9), len(schema))
-        if decoding.decode(tagging, schema) != decoding.decode_oracle(tagging, schema):
-            ok = False
-            break
-    check(f"decoder equals brute-force oracle ({cases} random taggings)", ok)
-
-    ok = True
-    try:
-        from .model import build_vocab
-        from .codec import encode as _encode
-
-        for trial in range(2):
-            sents = synth.synthetic_dataset(rng, schema, 3, n_min=3, n_max=5)
-            vocab = build_vocab(a.tokens for a in sents)
-            params = init_model(
-                schema, vocab, d_embed=6, d_state=3, d_pair=6, seed=seed + trial
-            )
-            batch = [(a.tokens, _encode(a, schema, mode="lenient")) for a in sents]
-            check_gradients(batch, params, max_coords=6, seed=seed + trial)
-    except NumericError:
-        ok = False
-    check("analytic gradients match finite differences (spot check)", ok)
-
-    span = TokenSpan
-    preds = [{Triple(span(0, 0), 0, span(1, 1)), Triple(span(0, 0), 1, span(1, 1))}]
-    golds = [
-        {
-            Triple(span(0, 0), 0, span(1, 1)),
-            Triple(span(2, 2), 0, span(3, 3)),
-            Triple(span(0, 0), 2, span(1, 1)),
-        }
-    ]
-    scores = micro_prf(preds, golds, mode="exact")
-    check(
-        "metric fixture (P=0.5, R=1/3, F1=0.4)",
-        abs(scores.precision - 0.5) < 1e-12
-        and abs(scores.recall - 1 / 3) < 1e-12
-        and abs(scores.f1 - 0.4) < 1e-12,
-    )
-
-    if failures:
-        print(f"{failures} self-test suite(s) failed")
-        return EXIT_FAILURE
-    print("all self-test suites passed")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairlink",
@@ -442,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
         # a config value is held to the same choices as its flag
         p.set_defaults(choices={a.dest: a.choices for a in p._actions if a.choices})
 
@@ -476,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
     corpus(p)
     common(p)
 
@@ -498,10 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     corpus(p)
     common(p)
 
-    p = sub.add_parser("selftest", help="run quick built-in consistency suites")
-    p.add_argument("--fast", action="store_true")
-    common(p)
-
     return parser
 
 
@@ -512,7 +414,6 @@ _COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
     "bench": cmd_bench,
-    "selftest": cmd_selftest,
 }
 
 
@@ -520,9 +421,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _Options(args)
-        opts.get("seed", 0)
-        return _COMMANDS[args.command](opts)
+        return _COMMANDS[args.command](_Options(args))
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -141,6 +141,11 @@ class TaggerParams:
         return self.weight.shape[0]
 
 
+def _check_size(name: str, value) -> None:
+    if type(value) is not int or value < 1:
+        raise InvalidInput(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class ModelParams:
     """A whole model; construction checks every tensor's full shape and dtype, and max_len."""
@@ -151,8 +156,7 @@ class ModelParams:
     max_len: int
 
     def __post_init__(self) -> None:
-        if type(self.max_len) is not int or self.max_len < 1:
-            raise InvalidInput(f"max_len must be an integer >= 1, got {self.max_len!r}")
+        _check_size("max_len", self.max_len)
         heads, pair_dim = _axis(self.taggers.weight, 0), _axis(self.kernel.weight, 0)
         if heads % 2 == 0:
             raise ShapeError(f"need an odd number 2N+1 of output heads, got {heads}")
@@ -195,6 +199,8 @@ def init_model(
     rng: np.random.Generator | None = None,
 ) -> ModelParams:
     """Fresh parameters, every weight uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
+    for name, size in (("d_embed", d_embed), ("d_state", d_state), ("d_pair", d_pair)):
+        _check_size(name, size)
     if rng is None:
         rng = np.random.default_rng(seed)
     n_rel = len(schema)

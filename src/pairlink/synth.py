@@ -1,4 +1,4 @@
-"""Synthetic sentences, annotations, and taggings for tests and self-checks.
+"""Synthetic sentences, annotations, and taggings for tests.
 
 ``random_annotation`` builds annotations that are cell-conflict-free by
 construction and losslessly encodable (no phantom recombinations), while

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,7 +238,7 @@ class TestTrainEvalBench:
         params, _, meta = load_checkpoint(ckpt)
         assert meta["extra"]["config"] == {
             "lr": 1e-3, "epochs": 100, "batch_size": 6, "seed": 0, "optimizer": "adam",
-            "grad_check": False, "early_stop_f1": None,
+            "early_stop_f1": None,
             "d_embed": 32, "d_state": 16, "d_pair": 32, "use_mixer": True, "max_len": 100,
             "standard": "whole-span", "mode": "lenient",
         }
@@ -404,19 +405,68 @@ class TestCorruptCheckpoint:
 
 
 class TestSelftestAndUsage:
-    def test_selftest_fast_passes(self, capsys):
-        assert main(["selftest", "--fast"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-        assert "all self-test suites passed" in out
+    def test_usage_errors_exit_2(self, workspace, capsys):
+        tmp_path, schema, data = workspace
+        out = tmp_path / "out.jsonl"
+        for argv in (
+            ["encode"],  # missing required flags
+            ["no-such-command"],
+            ["selftest"],
+            ["encode", "--data", data, "--schema", schema, "--out", str(out), "--seed", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 2
+        assert not out.exists()
 
-    def test_usage_errors_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["encode"])  # missing required flags
-        assert exc_info.value.code == 2
-        with pytest.raises(SystemExit) as exc_info:
-            main(["no-such-command"])
-        assert exc_info.value.code == 2
+    def test_each_command_embeds_exactly_its_options(self, workspace, capsys):
+        # only train takes a seed; every other artifact embeds what its command reads
+        tmp_path, schema, data = workspace
+        ckpt = untrained_checkpoint(tmp_path)
+        tagged, out = str(tmp_path / "tagged.jsonl"), str(tmp_path / "out.json")
+        corpus = {"standard", "mode"}
+        runs = [
+            ("encode", ["--data", data, "--schema", schema, "--out", tagged],
+             tagged + ".meta.json", corpus),
+            ("decode", ["--data", tagged, "--out", out], out + ".meta.json", {"mode"}),
+            ("stats", ["--data", data, "--out", out], out, corpus),
+            ("train", ["--data", data, "--schema", schema, "--ckpt", out, "--epochs", "1"],
+             out + ".npz", corpus | {"lr", "epochs", "batch_size", "seed", "optimizer",
+                                    "early_stop_f1", "d_embed", "d_state", "d_pair",
+                                    "use_mixer", "max_len"}),
+            ("eval", ["--data", data, "--ckpt", ckpt, "--out", out], out,
+             corpus | {"match", "batch_size"}),
+            ("bench", ["--data", data, "--ckpt", ckpt, "--out", out], out,
+             corpus | {"batch_size"}),
+        ]
+        for command, argv, artifact, keys in runs:
+            assert main([command, *argv]) == EXIT_OK
+            if command == "train":
+                embedded = load_checkpoint(artifact)[2]["extra"]
+            else:
+                embedded = json.loads(Path(artifact).read_text())
+            assert embedded["command"] == command
+            assert set(embedded["config"]) == keys, command
+
+    @pytest.mark.parametrize("flags, options", [
+        (["--seed", "-1"], {}),
+        ([], {"seed": -1}),
+        ([], {"d_embed": 0}),
+        ([], {"d_state": 0}),
+        ([], {"d_pair": -2}),
+        ([], {"d_pair": -1}),
+    ], ids=["flag-seed", "seed", "d_embed", "d_state", "d_pair-2", "d_pair-1"])
+    def test_negative_seed_or_size_below_one_exits_4(self, workspace, capsys, flags, options):
+        tmp_path, schema, data = workspace
+        config = write(tmp_path / "sizes.json", json.dumps({"epochs": 1, **options}))
+        ckpt = tmp_path / "x.npz"
+        code = main(["train", "--data", data, "--schema", schema, "--ckpt", str(ckpt),
+                     "--config", config, *flags])
+        err = capsys.readouterr().err
+        name = next(iter(options), "seed")
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
+        assert not ckpt.exists()
 
     def test_bad_config_file_exits_3(self, workspace, capsys):
         tmp_path, schema, data = workspace
@@ -462,7 +512,7 @@ class TestSelftestAndUsage:
         assert meta["extra"]["config"]["early_stop_f1"] is None
 
     @pytest.mark.parametrize("command", [
-        "encode", "decode", "stats", "train", "eval", "bench", "selftest",
+        "encode", "decode", "stats", "train", "eval", "bench",
     ])
     def test_config_key_the_command_does_not_read_exits_3(self, workspace, capsys, command):
         # "epoch" is a misspelt "epochs": silently ignored, it left 100 epochs in force
@@ -477,7 +527,6 @@ class TestSelftestAndUsage:
             "train": ["--data", data, "--schema", schema, "--ckpt", str(out)],
             "eval": ["--data", data, "--ckpt", ckpt, "--out", str(out)],
             "bench": ["--data", data, "--ckpt", ckpt, "--out", str(out)],
-            "selftest": ["--fast"],
         }[command]
         code = main([command, *argv, "--config", config])
         err = capsys.readouterr().err

@@ -125,10 +125,11 @@ class TestVocabAndInit:
         with pytest.raises(ShapeError, match="kernel.bias is float32"):
             ModelParams(p.encoder, kernel, p.taggers, p.max_len)
 
-    @pytest.mark.parametrize("max_len", [0, -1, True, 2.0])
-    def test_max_len_must_be_a_positive_int(self, schema2, max_len):
-        with pytest.raises(InvalidInput, match="max_len"):
-            init_model(schema2, build_vocab([("a",)]), max_len=max_len)
+    @pytest.mark.parametrize("value", [0, -1, True, 2.0])
+    @pytest.mark.parametrize("size", ["max_len", "d_embed", "d_state", "d_pair"])
+    def test_size_must_be_a_positive_int(self, schema2, size, value):
+        with pytest.raises(InvalidInput, match=f"{size} must be an integer >= 1"):
+            init_model(schema2, build_vocab([("a",)]), **{size: value})
 
     def test_clone_is_independent(self, schema2):
         p = tiny_model(schema2, [("a", "b")])

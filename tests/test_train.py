@@ -55,6 +55,10 @@ class TestTrainConfig:
             {"learning_rate": "x"},
             {"learning_rate": True},
             {"learning_rate": float("nan")},
+            {"seed": -1},
+            {"seed": True},
+            {"seed": 1.5},
+            {"seed": "0"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -67,8 +71,8 @@ class TestTrainConfig:
 
     def test_accepts_numpy_numbers(self):
         cfg = TrainConfig(learning_rate=np.float64(0.01), epochs=np.int64(3),
-                          batch_size=np.int32(2))
-        assert (cfg.learning_rate, cfg.epochs, cfg.batch_size) == (0.01, 3, 2)
+                          batch_size=np.int32(2), seed=np.int64(5))
+        assert (cfg.learning_rate, cfg.epochs, cfg.batch_size, cfg.seed) == (0.01, 3, 2, 5)
 
     def test_make_optimizer_picks_class(self):
         assert isinstance(make_optimizer(TrainConfig(optimizer="sgd")), Sgd)
@@ -175,14 +179,6 @@ class TestTrainLoop:
             result = train(
                 [ann], schema, cfg, d_embed=4, d_state=3, d_pair=4, max_len=4
             )
-        assert len(result.history) == 1
-
-    def test_grad_check_toggle_passes_on_healthy_gradients(self):
-        data, schema = small_dataset(size=3)
-        cfg = TrainConfig(
-            learning_rate=1e-2, epochs=1, batch_size=3, seed=0, grad_check=True
-        )
-        result = train(data, schema, cfg, d_embed=4, d_state=3, d_pair=4)
         assert len(result.history) == 1
 
 
