@@ -10,7 +10,7 @@ from time import perf_counter
 
 from .core import InvalidInput, RelationSchema, Triple
 from .data import BUCKETS, subset_members
-from .model import ModelParams, infer, infer_batch, named_tensors
+from .model import ModelParams, _check_size, infer, infer_batch, named_tensors
 
 MATCH_MODES = ("partial", "exact")
 
@@ -184,8 +184,7 @@ def bench_inference(
     sentences = [list(toks) for toks in sentences]
     if not sentences:
         raise InvalidInput("empty benchmark corpus")
-    if batch_size < 1:
-        raise InvalidInput(f"batch size must be >= 1, got {batch_size}")
+    _check_size("batch_size", batch_size)
     warm = sentences[: min(len(sentences), batch_size)]
     for _ in range(max(0, warmup)):
         infer_batch(warm, params, schema, batch_size=batch_size)

@@ -29,6 +29,15 @@ only at entity-boundary pairs: the head rows at the pairs within the entity
 head positions, the tail rows at the pairs within the entity tail positions.
 No other relation cell can reach a triple in :func:`decode`, so the triples
 equal those of scoring every head everywhere.
+
+The entity head is screened in float32: every pair is scored from float32
+copies of the projections, and wherever the top two logits are more than 2ε
+apart, for the per-sentence error bound ε of :func:`_screen_bound` (the
+standard dot-product bound plus an assumed float32 ``tanh`` accuracy that
+the test suite checks), the float32 argmax is the float64 one.  The
+near-ties and the relation cells are scored in float64, so the tags equal
+the float64 argmax.  Training, :func:`forward_probs` and :func:`batch_loss`
+stay in float64.
 """
 
 from __future__ import annotations
@@ -55,6 +64,8 @@ from .decoding import decode
 
 UNK = "<unk>"
 PROB_FLOOR = 1e-12
+U32 = 2.0 ** -24  # unit roundoff of float32
+TANH32_ERR = 4  # assumed bound on numpy's float32 tanh error over all inputs, in units of U32
 
 
 class ShapeError(PairLinkError, ValueError):
@@ -341,24 +352,41 @@ def _argmax_tags(scores: np.ndarray) -> np.ndarray:
     return tags
 
 
-def _pair_grid(h: np.ndarray, kernel: KernelParams) -> np.ndarray:
-    """One sentence's pair vectors k (P, pair_dim) from its token vectors h (n, d).
+def _projections(h: np.ndarray, kernel: KernelParams) -> tuple[np.ndarray, np.ndarray]:
+    """One sentence's token projections A, B (n, pair_dim) from its token vectors h (n, d).
 
     With W = [W_l | W_r] split at the token width, W [h_i; h_j] + b = A_i + B_j
     for A = h W_lᵀ + b and B = h W_rᵀ, so each token is projected once rather
     than once per pair, and the bias costs a pass over tokens, not pairs.
+    """
+    d = h.shape[1]
+    a = h @ kernel.weight[:, :d].T
+    a += kernel.bias
+    return a, h @ kernel.weight[:, d:].T
+
+
+def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every pair vector k (P, pair_dim) of one sentence from its projections.
+
     ``k`` is in ``index_map`` order, which lays pairs out row by row: row i,
     the pairs (i, i), ..., (i, n-1) from row_start[i], is tanh(A_i + B_i),
     ..., tanh(A_i + B_{n-1}).
     """
-    (n, d), imap = h.shape, index_map(len(h))
-    a = h @ kernel.weight[:, :d].T
-    a += kernel.bias
-    b = h @ kernel.weight[:, d:].T
+    n, imap = len(a), index_map(len(a))
     k = np.empty((imap.length, a.shape[1]))
     for i, start in enumerate(imap.row_start):
         np.add(a[i], b[i:], out=k[start:start + n - i])
     return np.tanh(k, out=k)
+
+
+def _pair_cells(a: np.ndarray, b: np.ndarray, imap: IndexMap, cells: np.ndarray) -> np.ndarray:
+    """The pair vectors at flat indices ``cells``: the same bits as those rows of :func:`_pair_rows`."""
+    return np.tanh(a[imap.rows[cells]] + b[imap.cols[cells]])
+
+
+def _pair_grid(h: np.ndarray, kernel: KernelParams) -> np.ndarray:
+    """One sentence's pair vectors k (P, pair_dim) from its token vectors h (n, d)."""
+    return _pair_rows(*_projections(h, kernel))
 
 
 def _head_logits(k: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -559,26 +587,104 @@ def _boundary_cells(positions: np.ndarray, imap: IndexMap) -> np.ndarray:
     return np.take(imap.row_start, i) + (j - i)
 
 
-def _entity_first_tags(pairs: np.ndarray, entity: np.ndarray, params: ModelParams,
+def _screen_logits(a: np.ndarray, b: np.ndarray, head: np.ndarray, bias: np.ndarray,
+                   imap: IndexMap) -> np.ndarray:
+    """L₃₂: one head's logits (3, P) at every pair, computed in float32 throughout.
+
+    The product runs as x @ headᵀ over the contiguous pair rows x, which BLAS
+    runs faster than head @ xᵀ; the result is its (3, P) transposed view.
+    """
+    x = np.take(a.astype(np.float32), imap.rows, axis=0)
+    x += np.take(b.astype(np.float32), imap.cols, axis=0)
+    logits = np.tanh(x, out=x) @ head.T.astype(np.float32)
+    logits += bias.astype(np.float32)
+    return logits.T
+
+
+def _screen_bound(head: np.ndarray, bias: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """ε with |L₃₂ − L₆₄| ≤ ε at every entity logit of one sentence, or inf.
+
+    L₆₄ is ``head @ k.T + bias`` over the float64 pair vectors k = tanh(A_i +
+    B_j); L₃₂ is the same sum with A, B, ``head`` and ``bias`` rounded to
+    float32 and every operation in float32.  With u = 2⁻²⁴, S = Σ|head row|,
+    β = |bias| and M = max|A| + max|B|, per pair coordinate:
+
+    - rounding A and B and adding them moves the tanh argument by at most
+      (2u + u²)·M, and tanh is 1-Lipschitz;
+    - float32 tanh adds at most ``TANH32_ERR``·u (numpy measures about 1.01u;
+      the test suite holds it to the allowance over a dense grid);
+
+    so |k₃₂ − k₆₄| ≤ u·(2.1·M + TANH32_ERR).  Rounding the head row adds
+    u·S, and the d products, their sum and the bias add at most
+    γ_{d+1}·(S + β) (Higham, §3.1) plus u·β for rounding the bias.  Hence
+
+        ε = u·(S·(2.1·M + TANH32_ERR + 4) + 1.01·(d + 6)·(S + β)),
+
+    taken over the three class rows.  Each term holds more than 1% slack, which
+    also covers float64's own rounding of L₆₄, of ε and of the top-two gap;
+    the 2⁻¹²⁰ term covers underflow.  The bound assumes no float32 overflow
+    and (d + 6)·u < 10⁻³, so ε is inf unless S + β + M < 2⁶⁴ and d ≤ 16771;
+    a NaN or inf anywhere in the inputs makes it inf too.
+    """
+    s, beta, d = np.abs(head).sum(axis=1), np.abs(bias), head.shape[1]
+    m = np.abs(a).max() + np.abs(b).max()
+    if not (np.max(s + beta) + m < 2.0 ** 64 and (d + 6) * U32 < 1e-3):
+        return math.inf
+    eps = U32 * (s * (2.1 * m + TANH32_ERR + 4) + 1.01 * (d + 6) * (s + beta))
+    return float(np.max(eps + 2.0 ** -120 * (s + d + 1)))
+
+
+def _top_gap(scores: np.ndarray) -> np.ndarray:
+    """Largest minus second-largest of (3, P) scores, per pair, in float64; NaN stays NaN."""
+    s0, s1, s2 = scores.astype(np.float64)
+    low, high = np.minimum(s0, s1), np.maximum(s0, s1)
+    return np.maximum(high, s2) - np.maximum(low, np.minimum(high, s2))
+
+
+def _entity_row(a: np.ndarray, b: np.ndarray, params: ModelParams, imap: IndexMap) -> np.ndarray:
+    """The entity head's tags (P,) from one sentence's projections, equal to the float64 argmax.
+
+    Every pair is scored in float32; wherever the top two logits differ by
+    more than 2ε (:func:`_screen_bound`), the float32 argmax is the float64
+    one.  The other pairs, the near-ties, are rescored in float64 from
+    :func:`_pair_cells`.  When ε is not finite, or the near-ties are more
+    than a quarter of the pairs, the whole float64 grid is built by rows
+    instead, as training builds it.
+    """
+    head, bias = params.taggers.weight[0], params.taggers.bias[0]
+    eps = _screen_bound(head, bias, a, b)
+    if math.isfinite(eps):
+        logits = _screen_logits(a, b, head, bias, imap)
+        near = np.flatnonzero(~(_top_gap(logits) > 2.0 * eps))
+        if 4 * len(near) <= imap.length:
+            tags = _argmax_tags(logits)
+            if len(near):
+                exact = head @ _pair_cells(a, b, imap, near).T + bias[:, None]
+                tags[near] = _argmax_tags(exact)
+            return tags
+    return _argmax_tags(head @ _pair_rows(a, b).T + bias[:, None])
+
+
+def _entity_first_tags(a: np.ndarray, b: np.ndarray, params: ModelParams,
                        imap: IndexMap) -> np.ndarray:
-    """One sentence's (2N+1, P) tags from its pair vectors (P, pair_dim) and entity row.
+    """One sentence's (2N+1, P) tags from its token projections A, B (n, pair_dim).
 
     :func:`decode` emits (s, r, o) only for entity spans s and o with a head
     link at (s.head, o.head) and a tail link at (s.tail, o.tail).  So the
     head rows are scored only at the pairs within the entity head positions,
     the tail rows only at the pairs within the entity tail positions, and
     every other relation cell stays 0: the triples equal those of the argmax
-    over every head at every pair.
+    over every head at every pair.  Those cells are scored in float64.
     """
     heads, bias, n_rel = params.taggers.weight, params.taggers.bias, params.n_relations
     tags = np.zeros((len(heads), imap.length), dtype=np.int8)
-    tags[0] = entity
+    tags[0] = entity = _entity_row(a, b, params, imap)
     spans = entity == 1
     if spans.any():
         for rows, ends in ((slice(1, 1 + n_rel), imap.rows[spans]),
                            (slice(1 + n_rel, None), imap.cols[spans])):
             cells = _boundary_cells(ends, imap)
-            logits = heads[rows].reshape(-1, heads.shape[2]) @ pairs[cells].T
+            logits = heads[rows].reshape(-1, heads.shape[2]) @ _pair_cells(a, b, imap, cells).T
             logits += bias[rows].reshape(-1, 1)
             tags[rows, cells] = _argmax_tags(logits.reshape(n_rel, 3, -1))
     return tags
@@ -595,16 +701,14 @@ def _infer(sentences, params: ModelParams, schema: RelationSchema, batch_size: i
     fitted = []
     for tokens in sentences:  # a comprehension would add a frame under the warning
         fitted.append(_fit_length(tokens, params.max_len, mode))
-    entity_head, entity_bias = params.taggers.weight[0], params.taggers.bias[0]
     results = []
     for start in range(0, len(fitted), batch_size):
         chunk = fitted[start:start + batch_size]
         h = _encode(chunk, params.encoder)[0]
         for tokens, h_row in zip(chunk, h):
             n = len(tokens)
-            k = _pair_grid(h_row[:n], params.kernel)
-            entity = _argmax_tags(entity_head @ k.T + entity_bias[:, None])
-            tags = _entity_first_tags(k, entity, params, index_map(n))
+            a, b = _projections(h_row[:n], params.kernel)
+            tags = _entity_first_tags(a, b, params, index_map(n))
             results.append(decode(HandshakingTagging(n, tags), schema, mode=mode))
     return results
 
@@ -618,6 +722,8 @@ def infer(tokens, params: ModelParams, schema: RelationSchema,
     head positions for the head rows, of entity tail positions for the tail
     rows), which gives the same triples as scoring every head everywhere.
     Softmax is monotone, so the argmax is taken on the logits directly.  The
+    entity head is screened in float32 and its near-ties rescored in float64,
+    so its tags equal the float64 argmax (see the module docstring).  The
     result equals ``infer_batch([tokens], ...)[0]``: both run one body.
     """
     return _infer([tokens], params, schema, 1, mode)[0]
@@ -631,8 +737,7 @@ def infer_batch(sentences, params: ModelParams, schema: RelationSchema,
     right-padded stack, then the pair kernel and heads one sentence at a
     time; decoded triple sets equal per-sentence :func:`infer`.
     """
-    if batch_size < 1:
-        raise InvalidInput(f"batch size must be >= 1, got {batch_size}")
+    _check_size("batch_size", batch_size)
     return _infer(sentences, params, schema, batch_size, mode)
 
 

@@ -128,10 +128,16 @@ def check_gradients(batch, params: ModelParams, grads: dict[str, np.ndarray] | N
     difference quotient itself: at ``step`` 1e-5 a double-precision loss
     evaluation perturbs the quotient by ~1e-10, so differences below 1e-8 say
     nothing about the analytic gradient and count as agreeing.
+
+    The returned error is the worst over every checked coordinate, each
+    difference taken relative to the larger of the two gradients but to no
+    less than ``abs_tol / rel_tol``: below that scale ``abs_tol`` decides,
+    so a check that passes returns less than ``rel_tol``.
     """
     if grads is None:
         _, grads = gradient(batch, params)
     rng = np.random.default_rng(seed)
+    floor = max(abs_tol / rel_tol, 1e-9)
     worst = 0.0
     for name, arr in named_tensors(params).items():
         flat = arr.reshape(-1)
@@ -150,15 +156,13 @@ def check_gradients(batch, params: ModelParams, grads: dict[str, np.ndarray] | N
             numeric = (up - down) / (2.0 * step)
             analytic = gflat[idx]
             diff = abs(analytic - numeric)
-            if diff <= abs_tol:
-                continue
-            rel = diff / max(abs(analytic), abs(numeric), 1e-9)
-            if rel >= rel_tol:
+            scale = max(abs(analytic), abs(numeric))
+            if diff > abs_tol and diff / max(scale, 1e-9) >= rel_tol:
                 raise NumericError(
                     f"gradient mismatch in {name}[{idx}]: "
                     f"analytic {analytic:.10g}, numeric {numeric:.10g}"
                 )
-            worst = max(worst, rel)
+            worst = max(worst, diff / max(scale, floor))
     return worst
 
 

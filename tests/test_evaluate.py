@@ -283,3 +283,10 @@ class TestParameterCountsAndBench:
             bench_inference(params, schema, [])
         with pytest.raises(InvalidInput):
             bench_inference(params, schema, [("a",)], batch_size=0)
+
+    @pytest.mark.parametrize("batch_size", [-1, True, 2.5, "3", None])
+    def test_bench_validates_batch_size(self, batch_size):
+        schema = RelationSchema(("r0",))
+        params = self.make_model(schema)
+        with pytest.raises(InvalidInput, match="batch_size must be an integer >= 1"):
+            bench_inference(params, schema, [("a",)], batch_size=batch_size)

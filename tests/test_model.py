@@ -232,19 +232,26 @@ class TestPairKernel:
     @pytest.mark.parametrize("n", [1, 2, 13])
     def test_row_slices_equal_the_gathered_kernel(self, schema2, n):
         # k is built row by row, one sentence at a time; it must be bit for
-        # bit the gathered tanh((A + b)[rows] + B[cols]) of each sentence in a
-        # stack of 3
+        # bit the gathered tanh(A[rows] + B[cols]) of each sentence in a stack
+        # of 3, over every cell and over random subsets, which inference
+        # rescores in float64
         words = [f"w{i}" for i in range(20)]
         p = tiny_model(schema2, [words], seed=n, d_embed=6, d_state=5, d_pair=7)
         p.kernel.bias[:] = np.random.default_rng(n).normal(size=7)
         rng = random.Random(n)
+        cells_rng = np.random.default_rng(n)
         stack = [tuple(rng.choice(words) for _ in range(n)) for _ in range(3)]
         h, _ = model._encode(stack, p.encoder)
         d, imap = h.shape[2], index_map(n)
         for row in h:
-            a, b = row @ p.kernel.weight[:, :d].T, row @ p.kernel.weight[:, d:].T
-            want = np.tanh((a + p.kernel.bias)[imap.rows] + b[imap.cols])
-            assert np.array_equal(model._pair_grid(row, p.kernel), want)
+            a, b = model._projections(row, p.kernel)
+            assert np.array_equal(a, row @ p.kernel.weight[:, :d].T + p.kernel.bias)
+            assert np.array_equal(b, row @ p.kernel.weight[:, d:].T)
+            grid = model._pair_grid(row, p.kernel)
+            assert np.array_equal(grid, model._pair_cells(a, b, imap, np.arange(imap.length)))
+            for size in (0, 1, imap.length // 2, imap.length):
+                cells = cells_rng.choice(imap.length, size=size, replace=False)
+                assert np.array_equal(model._pair_cells(a, b, imap, cells), grid[cells])
 
     def test_matches_scalar_loop(self, rng):
         d, pair = 5, 4
@@ -407,20 +414,20 @@ def batch_of_lengths(schema, rng, lengths):
 
 
 def count_calls(monkeypatch) -> dict[str, list[int]]:
-    """Record each ``_encode`` call's sentence count and each ``_pair_grid`` call's length."""
-    calls = {"encode": [], "pair_grid": []}
-    encode_stack, pair_grid = model._encode, model._pair_grid
+    """Record each ``_encode`` call's sentence count and each ``_projections`` call's length."""
+    calls = {"encode": [], "projections": []}
+    encode_stack, projections = model._encode, model._projections
 
     def counting_encode(token_lists, enc):
         calls["encode"].append(len(token_lists))
         return encode_stack(token_lists, enc)
 
-    def counting_pair_grid(h, kernel):
-        calls["pair_grid"].append(len(h))
-        return pair_grid(h, kernel)
+    def counting_projections(h, kernel):
+        calls["projections"].append(len(h))
+        return projections(h, kernel)
 
     monkeypatch.setattr(model, "_encode", counting_encode)
-    monkeypatch.setattr(model, "_pair_grid", counting_pair_grid)
+    monkeypatch.setattr(model, "_projections", counting_projections)
     return calls
 
 
@@ -455,7 +462,7 @@ class TestGradient:
         p = tiny_model(schema2, [toks for toks, _ in batch])
         calls = count_calls(monkeypatch)
         gradient(batch, p)
-        assert calls == {"encode": [5], "pair_grid": [3, 3, 3, 4, 4]}
+        assert calls == {"encode": [5], "projections": [3, 3, 3, 4, 4]}
 
     def test_duplicating_the_batch_changes_nothing(self, schema2):
         rng = random.Random(23)
@@ -494,7 +501,7 @@ class TestInfer:
         p = tiny_model(schema2, [("a", "b", "c", "d", "e", "f")])
         calls = count_calls(monkeypatch)
         infer(("a", "b", "c", "d", "e", "f"), p, schema2)
-        assert calls == {"encode": [1], "pair_grid": [6]}  # 21 pairs, but one encoder pass
+        assert calls == {"encode": [1], "projections": [6]}  # 21 pairs, but one encoder pass
 
     def test_returns_triples_within_bounds(self, schema2):
         p = tiny_model(schema2, [("a", "b", "c")])
@@ -636,6 +643,108 @@ class TestEntityFirstInference:
         assert emitted > 50
 
 
+PAPER_SCHEMA = RelationSchema(tuple(f"rel{r:02d}" for r in range(24)))
+
+
+def paper_model(seed, scale=1.0):
+    """A paper-scale model (24 relations, d 64/32/64) with head and kernel weights times ``scale``."""
+    words = [f"w{i}" for i in range(300)]
+    p = tiny_model(PAPER_SCHEMA, [words], seed=seed, d_embed=64, d_state=32, d_pair=64)
+    p.taggers.weight *= scale
+    p.kernel.weight *= scale
+    return p, words
+
+
+def entity_reference(tokens, p):
+    """(projections, index map, the float64 entity logits of every pair and their argmax)."""
+    h = encode_tokens(tokens, p.encoder)
+    head, bias = p.taggers.weight[0], p.taggers.bias[0]
+    logits = head @ model._pair_grid(h, p.kernel).T + bias[:, None]
+    return model._projections(h, p.kernel), index_map(len(tokens)), logits, model._argmax_tags(logits)
+
+
+def spy(monkeypatch, name) -> list[int]:
+    """Record the number of rows each call to ``model.<name>`` returns."""
+    seen, real = [], getattr(model, name)
+
+    def counting(*args):
+        out = real(*args)
+        seen.append(len(out))
+        return out
+
+    monkeypatch.setattr(model, name, counting)
+    return seen
+
+
+class TestFloat32Screen:
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 10.0])
+    def test_bound_holds_and_the_entity_row_is_the_float64_argmax(self, scale):
+        p, words = paper_model(seed=int(scale), scale=scale)
+        head, bias = p.taggers.weight[0], p.taggers.bias[0]
+        rng = random.Random(int(scale))
+        worst = 0.0
+        for n in range(1, 101):
+            tokens = tuple(rng.choice(words) for _ in range(n))
+            (a, b), imap, want, tags = entity_reference(tokens, p)
+            eps = model._screen_bound(head, bias, a, b)
+            got = model._screen_logits(a, b, head, bias, imap)
+            assert got.dtype == np.float32
+            worst = max(worst, float(np.abs(got.astype(np.float64) - want).max()) / eps)
+            assert np.array_equal(model._entity_row(a, b, p, imap), tags), n
+        assert 0.0 < worst <= 1.0
+
+    def test_tanh32_error_within_the_bound_allowance(self):
+        x = np.concatenate([
+            np.linspace(-20.0, 20.0, 2**22 + 1, dtype=np.float32),
+            np.array([0.0, -0.0, 1e-30, -1e-30, 21.0, -21.0, 1e30, -1e30, np.inf, -np.inf],
+                     dtype=np.float32),
+        ])
+        got = np.tanh(x)
+        assert got.dtype == np.float32
+        err = np.abs(got.astype(np.float64) - np.tanh(x.astype(np.float64)))
+        assert err.max() <= model.TANH32_ERR * model.U32
+
+    def test_near_ties_are_rescored_in_float64(self, monkeypatch):
+        # links 1 and 2 score equal everywhere, and the tag-0 bias leaves
+        # about 5% of cells linked: those cells are exact ties, which only
+        # float64 breaks (toward the smaller label), the rest stay float32
+        p, words = paper_model(seed=5)
+        p.taggers.weight[0, 2] = p.taggers.weight[0, 1]
+        tokens = tuple(random.Random(5).choice(words) for _ in range(60))
+        (a, b), imap, logits, _ = entity_reference(tokens, p)
+        p.taggers.bias[0, 0] += np.quantile(logits[1] - logits[0], 0.95)
+        (a, b), imap, _, want = entity_reference(tokens, p)
+        cells, rows = spy(monkeypatch, "_pair_cells"), spy(monkeypatch, "_pair_rows")
+        got = model._entity_row(a, b, p, imap)
+        assert np.array_equal(got, want)
+        assert 0.02 < np.mean(want == 1) < 0.1 and not (want == 2).any()
+        assert len(cells) == 1 and np.sum(want == 1) <= cells[0] < imap.length // 4
+        assert rows == []
+
+    def test_all_ties_rebuild_the_float64_grid(self, monkeypatch):
+        p, words = paper_model(seed=6)
+        p.taggers.weight[0, 1:] = p.taggers.weight[0, 0]
+        p.taggers.bias[0, 1:] = p.taggers.bias[0, 0]
+        tokens = tuple(random.Random(6).choice(words) for _ in range(40))
+        (a, b), imap, _, want = entity_reference(tokens, p)
+        cells, rows = spy(monkeypatch, "_pair_cells"), spy(monkeypatch, "_pair_rows")
+        got = model._entity_row(a, b, p, imap)
+        assert np.array_equal(got, want) and not want.any()  # ties go to tag 0
+        assert rows == [imap.length] and cells == []
+        assert infer(tokens, p, PAPER_SCHEMA) == full_scoring(tokens, p, PAPER_SCHEMA, "lenient")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kernel_weight_scores_every_cell_in_float64(self, bad, monkeypatch):
+        p, words = paper_model(seed=8)
+        p.kernel.weight[3, 5] = bad
+        tokens = tuple(random.Random(8).choice(words) for _ in range(30))
+        (a, b), imap, _, want = entity_reference(tokens, p)
+        assert not math.isfinite(model._screen_bound(p.taggers.weight[0], p.taggers.bias[0], a, b))
+        rows = spy(monkeypatch, "_pair_rows")
+        assert np.array_equal(model._entity_row(a, b, p, imap), want)
+        assert rows == [imap.length]
+
+
 class TestInferBatch:
     def test_matches_per_sentence_inference(self, schema2):
         sentences = [
@@ -666,17 +775,23 @@ class TestInferBatch:
         calls = count_calls(monkeypatch)
         infer_batch(sentences, p, schema2, batch_size=8)
         # five sentences, one stacked encoder, a pair kernel each
-        assert calls == {"encode": [5], "pair_grid": [2, 2, 2, 2, 2]}
+        assert calls == {"encode": [5], "projections": [2, 2, 2, 2, 2]}
         mixed = [("a",), ("b", "c", "d"), ("e", "f"), ("a", "b", "c", "d", "e")]
         for seen in calls.values():
             seen.clear()
         infer_batch(mixed, p, schema2, batch_size=3)
-        assert calls == {"encode": [3, 1], "pair_grid": [1, 3, 2, 5]}
+        assert calls == {"encode": [3, 1], "projections": [1, 3, 2, 5]}
 
     def test_validates_batch_size(self, schema2):
         p = tiny_model(schema2, [("a",)])
         with pytest.raises(InvalidInput):
             infer_batch([("a",)], p, schema2, batch_size=0)
+
+    @pytest.mark.parametrize("batch_size", [-1, True, 2.5, "3", None])
+    def test_batch_size_must_be_a_positive_int(self, schema2, batch_size):
+        p = tiny_model(schema2, [("a",)])
+        with pytest.raises(InvalidInput, match="batch_size must be an integer >= 1"):
+            infer_batch([("a",)], p, schema2, batch_size=batch_size)
 
     def test_empty_corpus(self, schema2):
         p = tiny_model(schema2, [("a",)])

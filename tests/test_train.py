@@ -234,6 +234,12 @@ class TestCheckGradients:
         batch, params = self.make_case()
         check_gradients(batch, params)  # recomputes and verifies; no exception
 
+    def test_worst_error_covers_every_checked_coordinate(self):
+        # every difference on this model is under abs_tol, so a worst taken
+        # only over the coordinates beyond it would read 0 and show no margin
+        batch, params = self.make_case()
+        assert 0.0 < check_gradients(batch, params, max_coords=None) < 1e-4
+
     def test_corrupted_gradients_are_caught(self):
         batch, params = self.make_case()
         _, grads = gradient(batch, params)
