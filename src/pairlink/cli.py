@@ -36,7 +36,7 @@ from .data import (
     relation_names,
 )
 from .evaluate import format_report, micro_prf, subset_report
-from .model import infer_batch, init_model, load_checkpoint, save_checkpoint
+from .model import INFER_BATCH_SIZE, infer_batch, init_model, load_checkpoint, save_checkpoint
 from .train import TrainConfig, train
 
 EXIT_OK = 0
@@ -287,7 +287,7 @@ def cmd_eval(opts: _Options) -> int:
     params, schema, _ = load_checkpoint(args.ckpt)
     annotations = _load_corpus(opts, args.data, schema).annotations
     match = opts.get("match", "partial")
-    batch_size = opts.get("batch_size", 24)
+    batch_size = opts.get("batch_size", INFER_BATCH_SIZE)
     opts.check_all_read()
     golds = [set(ann.triples) for ann in annotations]
     preds = infer_batch(
@@ -315,7 +315,7 @@ def cmd_bench(opts: _Options) -> int:
     args = opts.args
     params, schema, _ = load_checkpoint(args.ckpt)
     annotations = _load_corpus(opts, args.data, schema).annotations
-    batch_size = opts.get("batch_size", 24)
+    batch_size = opts.get("batch_size", INFER_BATCH_SIZE)
     opts.check_all_read()
     report = evaluate.bench_inference(
         params, schema, [ann.tokens for ann in annotations], batch_size=batch_size

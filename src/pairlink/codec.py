@@ -27,16 +27,12 @@ from .core import (
     Triple,
     _bad_tag,
     _row_label,
+    check_choice,
+    check_int,
     seq_length,
 )
 
 MODES = ("strict", "lenient")
-
-
-def check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise InvalidInput(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
 
 
 def seq_index(i: int, j: int, n: int) -> int:
@@ -175,7 +171,7 @@ def encode(
     different nonzero tags at the same cell; lenient mode keeps the forward
     tag (use :func:`encode_with_conflicts` to also get the conflict list).
     """
-    check_mode(mode)
+    check_choice("mode", mode, MODES)
     tagging, conflicts = encode_with_conflicts(ann, schema)
     if conflicts and mode == "strict":
         raise EncodeConflictError(conflicts)
@@ -291,7 +287,7 @@ def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagg
     so a line holding either word, in a relation name too, has its rows also
     scanned for bools.  Strict mode also rejects a reversed entity tag.
     """
-    check_mode(mode)
+    check_choice("mode", mode, MODES)
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -301,9 +297,7 @@ def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagg
     missing = [f for f in _FIELDS if f not in obj]
     if missing:
         raise InvalidInput(f"tagging object is missing fields: {missing}")
-    n, relations = obj["n"], obj["relations"]
-    if type(n) is not int:
-        raise InvalidInput(f"field 'n' must be an int, got {type(n).__name__}")
+    n, relations = check_int("field 'n'", obj["n"]), obj["relations"]
     if not isinstance(relations, list) or not all(isinstance(r, str) for r in relations):
         raise InvalidInput("field 'relations' must be a list of strings")
     schema = RelationSchema(tuple(relations))

@@ -14,6 +14,7 @@ concurrent readers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -30,6 +31,24 @@ class InvalidInput(PairLinkError, ValueError):
 
 class InvalidIndex(PairLinkError, IndexError):
     """A token pair or flat sequence index lies outside its valid range."""
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer: any ``numbers.Integral``, numpy's included, but a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, minimum: int = 1) -> int:
+    """``value`` as a Python int; :class:`InvalidInput` unless it is an integer >= ``minimum``."""
+    if not is_int(value) or value < minimum:
+        raise InvalidInput(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    """:class:`InvalidInput` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise InvalidInput(f"{name} must be one of {choices}, got {value!r}")
 
 
 def seq_length(n: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from .codec import check_mode
+from .codec import MODES
 from .core import (
     InvalidInput,
     PairLinkError,
@@ -24,6 +24,9 @@ from .core import (
     SentenceAnnotation,
     TokenSpan,
     Triple,
+    check_choice,
+    check_int,
+    is_int,
 )
 
 STANDARDS = ("whole-span", "last-word")
@@ -40,12 +43,6 @@ class ParseError(InvalidInput):
 
 class AlignmentError(PairLinkError, ValueError):
     """A mention could not be mapped onto whole tokens."""
-
-
-def check_standard(standard: str) -> str:
-    if standard not in STANDARDS:
-        raise InvalidInput(f"standard must be one of {STANDARDS}, got {standard!r}")
-    return standard
 
 
 def tokenize(text: str) -> list[str]:
@@ -111,14 +108,10 @@ class LoadResult:
 
 
 def _parse_ref(ref, line_no: int):
-    """A subject/object field: mention string or [start, end) offsets."""
+    """A subject/object field: mention string or [start, end) integer offsets."""
     if isinstance(ref, str):
         return ref
-    if (
-        isinstance(ref, (list, tuple))
-        and len(ref) == 2
-        and all(isinstance(v, int) for v in ref)
-    ):
+    if isinstance(ref, (list, tuple)) and len(ref) == 2 and all(map(is_int, ref)):
         return (ref[0], ref[1])
     raise ParseError(
         f"line {line_no}: subject/object must be a string or [start, end], got {ref!r}"
@@ -168,8 +161,8 @@ def load_dataset(
     relations and reports them; strict mode raises instead.  File parse
     errors always raise.
     """
-    check_standard(standard)
-    check_mode(mode)
+    check_choice("standard", standard, STANDARDS)
+    check_choice("mode", mode, MODES)
     annotations: list[SentenceAnnotation] = []
     skipped: list[SkippedRecord] = []
     for obj in read_records(path):
@@ -266,15 +259,14 @@ def triple_bucket(count: int) -> str:
 
 
 def truncate_for_training(
-    ann: SentenceAnnotation, max_len: int = 100
+    ann: SentenceAnnotation, max_len: int
 ) -> tuple[SentenceAnnotation, int]:
     """Clip a sentence to ``max_len`` tokens for the training view.
 
     Triples reaching past the window are dropped; the second value is how
     many.  Evaluation should keep the original annotation.
     """
-    if max_len < 1:
-        raise InvalidInput(f"max_len must be >= 1, got {max_len}")
+    max_len = check_int("max_len", max_len)
     if ann.n <= max_len:
         return ann, 0
     kept = tuple(

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codec import check_mode, check_relation_count, index_map
+from .codec import MODES, check_relation_count, index_map
 from .core import (
     HandshakingTagging,
     InvalidInput,
     RelationSchema,
     TokenSpan,
     Triple,
+    check_choice,
 )
 
 
@@ -36,7 +37,7 @@ def decode(
     reversed tag in the entity sequence cannot come from encoded data:
     strict mode raises, lenient mode ignores it.
     """
-    check_mode(mode)
+    check_choice("mode", mode, MODES)
     check_relation_count(tagging, schema)
     n_rel = len(schema)
     imap = index_map(tagging.n)
@@ -82,7 +83,7 @@ def decode_oracle(
     rebuilt by plain enumeration.  A reversed entity tag cannot come from
     encoded data: strict mode raises, lenient mode ignores it.
     """
-    check_mode(mode)
+    check_choice("mode", mode, MODES)
     check_relation_count(tagging, schema)
     n = tagging.n
     rows = tagging.tags.tolist()

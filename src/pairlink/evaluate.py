@@ -8,17 +8,11 @@ from collections import Counter
 from dataclasses import dataclass
 from time import perf_counter
 
-from .core import InvalidInput, RelationSchema, Triple
+from .core import InvalidInput, RelationSchema, Triple, check_choice, check_int
 from .data import BUCKETS, subset_members
-from .model import ModelParams, _check_size, infer, infer_batch, named_tensors
+from .model import INFER_BATCH_SIZE, ModelParams, infer, infer_batch, named_tensors
 
 MATCH_MODES = ("partial", "exact")
-
-
-def check_match_mode(mode: str) -> str:
-    if mode not in MATCH_MODES:
-        raise InvalidInput(f"match mode must be one of {MATCH_MODES}, got {mode!r}")
-    return mode
 
 
 def _partial_key(t: Triple) -> tuple[int, int, int]:
@@ -46,7 +40,7 @@ def micro_prf(predictions, golds, mode: str = "exact", warn: bool = True) -> Mic
     denominator scores 0; an entirely empty corpus on both sides scores 1.0
     by convention and is flagged ``vacuous``.
     """
-    check_match_mode(mode)
+    check_choice("match", mode, MATCH_MODES)
     predictions = list(predictions)
     golds = list(golds)
     if len(predictions) != len(golds):
@@ -172,7 +166,7 @@ def bench_inference(
     params: ModelParams,
     schema: RelationSchema,
     sentences,
-    batch_size: int = 24,
+    batch_size: int = INFER_BATCH_SIZE,
     warmup: int = 2,
 ) -> BenchReport:
     """Mean wall-clock milliseconds per sentence, batched and one at a time.
@@ -184,7 +178,7 @@ def bench_inference(
     sentences = [list(toks) for toks in sentences]
     if not sentences:
         raise InvalidInput("empty benchmark corpus")
-    _check_size("batch_size", batch_size)
+    batch_size = check_int("batch_size", batch_size)
     warm = sentences[: min(len(sentences), batch_size)]
     for _ in range(max(0, warmup)):
         infer_batch(warm, params, schema, batch_size=batch_size)

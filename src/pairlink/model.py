@@ -51,13 +51,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .codec import IndexMap, check_mode, index_map
+from .codec import MODES, IndexMap, index_map
 from .core import (
     HandshakingTagging,
     InvalidInput,
     PairLinkError,
     RelationSchema,
     Triple,
+    check_choice,
+    check_int,
 )
 from .data import ParseError
 from .decoding import decode
@@ -66,6 +68,7 @@ UNK = "<unk>"
 PROB_FLOOR = 1e-12
 U32 = 2.0 ** -24  # unit roundoff of float32
 TANH32_ERR = 4  # assumed bound on numpy's float32 tanh error over all inputs, in units of U32
+INFER_BATCH_SIZE = 24  # default sentences per encoder pass in inference, also in the CLI
 
 
 class ShapeError(PairLinkError, ValueError):
@@ -152,11 +155,6 @@ class TaggerParams:
         return self.weight.shape[0]
 
 
-def _check_size(name: str, value) -> None:
-    if type(value) is not int or value < 1:
-        raise InvalidInput(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass
 class ModelParams:
     """A whole model; construction checks every tensor's full shape and dtype, and max_len."""
@@ -167,7 +165,7 @@ class ModelParams:
     max_len: int
 
     def __post_init__(self) -> None:
-        _check_size("max_len", self.max_len)
+        self.max_len = check_int("max_len", self.max_len)
         heads, pair_dim = _axis(self.taggers.weight, 0), _axis(self.kernel.weight, 0)
         if heads % 2 == 0:
             raise ShapeError(f"need an odd number 2N+1 of output heads, got {heads}")
@@ -211,7 +209,7 @@ def init_model(
 ) -> ModelParams:
     """Fresh parameters, every weight uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     for name, size in (("d_embed", d_embed), ("d_state", d_state), ("d_pair", d_pair)):
-        _check_size(name, size)
+        check_int(name, size)
     if rng is None:
         rng = np.random.default_rng(seed)
     n_rel = len(schema)
@@ -389,22 +387,24 @@ def _pair_grid(h: np.ndarray, kernel: KernelParams) -> np.ndarray:
     return _pair_rows(*_projections(h, kernel))
 
 
-def _head_logits(k: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Every head's logits (2N+1, 3, P) over one sentence's pair vectors k (P, pair_dim).
+def _head_logits(k: np.ndarray, heads: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Logits (T, 3, P) of any T head rows over one sentence's pair vectors k (P, pair_dim).
 
-    The heads run as one (T·3, pair_dim) @ kᵀ product; the class axis sits
-    before the pair axis so that every class row is contiguous over pairs.
+    ``heads`` (T, 3, pair_dim) and ``bias`` (T, 3) are those rows of the
+    taggers: all 2N+1 in training, a subset in inference.  The heads run as
+    one (T·3, pair_dim) @ kᵀ product; the class axis sits before the pair
+    axis so that every class row is contiguous over pairs.
     """
-    heads = params.taggers.weight
     logits = heads.reshape(-1, heads.shape[2]) @ k.T
-    logits += params.taggers.bias.reshape(-1, 1)
+    logits += bias.reshape(-1, 1)
     return logits.reshape(len(heads), 3, -1)
 
 
 def _logits(tokens, params: ModelParams) -> np.ndarray:
     """One sentence's full forward: every head's logits (2N+1, 3, P)."""
     h = _encode([tokens], params.encoder)[0]
-    return _head_logits(_pair_grid(h[0], params.kernel), params)
+    taggers = params.taggers
+    return _head_logits(_pair_grid(h[0], params.kernel), taggers.weight, taggers.bias)
 
 
 def forward_probs(tokens, params: ModelParams) -> np.ndarray:
@@ -550,7 +550,7 @@ def gradient(batch, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
     for row, (tokens, tagging) in enumerate(batch):
         h_row = h[row, :len(tokens)]
         k = _pair_grid(h_row, params.kernel)
-        probs = softmax(_head_logits(k, params), axis=1)
+        probs = softmax(_head_logits(k, params.taggers.weight, params.taggers.bias), axis=1)
         gold = gold_tags(tagging)
         total += loss_from_probs(probs.transpose(0, 2, 1), gold)
         dh[row, :len(tokens)] = _pair_backward(gold, probs, k, h_row, params, grads, scale)
@@ -651,18 +651,18 @@ def _entity_row(a: np.ndarray, b: np.ndarray, params: ModelParams, imap: IndexMa
     than a quarter of the pairs, the whole float64 grid is built by rows
     instead, as training builds it.
     """
-    head, bias = params.taggers.weight[0], params.taggers.bias[0]
-    eps = _screen_bound(head, bias, a, b)
+    heads, bias = params.taggers.weight[:1], params.taggers.bias[:1]
+    eps = _screen_bound(heads[0], bias[0], a, b)
     if math.isfinite(eps):
-        logits = _screen_logits(a, b, head, bias, imap)
+        logits = _screen_logits(a, b, heads[0], bias[0], imap)
         near = np.flatnonzero(~(_top_gap(logits) > 2.0 * eps))
         if 4 * len(near) <= imap.length:
             tags = _argmax_tags(logits)
             if len(near):
-                exact = head @ _pair_cells(a, b, imap, near).T + bias[:, None]
-                tags[near] = _argmax_tags(exact)
+                exact = _head_logits(_pair_cells(a, b, imap, near), heads, bias)
+                tags[near] = _argmax_tags(exact)[0]
             return tags
-    return _argmax_tags(head @ _pair_rows(a, b).T + bias[:, None])
+    return _argmax_tags(_head_logits(_pair_rows(a, b), heads, bias))[0]
 
 
 def _entity_first_tags(a: np.ndarray, b: np.ndarray, params: ModelParams,
@@ -684,16 +684,15 @@ def _entity_first_tags(a: np.ndarray, b: np.ndarray, params: ModelParams,
         for rows, ends in ((slice(1, 1 + n_rel), imap.rows[spans]),
                            (slice(1 + n_rel, None), imap.cols[spans])):
             cells = _boundary_cells(ends, imap)
-            logits = heads[rows].reshape(-1, heads.shape[2]) @ _pair_cells(a, b, imap, cells).T
-            logits += bias[rows].reshape(-1, 1)
-            tags[rows, cells] = _argmax_tags(logits.reshape(n_rel, 3, -1))
+            k = _pair_cells(a, b, imap, cells)
+            tags[rows, cells] = _argmax_tags(_head_logits(k, heads[rows], bias[rows]))
     return tags
 
 
 def _infer(sentences, params: ModelParams, schema: RelationSchema, batch_size: int,
            mode: str) -> list[set[Triple]]:
     """Shared body of :func:`infer` and :func:`infer_batch`."""
-    check_mode(mode)
+    check_choice("mode", mode, MODES)
     if params.n_relations != len(schema):
         raise InvalidInput(
             f"model has {params.n_relations} relations, schema has {len(schema)}"
@@ -730,15 +729,15 @@ def infer(tokens, params: ModelParams, schema: RelationSchema,
 
 
 def infer_batch(sentences, params: ModelParams, schema: RelationSchema,
-                batch_size: int = 24, mode: str = "lenient") -> list[set[Triple]]:
+                batch_size: int = INFER_BATCH_SIZE, mode: str = "lenient") -> list[set[Triple]]:
     """Inference over many sentences; output order matches input order.
 
-    Each chunk of ``batch_size`` sentences runs one encoder pass as a
-    right-padded stack, then the pair kernel and heads one sentence at a
-    time; decoded triple sets equal per-sentence :func:`infer`.
+    Each chunk of ``batch_size`` sentences, an integer >= 1 (numpy integers
+    too, bools not), runs one encoder pass as a right-padded stack, then the
+    pair kernel and heads one sentence at a time; decoded triple sets equal
+    per-sentence :func:`infer`.
     """
-    _check_size("batch_size", batch_size)
-    return _infer(sentences, params, schema, batch_size, mode)
+    return _infer(sentences, params, schema, check_int("batch_size", batch_size), mode)
 
 
 # --- checkpoints ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import encode
-from .core import InvalidInput, RelationSchema, SentenceAnnotation
+from .core import InvalidInput, RelationSchema, SentenceAnnotation, check_choice, check_int
 from .data import truncate_for_training
 from .evaluate import micro_prf
 from .model import (
@@ -33,28 +33,28 @@ from .model import (
 
 @dataclass
 class TrainConfig:
+    """Training settings; a bad value raises :class:`InvalidInput`.
+
+    ``epochs`` and ``batch_size`` are integers >= 1 and ``seed`` >= 0; numpy
+    integers are stored as ints and bools rejected.  Training stops once
+    validation F1 reaches ``early_stop_f1``, a real number, unless it is None.
+    """
+
     learning_rate: float = 1e-3
     epochs: int = 100
     batch_size: int = 6
     seed: int = 0
-    optimizer: str = "adam"  # "adam" or "sgd"
-    # stop once validation F1 reaches this value (None trains all epochs)
+    optimizer: str = "adam"
     early_stop_f1: float | None = None
 
     def __post_init__(self) -> None:
-        for name, kind, expected in (
-            ("learning_rate", numbers.Real, "a positive number"),
-            ("epochs", numbers.Integral, "a positive int"),
-            ("batch_size", numbers.Integral, "a positive int"),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind) or not value > 0:
-                raise InvalidInput(f"{name} must be {expected}, got {value!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise InvalidInput(f"seed must be a non-negative int, got {seed!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise InvalidInput(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not lr > 0:
+            raise InvalidInput(f"learning_rate must be a positive number, got {lr!r}")
+        self.epochs = check_int("epochs", self.epochs)
+        self.batch_size = check_int("batch_size", self.batch_size)
+        self.seed = check_int("seed", self.seed, minimum=0)
+        check_choice("optimizer", self.optimizer, ("adam", "sgd"))
         stop = self.early_stop_f1
         if stop is not None and (isinstance(stop, bool) or not isinstance(stop, numbers.Real)):
             raise InvalidInput(f"early_stop_f1 must be None or a number, got {stop!r}")

@@ -187,6 +187,22 @@ class TestEncodeDecode:
         assert capsys.readouterr().err == "error: line 1: 'tokens' must be a list of strings\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["encode", "stats"])
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("offsets", [[False, 3], [True, 3]])
+    def test_bool_offsets_exit_3(self, tmp_path, capsys, command, mode, offsets):
+        # false was read as character 0 and loaded; true as 1, which splits a token
+        schema = write(tmp_path / "schema.json", '["r"]')
+        data = write_jsonl(tmp_path / "data.jsonl", [
+            {"text": "Ada works for ACME", "triple_list": [[offsets, "r", [14, 18]]]}])
+        out = tmp_path / "out.jsonl"
+        code = main([command, "--data", data, "--schema", schema, "--out", str(out),
+                     "--mode", mode])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == ("error: line 1: subject/object must be a string or "
+                                           f"[start, end], got [{offsets[0]}, 3]\n")
+        assert not out.exists()
+
 
 class TestStats:
     def test_prints_and_writes_report(self, workspace, capsys):

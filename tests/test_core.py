@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,30 @@ from pairlink import (
     HandshakingTagging,
     InvalidInput,
     LinkTag,
+    ModelParams,
     PairLinkError,
     RelationSchema,
     SentenceAnnotation,
     TokenSpan,
+    TrainConfig,
     Triple,
+    bench_inference,
+    build_vocab,
+    decode,
+    decode_oracle,
+    encode,
+    infer,
+    infer_batch,
+    init_model,
+    load_checkpoint,
+    load_dataset,
+    micro_prf,
+    parse_tagging_line,
+    save_checkpoint,
     seq_length,
+    truncate_for_training,
 )
+from pairlink import model
 
 from conftest import annotation, triple
 
@@ -185,3 +204,92 @@ class TestHandshakingTagging:
         assert LinkTag.NONE == 0
         assert LinkTag.FORWARD == 1
         assert LinkTag.REVERSED == 2
+
+
+SCHEMA1 = RelationSchema(("r",))
+
+
+def small_model(**sizes) -> ModelParams:
+    return init_model(SCHEMA1, build_vocab([("a", "b")]),
+                      **{"d_embed": 4, "d_state": 3, "d_pair": 4, **sizes})
+
+
+def tagging_line(n) -> str:
+    return json.dumps({"n": n, "relations": ["r"], "eh2et": [0], "sh2oh": [[0]], "st2ot": [[0]]})
+
+
+def batch_size_passed_on(value, monkeypatch):
+    """The batch size ``infer_batch`` hands to the inference body."""
+    seen, body = [], model._infer
+    monkeypatch.setattr(model, "_infer", lambda *args: seen.append(args[3]) or body(*args))
+    infer_batch([("a", "b")], small_model(), SCHEMA1, batch_size=value)
+    return seen[0]
+
+
+def max_len_of_rebuilt_model(value, _):
+    m = small_model()
+    return ModelParams(m.encoder, m.kernel, m.taggers, value).max_len
+
+
+# entry point -> (argument name in the error, minimum, what the entry point keeps of a value)
+INT_ARGUMENTS = {
+    "ModelParams.max_len": ("max_len", 1, max_len_of_rebuilt_model),
+    "init_model.d_embed": ("d_embed", 1,
+                           lambda v, _: small_model(d_embed=v).encoder.embed.shape[1]),
+    "init_model.d_state": ("d_state", 1,
+                           lambda v, _: small_model(d_state=v).encoder.mixer.state_dim),
+    "init_model.d_pair": ("d_pair", 1, lambda v, _: small_model(d_pair=v).kernel.weight.shape[0]),
+    "init_model.max_len": ("max_len", 1, lambda v, _: small_model(max_len=v).max_len),
+    "infer_batch.batch_size": ("batch_size", 1, batch_size_passed_on),
+    "bench_inference.batch_size": ("batch_size", 1, lambda v, _: bench_inference(
+        small_model(), SCHEMA1, [("a",)], batch_size=v, warmup=0).batched.batch_size),
+    "TrainConfig.epochs": ("epochs", 1, lambda v, _: TrainConfig(epochs=v).epochs),
+    "TrainConfig.batch_size": ("batch_size", 1, lambda v, _: TrainConfig(batch_size=v).batch_size),
+    "TrainConfig.seed": ("seed", 0, lambda v, _: TrainConfig(seed=v).seed),
+    "truncate_for_training.max_len": ("max_len", 1, lambda v, _: truncate_for_training(
+        annotation(5, []), v)[0].n),
+    "parse_tagging_line.n": ("field 'n'", 1, lambda v, _: parse_tagging_line(tagging_line(v))[0].n),
+}
+
+# entry point -> (argument name in the error, call with a value)
+CHOICE_ARGUMENTS = {
+    "encode.mode": ("mode", lambda v: encode(annotation(2, []), SCHEMA1, mode=v)),
+    "parse_tagging_line.mode": ("mode", lambda v: parse_tagging_line(tagging_line(1), mode=v)),
+    "decode.mode": ("mode", lambda v: decode(*parse_tagging_line(tagging_line(1)), mode=v)),
+    "decode_oracle.mode": ("mode", lambda v: decode_oracle(
+        *parse_tagging_line(tagging_line(1)), mode=v)),
+    "load_dataset.standard": ("standard", lambda v: load_dataset("-", SCHEMA1, standard=v)),
+    "load_dataset.mode": ("mode", lambda v: load_dataset("-", SCHEMA1, mode=v)),
+    "infer.mode": ("mode", lambda v: infer(("a",), small_model(), SCHEMA1, mode=v)),
+    "infer_batch.mode": ("mode", lambda v: infer_batch([("a",)], small_model(), SCHEMA1, mode=v)),
+    "micro_prf.match": ("match", lambda v: micro_prf([], [], mode=v)),
+    "TrainConfig.optimizer": ("optimizer", lambda v: TrainConfig(optimizer=v)),
+}
+
+
+class TestArgumentRules:
+    # JSON holds no numpy integer, so the tagging line's n is left out here
+    @pytest.mark.parametrize("entry", [e for e in INT_ARGUMENTS if e != "parse_tagging_line.n"])
+    def test_a_numpy_integer_is_kept_as_an_int(self, entry, monkeypatch):
+        _, _, kept = INT_ARGUMENTS[entry]
+        value = kept(np.int64(3), monkeypatch)
+        assert type(value) is int and value == 3
+
+    @pytest.mark.parametrize("entry", INT_ARGUMENTS)
+    @pytest.mark.parametrize("bad", [True, 2.0, "3", "below the minimum"])
+    def test_a_bool_float_string_or_small_integer_is_rejected(self, entry, bad, monkeypatch):
+        name, minimum, kept = INT_ARGUMENTS[entry]
+        bad = minimum - 1 if bad == "below the minimum" else bad
+        with pytest.raises(InvalidInput, match=f"^{name} must be an integer >= {minimum}, got "):
+            kept(bad, monkeypatch)
+
+    def test_a_model_with_a_numpy_max_len_saves_and_loads(self, tmp_path):
+        path = save_checkpoint(tmp_path / "model", small_model(max_len=np.int64(50)), SCHEMA1)
+        params, _, meta = load_checkpoint(path)
+        assert type(params.max_len) is int and params.max_len == meta["max_len"] == 50
+
+    @pytest.mark.parametrize("entry", CHOICE_ARGUMENTS)
+    def test_a_value_outside_the_choices_is_rejected(self, entry):
+        name, call = CHOICE_ARGUMENTS[entry]
+        with pytest.raises(InvalidInput, match=f"^{name} must be one of "):
+            call("bogus")

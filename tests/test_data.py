@@ -222,6 +222,18 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="^line 2: 'tokens' must be a list of strings$"):
             load_dataset(path, schema2, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("offsets", [[False, 3], [True, 3]])
+    def test_offsets_must_be_integers_not_bools(self, tmp_path, schema2, mode, offsets):
+        # false was read as character 0, and true as 1
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [{"text": "Ada here", "triple_list": []},
+                           {"text": "Ada works for ACME",
+                            "triple_list": [[offsets, "works_for", [14, 18]]]}])
+        with pytest.raises(ParseError, match=r"^line 2: subject/object must be a string or "
+                                             rf"\[start, end\], got \[{offsets[0]}, 3\]$"):
+            load_dataset(path, schema2, mode=mode)
+
     def test_blank_lines_are_ignored(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('\n{"text": "a", "triple_list": []}\n\n', encoding="utf-8")
