@@ -108,10 +108,11 @@ class LoadResult:
 
 
 def _parse_ref(ref, line_no: int):
-    """A subject/object field: mention string or [start, end) integer offsets."""
+    """A subject/object field: mention string or [start, end) character offsets, integers >= 0."""
     if isinstance(ref, str):
         return ref
-    if isinstance(ref, (list, tuple)) and len(ref) == 2 and all(map(is_int, ref)):
+    if (isinstance(ref, (list, tuple)) and len(ref) == 2
+            and all(is_int(x) and x >= 0 for x in ref)):
         return (ref[0], ref[1])
     raise ParseError(
         f"line {line_no}: subject/object must be a string or [start, end], got {ref!r}"

@@ -171,16 +171,16 @@ def bench_inference(
 ) -> BenchReport:
     """Mean wall-clock milliseconds per sentence, batched and one at a time.
 
-    Warmup passes populate caches and are excluded from the timing.  Timing
-    wraps the same inference calls the rest of the package uses, so measured
-    outputs equal unmeasured ones.
+    ``warmup`` passes, an integer >= 0 of them, populate caches and are
+    excluded from the timing.  Timing wraps the same inference calls the rest
+    of the package uses, so measured outputs equal unmeasured ones.
     """
     sentences = [list(toks) for toks in sentences]
     if not sentences:
         raise InvalidInput("empty benchmark corpus")
     batch_size = check_int("batch_size", batch_size)
     warm = sentences[: min(len(sentences), batch_size)]
-    for _ in range(max(0, warmup)):
+    for _ in range(check_int("warmup", warmup, minimum=0)):
         infer_batch(warm, params, schema, batch_size=batch_size)
         for toks in warm[: min(4, len(warm))]:
             infer(toks, params, schema)

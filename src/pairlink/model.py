@@ -20,9 +20,12 @@ as a stack of one.  The pair kernel, heads, softmax and their backward then
 run one sentence at a time on 2-D arrays.
 
 Training and :func:`forward_probs` score every head at every pair.  The head
-logits and probabilities are class-major, (2N+1, 3, P), so every head product
-is one matrix multiply over contiguous pair rows; :func:`forward_probs` hands
-out the (2N+1, P, 3) view.
+logits are class-major, (2N+1, 3, P), so every head product is one matrix
+multiply over contiguous pair rows.  :func:`forward_probs` builds them whole
+and hands out the (2N+1, P, 3) view of their softmax.  Training never does:
+it runs the logits, softmax, NLL and backward by tiles of ``PAIR_BLOCK``
+contiguous pairs, so its working set is one tile's (2N+1, 3, PAIR_BLOCK)
+whatever the sentence length.
 
 Inference scores the entity head at every pair, but the 2N relation heads
 only at entity-boundary pairs: the head rows at the pairs within the entity
@@ -69,6 +72,7 @@ PROB_FLOOR = 1e-12
 U32 = 2.0 ** -24  # unit roundoff of float32
 TANH32_ERR = 4  # assumed bound on numpy's float32 tanh error over all inputs, in units of U32
 INFER_BATCH_SIZE = 24  # default sentences per encoder pass in inference, also in the CLI
+PAIR_BLOCK = 512  # flat pairs per tile of the training head pass
 
 
 class ShapeError(PairLinkError, ValueError):
@@ -331,8 +335,11 @@ def handshaking_kernel(h_i, h_j, kernel: KernelParams) -> np.ndarray:
 
 
 def tag_distribution(h_pair, taggers: TaggerParams, tagger: int) -> np.ndarray:
-    """Softmax over the three link tags for one pair under one output head."""
-    if not 0 <= tagger < taggers.n_taggers:
+    """Softmax over the three link tags for one pair under head ``tagger``.
+
+    ``tagger`` is an integer in [0, 2N+1), numpy integers too, bools not.
+    """
+    if check_int("tagger", tagger, minimum=0) >= taggers.n_taggers:
         raise InvalidInput(f"tagger index {tagger} out of range [0, {taggers.n_taggers})")
     h_pair = np.asarray(h_pair, dtype=float)
     if h_pair.shape != (taggers.weight.shape[2],):
@@ -443,27 +450,60 @@ def batch_loss(batch, params: ModelParams) -> float:
 # --- backward ----------------------------------------------------------------
 
 
-def _pair_backward(gold: np.ndarray, probs: np.ndarray, k: np.ndarray, h: np.ndarray,
-                   params: ModelParams, grads: dict[str, np.ndarray], weight: float) -> np.ndarray:
-    """Add ``weight`` times one sentence's head and kernel gradients to ``grads``; return dL/dh.
+def _pair_backward(gold: np.ndarray, k: np.ndarray, h: np.ndarray, params: ModelParams,
+                   grads: dict[str, np.ndarray], weight: float) -> tuple[float, np.ndarray]:
+    """One sentence's head loss and backward; return (its mean cell loss, dL/dh).
 
-    ``gold`` is (T, P), ``probs`` the softmax of :func:`_head_logits`,
-    (T, 3, P), ``k`` the sentence's pair vectors and ``h`` (n, d) its token
-    vectors; ``probs`` and ``k`` are consumed.
+    ``gold`` is the sentence's (2N+1, P) tags, ``k`` its pair vectors (P,
+    pair_dim), which are consumed, and ``h`` (n, d) its token vectors;
+    ``weight`` times the head and kernel gradients is added to ``grads``.
+
+    The heads run over tiles of ``PAIR_BLOCK`` contiguous flat pairs.  Each
+    tile is scored by :func:`_head_logits`, normalised by :func:`softmax`
+    and read for the NLL at the gold tag: tag 0 except at the few nonzero
+    gold cells.  Its dlogits, (p − onehot)·scale, then give the head
+    gradients and dL/dk, and the tile of ``k`` is overwritten with dL/dpre.
+    So the working set is one tile's (2N+1, 3, PAIR_BLOCK), never a
+    (2N+1, 3, P) array, and a sentence of one tile gets exactly the bits of
+    the whole-array :func:`softmax` and :func:`loss_from_probs`.
     """
-    dlogits = probs  # overwritten in place
-    n_heads, n_classes, n_pairs = dlogits.shape
-    for tag in range(n_classes):
-        dlogits[:, tag] -= gold == tag
-    dlogits *= weight / (n_heads * n_pairs)
-    flat = dlogits.reshape(-1, n_pairs)  # (T·3, P)
-    heads = params.taggers.weight
-    grads["taggers.weight"] += (flat @ k).reshape(heads.shape)
-    grads["taggers.bias"] += dlogits.sum(axis=2)
-    dpre = flat.T @ heads.reshape(len(flat), -1)  # dL/dk, (P, pair_dim)
-    deriv = np.square(k, out=k)  # k is spent; reuse it for tanh' = 1 - k²
-    np.subtract(1.0, deriv, out=deriv)
-    dpre *= deriv
+    heads, bias = params.taggers.weight, params.taggers.bias
+    n_heads, n_pairs = len(heads), len(k)
+    if gold.shape != (n_heads, n_pairs):
+        raise ShapeError(f"gold tags {gold.shape} do not cover the heads' cells "
+                         f"{(n_heads, n_pairs)}")
+    scale = weight / (n_heads * n_pairs)
+    flat_heads = heads.reshape(-1, heads.shape[2])  # (T·3, pair_dim)
+    # the nonzero gold cells, ordered by pair; few pairs hold any, so
+    # np.nonzero runs over those pairs' columns only, not over all of gold
+    cols = np.flatnonzero(gold.any(axis=0))
+    tags = gold[:, cols].T
+    at, rows = np.nonzero(tags)
+    cols, tags = cols[at], tags[at, rows]
+    nll = 0.0
+    for start in range(0, n_pairs, PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, n_pairs)
+        k_tile = k[start:stop]
+        lo, hi = np.searchsorted(cols, (start, stop))
+        t, c, g = rows[lo:hi], cols[lo:hi] - start, tags[lo:hi]
+        probs = softmax(_head_logits(k_tile, heads, bias), axis=1)  # (T, 3, tile)
+        picked = probs[:, 0].copy()
+        picked[t, c] = probs[t, g, c]
+        nll -= np.log(np.maximum(picked, PROB_FLOOR, out=picked), out=picked).sum()
+        dlogits = probs  # overwritten in place: p − onehot, then times scale
+        kept = dlogits[t, 0, c]
+        dlogits[:, 0] -= 1.0
+        dlogits[t, 0, c] = kept
+        dlogits[t, g, c] -= 1.0
+        dlogits *= scale
+        flat = dlogits.reshape(len(flat_heads), -1)  # (T·3, tile)
+        grads["taggers.weight"] += (flat @ k_tile).reshape(heads.shape)
+        grads["taggers.bias"] += dlogits.sum(axis=2)
+        dk = flat.T @ flat_heads  # dL/dk, (tile, pair_dim)
+        deriv = np.square(k_tile, out=k_tile)  # k is spent; reuse it for tanh' = 1 - k²
+        np.subtract(1.0, deriv, out=deriv)
+        deriv *= dk  # the tile of k now holds dL/dpre
+    dpre = k
 
     # index_map lays pairs out row by row: row i is the slice of pairs
     # (i, i), ..., (i, n-1) from row_start[i], so its sum is dA[i] and its
@@ -479,7 +519,7 @@ def _pair_backward(gold: np.ndarray, probs: np.ndarray, k: np.ndarray, h: np.nda
     grads["kernel.bias"] += d_a.sum(axis=0)
     grads["kernel.weight"][:, :d] += d_a.T @ h
     grads["kernel.weight"][:, d:] += d_b.T @ h
-    return d_a @ weight_l + d_b @ weight_r
+    return nll / (n_heads * n_pairs), d_a @ weight_l + d_b @ weight_r
 
 
 def _recurrence_backward(ds: np.ndarray, s: np.ndarray, x: np.ndarray, w: np.ndarray,
@@ -537,8 +577,10 @@ def gradient(batch, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
     so duplicating a sample leaves the gradient unchanged.  The encoder runs
     forward and backward once over the whole batch as a right-padded stack;
     the pair kernel, heads and their backward run one sentence at a time,
-    and padding gets zero dL/dh.  Raises :class:`NumericError` the moment
-    anything stops being finite.
+    and padding gets zero dL/dh.  The heads score a sentence by tiles of
+    ``PAIR_BLOCK`` pairs (:func:`_pair_backward`), so each tile's working set
+    is bounded and no (2N+1, 3, P) array is built.  Raises
+    :class:`NumericError` the moment anything stops being finite.
     """
     if not batch:
         raise InvalidInput("empty batch")
@@ -549,11 +591,9 @@ def gradient(batch, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
     scale = 1.0 / len(batch)
     for row, (tokens, tagging) in enumerate(batch):
         h_row = h[row, :len(tokens)]
-        k = _pair_grid(h_row, params.kernel)
-        probs = softmax(_head_logits(k, params.taggers.weight, params.taggers.bias), axis=1)
-        gold = gold_tags(tagging)
-        total += loss_from_probs(probs.transpose(0, 2, 1), gold)
-        dh[row, :len(tokens)] = _pair_backward(gold, probs, k, h_row, params, grads, scale)
+        loss, dh[row, :len(tokens)] = _pair_backward(
+            gold_tags(tagging), _pair_grid(h_row, params.kernel), h_row, params, grads, scale)
+        total += loss
     loss = total * scale
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss: {loss}")

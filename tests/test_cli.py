@@ -189,9 +189,10 @@ class TestEncodeDecode:
 
     @pytest.mark.parametrize("command", ["encode", "stats"])
     @pytest.mark.parametrize("mode", ["strict", "lenient"])
-    @pytest.mark.parametrize("offsets", [[False, 3], [True, 3]])
+    @pytest.mark.parametrize("offsets", [[False, 3], [True, 3], [-3, 3], [0, -3]])
     def test_bool_offsets_exit_3(self, tmp_path, capsys, command, mode, offsets):
-        # false was read as character 0 and loaded; true as 1, which splits a token
+        # false was read as character 0 and loaded; true as 1, which splits a
+        # token; -3 exited 4 in strict mode and was skipped in lenient mode
         schema = write(tmp_path / "schema.json", '["r"]')
         data = write_jsonl(tmp_path / "data.jsonl", [
             {"text": "Ada works for ACME", "triple_list": [[offsets, "r", [14, 18]]]}])
@@ -200,7 +201,7 @@ class TestEncodeDecode:
                      "--mode", mode])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == ("error: line 1: subject/object must be a string or "
-                                           f"[start, end], got [{offsets[0]}, 3]\n")
+                                           f"[start, end], got [{offsets[0]}, {offsets[1]}]\n")
         assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from pairlink import (
     PairLinkError,
     RelationSchema,
     SentenceAnnotation,
+    TaggerParams,
     TokenSpan,
     TrainConfig,
     Triple,
@@ -32,9 +33,10 @@ from pairlink import (
     parse_tagging_line,
     save_checkpoint,
     seq_length,
+    tag_distribution,
     truncate_for_training,
 )
-from pairlink import model
+from pairlink import evaluate, model
 
 from conftest import annotation, triple
 
@@ -226,6 +228,21 @@ def batch_size_passed_on(value, monkeypatch):
     return seen[0]
 
 
+def warmups_run(value, monkeypatch):
+    """The warmup passes ``bench_inference`` runs: its ``infer_batch`` calls but the timed one."""
+    calls, body = [], evaluate.infer_batch
+    monkeypatch.setattr(evaluate, "infer_batch", lambda *a, **kw: calls.append(a) or body(*a, **kw))
+    bench_inference(small_model(), SCHEMA1, [("a",)], warmup=value)
+    return len(calls) - 1
+
+
+def tagger_scored(value, _):
+    """The head whose distribution ``tag_distribution`` returns, of five with distinct biases."""
+    taggers = TaggerParams(np.zeros((5, 3, 2)), np.outer(np.arange(5.0), [0.0, 1.0, 0.0]))
+    dists = [tag_distribution(np.zeros(2), taggers, t) for t in (value, 0, 1, 2, 3, 4)]
+    return next(t for t in range(5) if np.array_equal(dists[0], dists[t + 1]))
+
+
 def max_len_of_rebuilt_model(value, _):
     m = small_model()
     return ModelParams(m.encoder, m.kernel, m.taggers, value).max_len
@@ -249,6 +266,8 @@ INT_ARGUMENTS = {
     "truncate_for_training.max_len": ("max_len", 1, lambda v, _: truncate_for_training(
         annotation(5, []), v)[0].n),
     "parse_tagging_line.n": ("field 'n'", 1, lambda v, _: parse_tagging_line(tagging_line(v))[0].n),
+    "bench_inference.warmup": ("warmup", 0, warmups_run),
+    "tag_distribution.tagger": ("tagger", 0, tagger_scored),
 }
 
 # entry point -> (argument name in the error, call with a value)
@@ -274,6 +293,11 @@ class TestArgumentRules:
         _, _, kept = INT_ARGUMENTS[entry]
         value = kept(np.int64(3), monkeypatch)
         assert type(value) is int and value == 3
+
+    @pytest.mark.parametrize("entry", INT_ARGUMENTS)
+    def test_the_minimum_is_kept(self, entry, monkeypatch):
+        _, minimum, kept = INT_ARGUMENTS[entry]
+        assert kept(minimum, monkeypatch) == minimum  # a warmup of 0 runs none
 
     @pytest.mark.parametrize("entry", INT_ARGUMENTS)
     @pytest.mark.parametrize("bad", [True, 2.0, "3", "below the minimum"])

@@ -223,15 +223,17 @@ class TestLoadDataset:
             load_dataset(path, schema2, mode=mode)
 
     @pytest.mark.parametrize("mode", ["strict", "lenient"])
-    @pytest.mark.parametrize("offsets", [[False, 3], [True, 3]])
+    @pytest.mark.parametrize("offsets", [[False, 3], [True, 3], [-3, 3], [0, -3]])
     def test_offsets_must_be_integers_not_bools(self, tmp_path, schema2, mode, offsets):
-        # false was read as character 0, and true as 1
+        # false was read as character 0, and true as 1; a negative offset was
+        # taken as a range that splits a token (strict) or skipped (lenient)
         path = tmp_path / "data.jsonl"
         write_jsonl(path, [{"text": "Ada here", "triple_list": []},
                            {"text": "Ada works for ACME",
                             "triple_list": [[offsets, "works_for", [14, 18]]]}])
+        got = rf"\[{offsets[0]}, {offsets[1]}\]"
         with pytest.raises(ParseError, match=r"^line 2: subject/object must be a string or "
-                                             rf"\[start, end\], got \[{offsets[0]}, 3\]$"):
+                                             rf"\[start, end\], got {got}$"):
             load_dataset(path, schema2, mode=mode)
 
     def test_blank_lines_are_ignored(self, tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -431,7 +432,94 @@ def count_calls(monkeypatch) -> dict[str, list[int]]:
     return calls
 
 
+TILE_EDGES = (511, 512, 1023, 1024)  # the flat pairs on either side of 512-pair tile bounds
+
+
+def tile_edge_batch(schema, n, rng):
+    """An ``n``-token and a 3-token example, the first with gold links at its ``TILE_EDGES``."""
+    batch = batch_of_lengths(schema, rng, (n, 3))
+    tokens, tagging = batch[0]
+    tags = tagging.tags.copy()
+    for m, cell in enumerate(c for c in TILE_EDGES if c < tags.shape[1]):
+        tags[m % len(tags), cell] = 1 + m % 2
+    batch[0] = (tokens, HandshakingTagging(n, tags))
+    return batch
+
+
+def whole_array_gradient(batch, params):
+    """:func:`gradient` with an untiled head pass: whole-array softmax and loss_from_probs.
+
+    The kernel backward reduces dL/dpre with np.add.at, which gives the bits
+    of the row loop in :func:`model._pair_backward`.
+    """
+    grads = {name: np.zeros_like(arr) for name, arr in named_tensors(params).items()}
+    h, cache = model._encode([tokens for tokens, _ in batch], params.encoder)
+    dh = np.zeros_like(h)
+    heads, bias, kernel = params.taggers.weight, params.taggers.bias, params.kernel.weight
+    total, scale = 0.0, 1.0 / len(batch)
+    for row, (tokens, tagging) in enumerate(batch):
+        n, imap = len(tokens), index_map(len(tokens))
+        h_row, d = h[row, :n], h.shape[2]
+        k = model._pair_grid(h_row, params.kernel)
+        probs = model.softmax(model._head_logits(k, heads, bias), axis=1)  # (T, 3, P)
+        gold = gold_tags(tagging)
+        total += loss_from_probs(probs.transpose(0, 2, 1), gold)
+        dlogits = (probs - (gold[:, None, :] == np.arange(3)[:, None])) * (scale / gold.size)
+        flat = dlogits.reshape(-1, imap.length)
+        grads["taggers.weight"] += (flat @ k).reshape(heads.shape)
+        grads["taggers.bias"] += dlogits.sum(axis=2)
+        dpre = (flat.T @ heads.reshape(len(flat), -1)) * (1.0 - np.square(k))
+        d_a, d_b = np.zeros((n, len(kernel))), np.zeros((n, len(kernel)))
+        np.add.at(d_a, imap.rows, dpre)
+        np.add.at(d_b, imap.cols, dpre)
+        grads["kernel.bias"] += d_a.sum(axis=0)
+        grads["kernel.weight"][:, :d] += d_a.T @ h_row
+        grads["kernel.weight"][:, d:] += d_b.T @ h_row
+        dh[row, :n] = d_a @ kernel[:, :d] + d_b @ kernel[:, d:]
+    model._encoder_backward(cache, params.encoder, dh, grads)
+    return total * scale, grads
+
+
 class TestGradient:
+    @pytest.mark.parametrize("n", [31, 32, 40, 45, 100])  # P = 496, 528, 820, 1,035, 5,050
+    def test_every_tile_size_agrees_with_the_whole_array_pass(self, schema2, n, monkeypatch):
+        batch = tile_edge_batch(schema2, n, random.Random(n))
+        assert all(batch[0][1].tags[:, cell].any() for cell in TILE_EDGES if cell < seq_length(n))
+        p = tiny_model(schema2, [toks for toks, _ in batch])
+        ref_loss, ref = whole_array_gradient(batch, p)
+        for block in (seq_length(n), 10 ** 6, 512, 7, 1):
+            monkeypatch.setattr(model, "PAIR_BLOCK", block)
+            loss, grads = gradient(batch, p)
+            if block >= seq_length(n):  # one tile: the whole-array bits
+                assert loss == ref_loss
+                for name, arr in ref.items():
+                    assert np.array_equal(grads[name], arr), name
+                continue
+            assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+            for name, arr in ref.items():
+                np.testing.assert_allclose(grads[name], arr, rtol=1e-12,
+                                           atol=1e-12 * np.abs(arr).max(), err_msg=name)
+
+    def test_a_multi_tile_sentence_matches_finite_differences(self, schema2):
+        batch = tile_edge_batch(schema2, 40, random.Random(40))  # 820 pairs: two tiles
+        p = tiny_model(schema2, [toks for toks, _ in batch])
+        assert seq_length(40) > model.PAIR_BLOCK
+        assert check_gradients(batch, p, max_coords=24) < 1e-4
+
+    def test_a_paper_scale_gradient_peaks_below_8_mb(self):
+        # the whole-array head pass peaked at 14.9 MB here: its (49, 3, 5,050)
+        # logits, a fancy-indexed gather and a dlogits copy
+        p, _ = paper_model(3)
+        batch = batch_of_lengths(PAPER_SCHEMA, random.Random(3), (100,))
+        gradient(batch, p)  # fills the index map cache
+        tracemalloc.start()
+        try:
+            gradient(batch, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_matches_finite_differences_everywhere(self, schema2):
         # independent oracle: central finite differences on the batch loss,
         # checked at every coordinate of a deliberately tiny model
@@ -482,10 +570,11 @@ class TestGradient:
     def test_gold_shape_mismatch_raises(self, schema2):
         rng = random.Random(5)
         (tokens, _), = make_batch(schema2, rng, 1, n_max=3)
-        other = encode(annotation(len(tokens) + 2, []), schema2)
         p = tiny_model(schema2, [tokens])
-        with pytest.raises(ShapeError):
-            gradient([(tokens, other)], p)
+        for other in (encode(annotation(len(tokens) + 2, []), schema2),  # more pairs
+                      encode(annotation(len(tokens), []), RelationSchema(("r",)))):  # fewer heads
+            with pytest.raises(ShapeError, match="gold tags"):
+                gradient([(tokens, other)], p)
 
     def test_non_finite_parameters_raise_numeric_error(self, schema2):
         rng = random.Random(5)
