@@ -19,7 +19,6 @@ from .codec import (
     encode,
     encode_with_conflicts,
     index_map,
-    matrix_index,
     parse_tagging_line,
     phantom_triples,
     seq_index,
@@ -28,7 +27,6 @@ from .core import (
     HandshakingTagging,
     InvalidIndex,
     InvalidInput,
-    LinkTag,
     PairLinkError,
     RelationSchema,
     SentenceAnnotation,
@@ -59,6 +57,7 @@ from .evaluate import (
 from .model import (
     EncoderParams,
     KernelParams,
+    MixerParams,
     ModelParams,
     NumericError,
     ShapeError,
@@ -90,8 +89,8 @@ __all__ = [
     "InvalidIndex",
     "InvalidInput",
     "KernelParams",
-    "LinkTag",
     "MicroScores",
+    "MixerParams",
     "ModelParams",
     "NumericError",
     "OverlapPattern",
@@ -126,7 +125,6 @@ __all__ = [
     "load_checkpoint",
     "load_dataset",
     "load_schema",
-    "matrix_index",
     "micro_prf",
     "parse_tagging_line",
     "phantom_triples",

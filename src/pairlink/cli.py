@@ -55,9 +55,8 @@ def _write(path, text: str) -> None:
 
 
 # the JSON types a config value may take, by its option's type: numbers must
-# be numbers and booleans JSON booleans (bool("false") would read as true)
+# be numbers (a JSON boolean is not one)
 _CONFIG_TYPES = {
-    bool: ((bool,), "true or false"),
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
@@ -257,7 +256,7 @@ def cmd_train(opts: _Options) -> int:
     )
     sizes = inspect.signature(init_model).parameters
     dims = {name: opts.get(name, sizes[name].default)
-            for name in ("d_embed", "d_state", "d_pair", "use_mixer", "max_len")}
+            for name in ("d_embed", "d_state", "d_pair", "max_len")}
     opts.check_all_read()
     result = train(train_set, schema, config, valid=valid_set, **dims)
     extra = opts.provenance("train")

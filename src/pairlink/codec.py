@@ -10,7 +10,6 @@ since an entity's head token never follows its tail token.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,22 +39,6 @@ def seq_index(i: int, j: int, n: int) -> int:
     if not 0 <= i <= j < n:
         raise InvalidIndex(f"not an upper-triangle pair for n={n}: ({i}, {j})")
     return i * n - (i * (i - 1)) // 2 + (j - i)
-
-
-def matrix_index(k: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`seq_index`: the pair stored at flat position ``k``."""
-    total = seq_length(n)
-    if not 0 <= k < total:
-        raise InvalidIndex(f"flat index {k} out of range [0, {total}) for n={n}")
-    # row i is the largest one whose first flat position i*n - i*(i-1)/2 is <= k;
-    # solve the quadratic, then correct any isqrt rounding
-    i = (2 * n + 1 - math.isqrt((2 * n + 1) ** 2 - 8 * k)) // 2
-    while i * n - (i * (i - 1)) // 2 > k:
-        i -= 1
-    while (i + 1) * n - ((i + 1) * i) // 2 <= k:
-        i += 1
-    j = i + (k - (i * n - (i * (i - 1)) // 2))
-    return i, j
 
 
 class IndexMap:

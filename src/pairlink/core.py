@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from enum import IntEnum
 
 import numpy as np
 
@@ -52,21 +51,9 @@ def check_choice(name: str, value, choices: tuple) -> None:
 
 
 def seq_length(n: int) -> int:
-    """Number of token pairs (i, j) with 0 <= i <= j < n, i.e. (n^2 + n) / 2."""
-    if n < 1:
-        raise InvalidInput(f"sentence length must be >= 1, got {n}")
+    """Number of token pairs (i, j), 0 <= i <= j < n: (n^2 + n) / 2 for an integer n >= 1."""
+    n = check_int("n", n)
     return (n * n + n) // 2
-
-
-class LinkTag(IntEnum):
-    """Value of one cell in a flattened tag sequence."""
-
-    NONE = 0
-    # link read left to right: row token first, column token second
-    FORWARD = 1
-    # link whose natural direction points into the lower triangle, folded
-    # onto the transposed upper-triangle cell
-    REVERSED = 2
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -207,9 +194,13 @@ def _bad_tag(row: int, n_rel: int, values: list) -> InvalidInput:
 class HandshakingTagging:
     """The 2N+1 flattened tag sequences for one sentence of length ``n``.
 
-    ``tags`` is one read-only ``(2N+1, seq_length(n))`` int8 array of
-    ``LinkTag`` values.  Row 0 is ``eh2et``, which aligns entity start tokens
-    with entity end tokens and is shared by all relations; rows 1..N are
+    ``n`` is an integer >= 1 (numpy integers are stored as ints, bools
+    rejected).  ``tags`` is one read-only ``(2N+1, seq_length(n))`` int8
+    array whose cells are 0 (no link), 1 (a link read left to right: row
+    token first, column token second) or 2 (a link whose natural direction
+    points into the lower triangle, folded onto the transposed cell).  Row
+    0 is ``eh2et``, which aligns entity start tokens with entity end tokens
+    and is shared by all relations; rows 1..N are
     ``sh2oh`` and rows N+1..2N are ``st2ot``, one per relation, linking the
     start tokens (respectively the end tokens) of subject-object pairs.  The
     constructor takes any integer array-like of that shape and keeps a copy.
@@ -221,6 +212,7 @@ class HandshakingTagging:
     tags: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", check_int("n", self.n))
         length = seq_length(self.n)
         try:
             tags = np.asarray(self.tags)

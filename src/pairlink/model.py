@@ -116,28 +116,25 @@ class MixerParams:
 
 @dataclass
 class EncoderParams:
-    """Embedding table plus optional context mixer; vocab ids are 0..V-1, 0 the unknown token."""
+    """Embedding table plus context mixer; vocab ids are 0..V-1, 0 the unknown token."""
 
     vocab: dict[str, int]
     embed: np.ndarray  # (V, embed_dim)
-    mixer: MixerParams | None = None
+    mixer: MixerParams
 
     def __post_init__(self) -> None:
         if self.vocab.get(UNK) != 0 or set(self.vocab.values()) != set(range(len(self.vocab))):
             raise InvalidInput(f"vocab must map its tokens onto ids 0..V-1 with {UNK!r} at 0")
         embed_dim = _axis(self.embed, 1)
         _check_tensor("encoder.embed", self.embed, (len(self.vocab), embed_dim))
-        if self.mixer is not None:
-            state = _axis(self.mixer.w_fwd, 0)
-            shapes = {"w": (state, embed_dim), "u": (state, state), "b": (state,)}
-            for f in fields(MixerParams):
-                _check_tensor(f"encoder.mixer.{f.name}", getattr(self.mixer, f.name),
-                              shapes[f.name[0]])
+        state = _axis(self.mixer.w_fwd, 0)
+        shapes = {"w": (state, embed_dim), "u": (state, state), "b": (state,)}
+        for f in fields(MixerParams):
+            _check_tensor(f"encoder.mixer.{f.name}", getattr(self.mixer, f.name),
+                          shapes[f.name[0]])
 
     @property
     def out_dim(self) -> int:
-        if self.mixer is None:
-            return self.embed.shape[1]
         return 2 * self.mixer.state_dim
 
 
@@ -206,7 +203,6 @@ def init_model(
     d_embed: int = 32,
     d_state: int = 16,
     d_pair: int = 32,
-    use_mixer: bool = True,
     max_len: int = 100,
     seed: int = 0,
     rng: np.random.Generator | None = None,
@@ -218,16 +214,14 @@ def init_model(
         rng = np.random.default_rng(seed)
     n_rel = len(schema)
     embed = _uniform(rng, (len(vocab), d_embed), d_embed)
-    mixer = None
-    if use_mixer:
-        mixer = MixerParams(
-            w_fwd=_uniform(rng, (d_state, d_embed), d_embed),
-            u_fwd=_uniform(rng, (d_state, d_state), d_state),
-            b_fwd=np.zeros(d_state),
-            w_bwd=_uniform(rng, (d_state, d_embed), d_embed),
-            u_bwd=_uniform(rng, (d_state, d_state), d_state),
-            b_bwd=np.zeros(d_state),
-        )
+    mixer = MixerParams(
+        w_fwd=_uniform(rng, (d_state, d_embed), d_embed),
+        u_fwd=_uniform(rng, (d_state, d_state), d_state),
+        b_fwd=np.zeros(d_state),
+        w_bwd=_uniform(rng, (d_state, d_embed), d_embed),
+        u_bwd=_uniform(rng, (d_state, d_state), d_state),
+        b_bwd=np.zeros(d_state),
+    )
     encoder = EncoderParams(vocab=dict(vocab), embed=embed, mixer=mixer)
     d = encoder.out_dim
     kernel = KernelParams(
@@ -249,10 +243,8 @@ def named_tensors(params: ModelParams) -> dict[str, np.ndarray]:
         "taggers.weight": params.taggers.weight,
         "taggers.bias": params.taggers.bias,
     }
-    m = params.encoder.mixer
-    if m is not None:
-        for f in fields(MixerParams):
-            out[f"encoder.mixer.{f.name}"] = getattr(m, f.name)
+    for f in fields(MixerParams):
+        out[f"encoder.mixer.{f.name}"] = getattr(params.encoder.mixer, f.name)
     return out
 
 
@@ -289,8 +281,6 @@ def _encode(token_lists, enc: EncoderParams) -> tuple[np.ndarray, dict]:
     ids, mask = _stack_ids(token_lists, enc.vocab)
     x = enc.embed[ids]
     cache = {"ids": ids, "mask": mask, "x": x}
-    if enc.mixer is None:
-        return x, cache
     m = enc.mixer
     s = np.empty((ids.shape[1], 2, len(ids), m.state_dim))  # s_t = tanh(x_t wᵀ + s_{t-1} uᵀ + b)
     s[:, 0] = (x @ m.w_fwd.T + m.b_fwd).transpose(1, 0, 2)
@@ -548,12 +538,8 @@ def _recurrence_backward(ds: np.ndarray, s: np.ndarray, x: np.ndarray, w: np.nda
 def _encoder_backward(enc_cache: dict, enc: EncoderParams, dh: np.ndarray,
                       grads: dict[str, np.ndarray]) -> None:
     """Add the encoder's gradients given dL/dh (B, n_max, out_dim), zero at padding."""
-    ids, mask = enc_cache["ids"], enc_cache["mask"]
-    if enc.mixer is None:
-        np.add.at(grads["encoder.embed"], ids[mask], dh[mask])
-        return
-    m = enc.mixer
-    x, f, g = enc_cache["x"], enc_cache["f"], enc_cache["g"]
+    ids, mask, x = enc_cache["ids"], enc_cache["mask"], enc_cache["x"]
+    f, g, m = enc_cache["f"], enc_cache["g"], enc.mixer
     s = f.shape[2]
     dw, du, db, dx = _recurrence_backward(dh[:, :, :s], f, x, m.w_fwd, m.u_fwd, mask)
     grads["encoder.mixer.w_fwd"] += dw
@@ -795,7 +781,6 @@ def save_checkpoint(path, params: ModelParams, schema: RelationSchema,
         "version": CHECKPOINT_VERSION,
         "relations": list(schema.relations),
         "vocab": sorted(vocab, key=vocab.get),
-        "use_mixer": params.encoder.mixer is not None,
         "max_len": params.max_len,
         "extra": extra or {},
     }
@@ -837,11 +822,8 @@ def _read_meta(path, raw: np.ndarray | None) -> dict:
         raise ParseError(f"{path}: unexpected checkpoint format {meta.get('format')!r}")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: checkpoint version {meta.get('version')!r} is not supported")
-    for key, kind in (("relations", list), ("vocab", list), ("use_mixer", bool)):
-        if not isinstance(meta.get(key), kind):
-            raise ParseError(f"{path}: checkpoint metadata needs {key!r} as a {kind.__name__}")
     for key in ("relations", "vocab"):
-        if not all(isinstance(name, str) for name in meta[key]):
+        if not isinstance(meta.get(key), list) or not all(isinstance(v, str) for v in meta[key]):
             raise ParseError(f"{path}: checkpoint metadata needs {key!r} as a list of strings")
     return meta
 
@@ -858,10 +840,7 @@ def load_checkpoint(path) -> tuple[ModelParams, RelationSchema, dict]:
     tensors = {key.replace("__", "."): arr for key, arr in arrays.items()}
     try:
         schema = RelationSchema(tuple(meta["relations"]))
-        mixer = None
-        if meta["use_mixer"]:
-            mixer = MixerParams(*(tensors.pop(f"encoder.mixer.{f.name}")
-                                  for f in fields(MixerParams)))
+        mixer = MixerParams(*(tensors.pop(f"encoder.mixer.{f.name}") for f in fields(MixerParams)))
         params = ModelParams(
             encoder=EncoderParams({tok: idx for idx, tok in enumerate(meta["vocab"])},
                                   tensors.pop("encoder.embed"), mixer),

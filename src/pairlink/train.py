@@ -9,6 +9,7 @@ parameters.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -31,13 +32,20 @@ from .model import (
 )
 
 
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a finite real number; bools are not numbers here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class TrainConfig:
     """Training settings; a bad value raises :class:`InvalidInput`.
 
-    ``epochs`` and ``batch_size`` are integers >= 1 and ``seed`` >= 0; numpy
-    integers are stored as ints and bools rejected.  Training stops once
-    validation F1 reaches ``early_stop_f1``, a real number, unless it is None.
+    ``learning_rate`` is a finite number > 0.  ``epochs`` and ``batch_size``
+    are integers >= 1 and ``seed`` >= 0; numpy integers are stored as ints
+    and bools rejected.  Training stops once validation F1 reaches
+    ``early_stop_f1``, a finite number, unless it is None.
     """
 
     learning_rate: float = 1e-3
@@ -49,15 +57,15 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not lr > 0:
-            raise InvalidInput(f"learning_rate must be a positive number, got {lr!r}")
+        if not _is_finite(lr) or not lr > 0:
+            raise InvalidInput(f"learning_rate must be a finite number > 0, got {lr!r}")
         self.epochs = check_int("epochs", self.epochs)
         self.batch_size = check_int("batch_size", self.batch_size)
         self.seed = check_int("seed", self.seed, minimum=0)
         check_choice("optimizer", self.optimizer, ("adam", "sgd"))
         stop = self.early_stop_f1
-        if stop is not None and (isinstance(stop, bool) or not isinstance(stop, numbers.Real)):
-            raise InvalidInput(f"early_stop_f1 must be None or a number, got {stop!r}")
+        if stop is not None and not _is_finite(stop):
+            raise InvalidInput(f"early_stop_f1 must be None or a finite number, got {stop!r}")
 
 
 @dataclass
@@ -181,7 +189,7 @@ def train(
     and the best parameters are kept.  All randomness flows through one
     generator seeded from the config, so equal seeds give identical
     histories.  ``dims`` are :func:`init_model`'s size options (``d_embed``,
-    ``d_state``, ``d_pair``, ``use_mixer``, ``max_len``), with its defaults.
+    ``d_state``, ``d_pair``, ``max_len``), with its defaults.
     """
     if not dataset:
         raise InvalidInput("empty training set")

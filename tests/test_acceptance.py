@@ -181,7 +181,6 @@ def test_criterion_4_gradients_match_finite_differences_everywhere():
             d_embed=8,
             d_state=4,
             d_pair=8,
-            use_mixer=(instance % 2 == 0),
             seed=instance,
         )
         try:

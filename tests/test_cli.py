@@ -256,7 +256,7 @@ class TestTrainEvalBench:
         assert meta["extra"]["config"] == {
             "lr": 1e-3, "epochs": 100, "batch_size": 6, "seed": 0, "optimizer": "adam",
             "early_stop_f1": None,
-            "d_embed": 32, "d_state": 16, "d_pair": 32, "use_mixer": True, "max_len": 100,
+            "d_embed": 32, "d_state": 16, "d_pair": 32, "max_len": 100,
             "standard": "whole-span", "mode": "lenient",
         }
         assert len(meta["extra"]["history"]) == 100
@@ -399,7 +399,7 @@ def corrupt_checkpoint(tmp_path, kind):
     return str(path)
 
 
-# every tensor of a checkpoint with the mixer on
+# every tensor of a checkpoint
 TENSOR_NAMES = list(named_tensors(init_model(RelationSchema(("r",)), build_vocab([]))))
 
 
@@ -419,6 +419,26 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+
+    def test_a_checkpoint_without_a_mixer_exits_3(self, workspace, capsys):
+        # an archive as an older version wrote it for an embedding-only encoder:
+        # "use_mixer": false in its metadata, no mixer tensors, and a kernel over
+        # the embedding width
+        tmp_path, _, data = workspace
+        rng = np.random.default_rng(0)
+        vocab = ["<unk>", "Ada", "Navy"]
+        meta = {"format": "pairlink-checkpoint", "version": 1, "vocab": vocab,
+                "relations": ["works_for", "lives_in"], "use_mixer": False, "max_len": 100,
+                "extra": {}}
+        ckpt = tmp_path / "embedding_only.npz"
+        np.savez(ckpt, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+                 encoder__embed=rng.normal(size=(3, 4)), kernel__weight=rng.normal(size=(4, 8)),
+                 kernel__bias=np.zeros(4), taggers__weight=rng.normal(size=(5, 3, 4)),
+                 taggers__bias=np.zeros((5, 3)))
+        code = main(["eval", "--data", data, "--ckpt", str(ckpt)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: checkpoint has no tensor encoder.mixer.w_fwd\n")
 
 
 class TestSelftestAndUsage:
@@ -450,7 +470,7 @@ class TestSelftestAndUsage:
             ("train", ["--data", data, "--schema", schema, "--ckpt", out, "--epochs", "1"],
              out + ".npz", corpus | {"lr", "epochs", "batch_size", "seed", "optimizer",
                                     "early_stop_f1", "d_embed", "d_state", "d_pair",
-                                    "use_mixer", "max_len"}),
+                                    "max_len"}),
             ("eval", ["--data", data, "--ckpt", ckpt, "--out", out], out,
              corpus | {"match", "batch_size"}),
             ("bench", ["--data", data, "--ckpt", ckpt, "--out", out], out,
@@ -485,6 +505,24 @@ class TestSelftestAndUsage:
         assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flags, options, name", [
+        (["--lr", "inf", "--epochs", "2"], {}, "learning_rate"),
+        ([], {"lr": float("inf"), "epochs": 1}, "learning_rate"),
+        ([], {"early_stop_f1": float("nan"), "epochs": 1}, "early_stop_f1"),
+    ], ids=["flag-lr-inf", "lr-inf", "early_stop_f1-nan"])
+    def test_a_non_finite_number_exits_4(self, workspace, capsys, flags, options, name):
+        # an infinite rate once trained to an all-NaN checkpoint, and a NaN
+        # threshold turned early stopping off; both stop before any training
+        tmp_path, schema, data = workspace
+        config = write(tmp_path / "finite.json", json.dumps(options))  # as Infinity and NaN
+        ckpt = tmp_path / "x.npz"
+        code = main(["train", "--data", data, "--schema", schema, "--ckpt", str(ckpt),
+                     "--config", config, *flags])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
+        assert not ckpt.exists()
+
     def test_bad_config_file_exits_3(self, workspace, capsys):
         tmp_path, schema, data = workspace
         config = write(tmp_path / "bad.json", "{broken")
@@ -497,11 +535,11 @@ class TestSelftestAndUsage:
         assert code == EXIT_INPUT
 
     @pytest.mark.parametrize("key, value", [
-        ("lr", "fast"), ("batch_size", "six"), ("early_stop_f1", "x"), ("use_mixer", "false"),
+        ("lr", "fast"), ("batch_size", "six"), ("early_stop_f1", "x"), ("d_embed", True),
     ])
     def test_config_value_of_the_wrong_type_exits_3(self, workspace, capsys, key, value):
         # rejected before any training, in one line naming the file and key;
-        # "false" is a string, and bool("false") would have read as true
+        # a JSON true is not an integer, though Python's True is an int
         tmp_path, schema, data = workspace
         config = write(tmp_path / "typed.json", json.dumps({key: value}))
         ckpt = tmp_path / "x.npz"
@@ -515,17 +553,17 @@ class TestSelftestAndUsage:
         assert not ckpt.exists()
 
     def test_config_values_of_the_right_type_are_taken(self, workspace, capsys):
-        # an integer is a number, null turns early stopping off, false is false
+        # an integer is a number, null turns early stopping off
         tmp_path, schema, data = workspace
         config = write(tmp_path / "typed.json", json.dumps(
-            {"lr": 1, "epochs": 1, "early_stop_f1": None, "use_mixer": False, "d_embed": 4}))
+            {"lr": 1, "epochs": 1, "early_stop_f1": None, "d_embed": 4}))
         ckpt = tmp_path / "typed.npz"
         code = main(
             ["train", "--data", data, "--schema", schema, "--ckpt", str(ckpt), "--config", config]
         )
         assert code == EXIT_OK
         params, _, meta = load_checkpoint(ckpt)
-        assert params.encoder.mixer is None
+        assert params.encoder.embed.shape[1] == 4
         assert meta["extra"]["config"]["early_stop_f1"] is None
 
     @pytest.mark.parametrize("command", [

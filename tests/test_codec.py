@@ -21,7 +21,6 @@ from pairlink import (
     encode,
     encode_with_conflicts,
     index_map,
-    matrix_index,
     parse_tagging_line,
     phantom_triples,
     seq_index,
@@ -41,44 +40,32 @@ class TestPairIndexing:
     def test_seq_index_pinned(self, i, j, n, k):
         assert seq_index(i, j, n) == k
 
-    @pytest.mark.parametrize("k,n,pair", [(4, 3, (1, 2)), (0, 1, (0, 0)), (5049, 100, (99, 99))])
-    def test_matrix_index_pinned(self, k, n, pair):
-        assert matrix_index(k, n) == pair
-
     def test_round_trip_all_cells(self):
         for n in range(1, 41):
+            m = index_map(n)
             k = 0
             for i in range(n):
                 for j in range(i, n):
                     assert seq_index(i, j, n) == k
-                    assert matrix_index(k, n) == (i, j)
+                    assert (m.rows[k], m.cols[k]) == (i, j)
                     k += 1
-            assert k == seq_length(n) == index_map(n).length
-
-    def test_matrix_index_against_scan(self):
-        # independent oracle: walk the flattened sequence cell by cell
-        for n in (5, 11):
-            flat = [(i, j) for i in range(n) for j in range(i, n)]
-            for k, pair in enumerate(flat):
-                assert matrix_index(k, n) == pair
+            assert k == seq_length(n) == m.length
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidIndex):
             seq_index(1, 0, 3)  # lower triangle
         with pytest.raises(InvalidIndex):
             seq_index(0, 3, 3)
-        with pytest.raises(InvalidIndex):
-            matrix_index(6, 3)
-        with pytest.raises(InvalidIndex):
-            matrix_index(-1, 3)
 
     def test_index_map_matches_functions_and_caches(self):
         m = index_map(9)
         assert m is index_map(9)
         assert m.length == seq_length(9)
         assert len(m.rows) == len(m.cols) == m.length
-        for k, (i, j) in enumerate(zip(m.rows.tolist(), m.cols.tolist())):
-            assert matrix_index(k, 9) == (i, j)
+        # independent oracle: walk the flattened sequence cell by cell
+        flat = [(i, j) for i in range(9) for j in range(i, 9)]
+        assert list(zip(m.rows.tolist(), m.cols.tolist())) == flat
+        for k, (i, j) in enumerate(flat):
             assert m.row_start[i] + (j - i) == seq_index(i, j, 9) == k
         assert m.rows.dtype == m.cols.dtype == np.int64
         assert not m.rows.flags.writeable and not m.cols.flags.writeable

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from pairlink import (
     HandshakingTagging,
     InvalidInput,
-    LinkTag,
     ModelParams,
     PairLinkError,
     RelationSchema,
@@ -202,11 +202,6 @@ class TestHandshakingTagging:
         assert tagging != HandshakingTagging(2, [[0, 1, 0], [1, 0, 2], [0, 0, 2]])
         assert tagging != HandshakingTagging(1, [[0], [1], [0]])
 
-    def test_link_tag_values(self):
-        assert LinkTag.NONE == 0
-        assert LinkTag.FORWARD == 1
-        assert LinkTag.REVERSED == 2
-
 
 SCHEMA1 = RelationSchema(("r",))
 
@@ -243,6 +238,18 @@ def tagger_scored(value, _):
     return next(t for t in range(5) if np.array_equal(dists[0], dists[t + 1]))
 
 
+def n_counted(value, _):
+    """The n whose pairs ``seq_length`` counts (n² + n = 2·seq_length(n)), if it counts an int."""
+    length = seq_length(value)
+    return math.isqrt(2 * length) if type(length) is int else length
+
+
+def tagging_n(value, _):
+    """The ``n`` a tagging keeps, given tags of the shape that ``value`` asks for."""
+    n = int(value)
+    return HandshakingTagging(value, np.zeros((3, n * (n + 1) // 2), dtype=np.int8)).n
+
+
 def max_len_of_rebuilt_model(value, _):
     m = small_model()
     return ModelParams(m.encoder, m.kernel, m.taggers, value).max_len
@@ -250,6 +257,8 @@ def max_len_of_rebuilt_model(value, _):
 
 # entry point -> (argument name in the error, minimum, what the entry point keeps of a value)
 INT_ARGUMENTS = {
+    "seq_length.n": ("n", 1, n_counted),
+    "HandshakingTagging.n": ("n", 1, tagging_n),
     "ModelParams.max_len": ("max_len", 1, max_len_of_rebuilt_model),
     "init_model.d_embed": ("d_embed", 1,
                            lambda v, _: small_model(d_embed=v).encoder.embed.shape[1]),

@@ -246,9 +246,7 @@ class TestSubsetReport:
 class TestParameterCountsAndBench:
     def make_model(self, schema):
         vocab = build_vocab([("a", "b")])
-        return init_model(
-            schema, vocab, d_embed=4, d_state=3, d_pair=4, use_mixer=False
-        )
+        return init_model(schema, vocab, d_embed=4, d_state=3, d_pair=4)
 
     def test_parameter_counts_by_hand(self):
         schema = RelationSchema(("r0", "r1"))
@@ -256,11 +254,12 @@ class TestParameterCountsAndBench:
         counts = parameter_counts(params)
         vocab_rows = 3  # unk, a, b
         embed = vocab_rows * 4
-        kernel = 4 * (2 * 4) + 4
+        mixer = 2 * (3 * 4 + 3 * 3 + 3)  # w (state, embed), u (state, state), b per direction
+        kernel = 4 * (2 * (2 * 3)) + 4  # token vectors [f; g] are 2 * d_state wide
         heads = 5 * 3 * 4 + 5 * 3
-        assert counts["total"] == embed + kernel + heads
-        assert counts["encoder"] == embed
-        assert counts["encoder_fraction"] == pytest.approx(embed / counts["total"])
+        assert counts["total"] == embed + mixer + kernel + heads
+        assert counts["encoder"] == embed + mixer
+        assert counts["encoder_fraction"] == pytest.approx((embed + mixer) / counts["total"])
 
     def test_bench_reports_both_paths(self):
         schema = RelationSchema(("r0",))

@@ -17,6 +17,7 @@ from pairlink import (
     HandshakingTagging,
     InvalidInput,
     KernelParams,
+    MixerParams,
     ModelParams,
     NumericError,
     RelationSchema,
@@ -53,11 +54,11 @@ from pairlink.synth import random_annotation
 from conftest import annotation, triple
 
 
-def tiny_model(schema, tokens_corpus, use_mixer=True, seed=0, **dims):
+def tiny_model(schema, tokens_corpus, seed=0, **dims):
     vocab = build_vocab(tokens_corpus)
     defaults = dict(d_embed=4, d_state=3, d_pair=4)
     defaults.update(dims)
-    return init_model(schema, vocab, use_mixer=use_mixer, seed=seed, **defaults)
+    return init_model(schema, vocab, seed=seed, **defaults)
 
 
 class TestVocabAndInit:
@@ -109,9 +110,10 @@ class TestVocabAndInit:
         ({"a": 0, UNK: 1}, 2, InvalidInput),  # <unk> not at 0
         ({UNK: 0, "a": 1}, 3, ShapeError),  # embed rows != vocab size
     ])
-    def test_encoder_rejects_vocab_and_embed_that_disagree(self, vocab, rows, error):
+    def test_encoder_rejects_vocab_and_embed_that_disagree(self, schema2, vocab, rows, error):
+        mixer = tiny_model(schema2, [("a",)], d_embed=4).encoder.mixer
         with pytest.raises(error):
-            EncoderParams(vocab, np.zeros((rows, 4)))
+            EncoderParams(vocab, np.zeros((rows, 4)), mixer)
 
     def test_encoder_rejects_a_misshapen_mixer_tensor(self, schema2):
         p = tiny_model(schema2, [("a", "b")])
@@ -138,11 +140,9 @@ class TestVocabAndInit:
         q.encoder.embed[0, 0] += 1.0
         assert p.encoder.embed[0, 0] != q.encoder.embed[0, 0]
 
-    @pytest.mark.parametrize("use_mixer", [False, True])
-    def test_clone_shares_no_array_and_no_vocab(self, schema2, use_mixer):
-        p = tiny_model(schema2, [("a", "b")], use_mixer=use_mixer)
+    def test_clone_shares_no_array_and_no_vocab(self, schema2):
+        p = tiny_model(schema2, [("a", "b")])
         q = clone_params(p)
-        assert (q.encoder.mixer is None) == (not use_mixer)
         assert q.encoder.vocab == p.encoder.vocab and q.encoder.vocab is not p.encoder.vocab
         assert (q.n_relations, q.max_len) == (p.n_relations, p.max_len)
         originals, copies = named_tensors(p), named_tensors(q)
@@ -158,17 +158,10 @@ class TestEncoder:
         h = encode_tokens(("a", "b", "c"), p.encoder)
         assert h.shape == (3, p.encoder.out_dim)
 
-    def test_without_mixer_returns_embedding_rows(self, schema2):
-        p = tiny_model(schema2, [("a", "b")], use_mixer=False)
-        h = encode_tokens(("a", "b", "a"), p.encoder)
-        ids = [p.encoder.vocab["a"], p.encoder.vocab["b"], p.encoder.vocab["a"]]
-        assert np.array_equal(h, p.encoder.embed[ids])
-
     def test_unknown_tokens_share_the_unk_row(self, schema2):
-        p = tiny_model(schema2, [("a",)], use_mixer=False)
+        p = tiny_model(schema2, [("a",)])
         h = encode_tokens(("never-seen", "also-new"), p.encoder)
-        assert np.array_equal(h[0], p.encoder.embed[0])
-        assert np.array_equal(h[1], p.encoder.embed[0])
+        assert np.array_equal(h, encode_tokens((UNK, UNK), p.encoder))
 
     def test_mixer_states_depend_on_context(self, schema2):
         p = tiny_model(schema2, [("a", "b", "c")])
@@ -528,21 +521,16 @@ class TestGradient:
         # gradient() runs each batch as one padded stack; batch_loss runs each alone
         stacked = batch_of_lengths(schema2, rng, (3, 4, 3))
         assert stacked[0][0] != stacked[2][0]
-        for batch, use_mixer in ((mixed, True), (stacked, True), (stacked, False)):
-            p = tiny_model(
-                schema2, [toks for toks, _ in batch], use_mixer=use_mixer,
-                d_embed=3, d_state=2, d_pair=3,
-            )
+        for batch in (mixed, stacked):
+            p = tiny_model(schema2, [toks for toks, _ in batch], d_embed=3, d_state=2, d_pair=3)
             # abs_tol=0: every coordinate must agree to relative error < 1e-4
             check_gradients(batch, p, step=1e-5, rel_tol=1e-4, abs_tol=0.0, max_coords=None)
 
-    @pytest.mark.parametrize("use_mixer", [True, False])
-    def test_padded_batch_matches_finite_differences(self, schema2, use_mixer):
+    def test_padded_batch_matches_finite_differences(self, schema2):
         # mixed lengths exercise the padding, each sentence's reversal and
         # the dL/dh scatter; batch_loss runs each sentence alone
         batch = batch_of_lengths(schema2, random.Random(29), (1, 4, 2, 4))
-        p = tiny_model(schema2, [toks for toks, _ in batch], use_mixer=use_mixer,
-                       d_embed=3, d_state=2, d_pair=3)
+        p = tiny_model(schema2, [toks for toks, _ in batch], d_embed=3, d_state=2, d_pair=3)
         check_gradients(batch, p, step=1e-5, rel_tol=1e-4, abs_tol=0.0, max_coords=None)
 
     def test_one_encoder_call_per_batch_one_kernel_per_sentence(self, schema2, monkeypatch):
@@ -647,22 +635,26 @@ def outcome(call):
 def model_emitting(tagging: HandshakingTagging):
     """Tokens and a model whose argmax tags are exactly ``tagging``.
 
-    Tokens are one-hot vectors; kernel unit c reads about +1 at cell c and -1
-    at every other cell, so a head's logit for tag t is about +1 at the cells
-    where ``tagging`` holds t and -1 elsewhere, against 0 for tag 0.
+    Tokens are one-hot vectors, which the mixer passes on as tanh(1) times
+    themselves in its forward states (w_fwd = I, every other mixer tensor
+    zero); kernel unit c reads about +1 at cell c and -1 at every other cell,
+    so a head's logit for tag t is about +1 at the cells where ``tagging``
+    holds t and -1 elsewhere, against 0 for tag 0.
     """
     n, tags = tagging.n, tagging.tags
     tokens = tuple(f"w{i}" for i in range(n))
     imap = index_map(n)
     cells = np.arange(imap.length)
     embed = np.vstack([np.zeros(n), np.eye(n)])  # id 0 is the unknown token
-    kernel = np.zeros((imap.length, 2 * n))
-    kernel[cells, imap.rows] = kernel[cells, n + imap.cols] = 20.0
+    zero = np.zeros((n, n))
+    mixer = MixerParams(np.eye(n), zero, np.zeros(n), zero, zero, np.zeros(n))
+    kernel = np.zeros((imap.length, 4 * n))  # token vectors are [f; g], 2n wide
+    kernel[cells, imap.rows] = kernel[cells, 2 * n + imap.cols] = 20.0 / math.tanh(1.0)
     heads = np.zeros((len(tags), 3, imap.length))
     for t in (1, 2):
         heads[:, t] = tags == t
     params = ModelParams(
-        encoder=EncoderParams(build_vocab([tokens]), embed),
+        encoder=EncoderParams(build_vocab([tokens]), embed, mixer),
         kernel=KernelParams(kernel, np.full(imap.length, -30.0)),
         taggers=TaggerParams(heads, heads.sum(axis=2) - [0, 1, 1]),
         max_len=100,
@@ -900,28 +892,30 @@ class TestCheckpoint:
         for name, arr in named_tensors(p).items():
             assert np.array_equal(arr, named_tensors(loaded)[name]), name
 
-    def test_round_trip_without_mixer(self, tmp_path, schema2):
-        p = tiny_model(schema2, [("a", "b")], use_mixer=False)
-        path = save_checkpoint(tmp_path / "flat.npz", p, schema2)
-        loaded, _, meta = load_checkpoint(path)
-        assert loaded.encoder.mixer is None
-        assert meta["use_mixer"] is False
-        probs_before = forward_probs(("a", "b"), p)
-        probs_after = forward_probs(("a", "b"), loaded)
-        assert np.array_equal(probs_before, probs_after)
+    @staticmethod
+    def with_meta(path, out, **updates):
+        """Write the checkpoint at ``path`` to ``out`` with its metadata keys updated."""
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = {**json.loads(bytes(arrays["__meta__"]).decode("utf-8")), **updates}
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(out, **arrays)
+        return out
+
+    def test_an_older_archive_flagging_its_mixer_loads_bit_for_bit(self, tmp_path, schema2):
+        # archives of format version 1 used to carry "use_mixer": true in
+        # their metadata; the key is now ignored
+        p = tiny_model(schema2, [("a", "b")], seed=3)
+        path = save_checkpoint(tmp_path / "model", p, schema2)
+        loaded, _, _ = load_checkpoint(self.with_meta(path, tmp_path / "older.npz", use_mixer=True))
+        for name, arr in named_tensors(p).items():
+            assert np.array_equal(arr, named_tensors(loaded)[name]), name
+        assert np.array_equal(forward_probs(("a", "b"), p), forward_probs(("a", "b"), loaded))
 
     def test_rejects_unsupported_version(self, tmp_path, schema2):
         p = tiny_model(schema2, [("a",)])
         path = save_checkpoint(tmp_path / "model", p, schema2)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
-        meta["version"] = 99
-        arrays["__meta__"] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        )
-        bad = tmp_path / "future.npz"
-        np.savez(bad, **arrays)
+        bad = self.with_meta(path, tmp_path / "future.npz", version=99)
         with pytest.raises(InvalidInput, match="version"):
             load_checkpoint(bad)
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pairlink
 from pairlink.cli import main
@@ -44,3 +46,11 @@ def test_the_library_reads_no_tuple_view(figure_fixture, tmp_path, monkeypatch):
     assert main(["decode", "--data", str(data), "--out", str(tmp_path / "out.jsonl")]) == 0
     decoded = json.loads((tmp_path / "out.jsonl").read_text(encoding="utf-8"))
     assert len(decoded["triples"]) == len(expected)
+
+
+def test_the_readme_quick_tour_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out.startswith("MicroScores(")

@@ -55,6 +55,10 @@ class TestTrainConfig:
             {"learning_rate": "x"},
             {"learning_rate": True},
             {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"learning_rate": np.float64("inf")},
+            {"early_stop_f1": float("nan")},
+            {"early_stop_f1": float("-inf")},
             {"seed": -1},
             {"seed": True},
             {"seed": 1.5},
