@@ -281,8 +281,8 @@ def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagg
     if missing:
         raise InvalidInput(f"tagging object is missing fields: {missing}")
     n, relations = check_int("field 'n'", obj["n"]), obj["relations"]
-    if not isinstance(relations, list) or not all(isinstance(r, str) for r in relations):
-        raise InvalidInput("field 'relations' must be a list of strings")
+    if not isinstance(relations, list):
+        raise InvalidInput("field 'relations' must be a list")
     schema = RelationSchema(tuple(relations))
     n_rel = len(schema)
     sh, st = obj["sh2oh"], obj["st2ot"]

@@ -86,7 +86,7 @@ class Triple:
 
 @dataclass(frozen=True)
 class RelationSchema:
-    """Ordered registry of relation names; a relation's id is its position."""
+    """Ordered registry of unique, non-empty string relation names; a name's id is its position."""
 
     relations: tuple[str, ...]
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -98,8 +98,8 @@ class RelationSchema:
             raise InvalidInput("a schema needs at least one relation")
         ids: dict[str, int] = {}
         for rid, name in enumerate(relations):
-            if not name:
-                raise InvalidInput("relation names must be non-empty")
+            if not isinstance(name, str) or not name:
+                raise InvalidInput(f"relation names must be non-empty strings, got {name!r}")
             if name in ids:
                 raise InvalidInput(f"duplicate relation name: {name!r}")
             ids[name] = rid

@@ -140,13 +140,20 @@ def read_records(path) -> list[dict]:
     return records
 
 
+def _relation_name(value, line_no: int) -> str:
+    """A triple_list entry's relation field; :class:`ParseError` unless it is a string."""
+    if not isinstance(value, str):
+        raise ParseError(f"line {line_no}: relation must be a string, got {value!r}")
+    return value
+
+
 def relation_names(records) -> list[str]:
     """Sorted unique relation names appearing in raw records."""
     names = set()
     for obj in records:
         for entry in obj.get("triple_list", []):
             if isinstance(entry, (list, tuple)) and len(entry) == 3:
-                names.add(str(entry[1]))
+                names.add(_relation_name(entry[1], obj["_line_no"]))
     return sorted(names)
 
 
@@ -203,7 +210,7 @@ def _record_to_annotation(obj, schema, standard, line_no):
             )
         subj_ref = _parse_ref(entry[0], line_no)
         obj_ref = _parse_ref(entry[2], line_no)
-        rid = schema.id_of(str(entry[1]))
+        rid = schema.id_of(_relation_name(entry[1], line_no))
         spans = []
         for ref in (subj_ref, obj_ref):
             if isinstance(ref, str):
@@ -347,7 +354,7 @@ def format_stats(report: StatsReport) -> str:
 
 
 def load_schema(path) -> RelationSchema:
-    """Schema file: either a JSON list of names or {"relations": [...]}."""
+    """Schema file: a JSON list of names or {"relations": [...]}, else :class:`ParseError`."""
     p = Path(path)
     try:
         obj = json.loads(p.read_text(encoding="utf-8"))
@@ -357,4 +364,7 @@ def load_schema(path) -> RelationSchema:
         obj = obj["relations"]
     if not isinstance(obj, list):
         raise ParseError(f"{path}: expected a list of relation names")
-    return RelationSchema(tuple(str(name) for name in obj))
+    try:
+        return RelationSchema(tuple(obj))
+    except InvalidInput as exc:
+        raise ParseError(f"{path}: {exc}") from None

@@ -13,6 +13,7 @@ from .data import BUCKETS, subset_members
 from .model import INFER_BATCH_SIZE, ModelParams, infer, infer_batch, named_tensors
 
 MATCH_MODES = ("partial", "exact")
+_BENCH_PASSES_UNTIMED = 2  # passes that populate caches before bench_inference times one
 
 
 def _partial_key(t: Triple) -> tuple[int, int, int]:
@@ -167,20 +168,19 @@ def bench_inference(
     schema: RelationSchema,
     sentences,
     batch_size: int = INFER_BATCH_SIZE,
-    warmup: int = 2,
 ) -> BenchReport:
     """Mean wall-clock milliseconds per sentence, batched and one at a time.
 
-    ``warmup`` passes, an integer >= 0 of them, populate caches and are
-    excluded from the timing.  Timing wraps the same inference calls the rest
-    of the package uses, so measured outputs equal unmeasured ones.
+    Two untimed passes over the first batch populate caches first.  Timing
+    wraps the same inference calls the rest of the package uses, so measured
+    outputs equal unmeasured ones.
     """
     sentences = [list(toks) for toks in sentences]
     if not sentences:
         raise InvalidInput("empty benchmark corpus")
     batch_size = check_int("batch_size", batch_size)
     warm = sentences[: min(len(sentences), batch_size)]
-    for _ in range(check_int("warmup", warmup, minimum=0)):
+    for _ in range(_BENCH_PASSES_UNTIMED):
         infer_batch(warm, params, schema, batch_size=batch_size)
         for toks in warm[: min(4, len(warm))]:
             infer(toks, params, schema)

@@ -1,10 +1,9 @@
 """Gradient-descent training for the pair tagger.
 
-Plain SGD and an adaptive-moment optimizer, a seeded deterministic loop,
-per-epoch exact-match F1 tracking, and the finite-difference gradient check
-the tests hold the analytic gradients to.  The loop never silently eats a
-numeric blow-up: on divergence it stops and hands back the last finite
-parameters.
+The Adam optimizer, a seeded deterministic loop, per-epoch exact-match F1
+tracking, and the finite-difference gradient check the tests hold the
+analytic gradients to.  The loop never silently eats a numeric blow-up: on
+divergence it stops and hands back the last finite parameters.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ class TrainConfig:
 
     ``learning_rate`` is a finite number > 0.  ``epochs`` and ``batch_size``
     are integers >= 1 and ``seed`` >= 0; numpy integers are stored as ints
-    and bools rejected.  Training stops once validation F1 reaches
-    ``early_stop_f1``, a finite number, unless it is None.
+    and bools rejected; ``optimizer`` must be ``"adam"``.  Training stops once
+    validation F1 reaches ``early_stop_f1``, a finite number, unless it is None.
     """
 
     learning_rate: float = 1e-3
@@ -62,7 +61,7 @@ class TrainConfig:
         self.epochs = check_int("epochs", self.epochs)
         self.batch_size = check_int("batch_size", self.batch_size)
         self.seed = check_int("seed", self.seed, minimum=0)
-        check_choice("optimizer", self.optimizer, ("adam", "sgd"))
+        check_choice("optimizer", self.optimizer, ("adam",))
         stop = self.early_stop_f1
         if stop is not None and not _is_finite(stop):
             raise InvalidInput(f"early_stop_f1 must be None or a finite number, got {stop!r}")
@@ -81,15 +80,6 @@ class TrainResult:
     history: list[EpochStats]
     best_epoch: int
     diverged: bool = False
-
-
-class Sgd:
-    def __init__(self, lr: float) -> None:
-        self.lr = lr
-
-    def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name, arr in tensors.items():
-            arr -= self.lr * grads[name]
 
 
 class Adam:
@@ -116,12 +106,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             arr -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-def make_optimizer(config: TrainConfig):
-    if config.optimizer == "sgd":
-        return Sgd(config.learning_rate)
-    return Adam(config.learning_rate)
 
 
 def check_gradients(batch, params: ModelParams, grads: dict[str, np.ndarray] | None = None,
@@ -185,14 +169,17 @@ def train(
 
     Gold taggings are produced leniently (cell conflicts resolved by the
     forward-tag tie-break).  After every epoch the model is scored with
-    exact-match micro F1 on ``valid`` (the training set when none is given)
-    and the best parameters are kept.  All randomness flows through one
-    generator seeded from the config, so equal seeds give identical
-    histories.  ``dims`` are :func:`init_model`'s size options (``d_embed``,
-    ``d_state``, ``d_pair``, ``max_len``), with its defaults.
+    exact-match micro F1 on ``valid`` (the training set when it is None) and
+    the best parameters are kept; an empty training or validation set raises
+    :class:`InvalidInput`.  All randomness flows through one generator seeded
+    from the config, so equal seeds give identical histories.  ``dims`` are
+    :func:`init_model`'s size options (``d_embed``, ``d_state``, ``d_pair``,
+    ``max_len``), with its defaults.
     """
     if not dataset:
         raise InvalidInput("empty training set")
+    if valid is not None and not valid:
+        raise InvalidInput("empty validation set")
     rng = np.random.default_rng(config.seed)
     vocab = build_vocab(ann.tokens for ann in dataset)
     params = init_model(schema, vocab, seed=config.seed, rng=rng, **dims)
@@ -204,7 +191,7 @@ def train(
     eval_golds = [set(ann.triples) for ann in eval_set]
 
     tensors = named_tensors(params)
-    optimizer = make_optimizer(config)
+    optimizer = Adam(config.learning_rate)
     history: list[EpochStats] = []
     best_f1 = -1.0
     best_params: ModelParams | None = None

@@ -426,7 +426,7 @@ def test_criterion_8_batched_inference_matches_single_and_is_benchmarked():
     single = [infer(toks, params, schema) for toks in sentences]
     equal = batched == single
 
-    bench = bench_inference(params, schema, sentences, batch_size=16, warmup=1)
+    bench = bench_inference(params, schema, sentences, batch_size=16)
     timed = (
         bench.batched.mean_ms_per_sample > 0
         and bench.single.mean_ms_per_sample > 0

@@ -205,6 +205,72 @@ class TestEncodeDecode:
         assert not out.exists()
 
 
+class TestRelationNames:
+    """A relation name is a non-empty, unique string in every file that holds one."""
+
+    @staticmethod
+    def argv(command, tmp_path, data, schema):
+        out = tmp_path / ("out.npz" if command == "train" else "out.json")
+        where = ["--ckpt", str(out)] if command == "train" else ["--out", str(out)]
+        return [command, "--data", data, *(["--schema", schema] if schema else []), *where], out
+
+    @pytest.mark.parametrize("command", ["encode", "stats", "train"])
+    @pytest.mark.parametrize("content", ["[1, 2]", "[null, true]", '{"relations": [1.5]}',
+                                         '["r", "r"]'])
+    def test_a_schema_file_with_bad_names_exits_3(self, workspace, capsys, command, content):
+        # [1, 2] and [null, true] were read as the relations "1", "2", "None"
+        # and "True"; a duplicate name exited 4
+        tmp_path, _, data = workspace
+        schema = write(tmp_path / "bad_schema.json", content)
+        argv, out = self.argv(command, tmp_path, data, schema)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith(f"error: {schema}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["encode", "stats", "train"])
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("relation", [1, None])
+    def test_a_record_whose_relation_is_not_a_string_exits_3(self, workspace, capsys,
+                                                             command, mode, relation):
+        tmp_path, schema, _ = workspace
+        data = write_jsonl(tmp_path / "data.jsonl", [
+            {"text": "Ada works for ACME", "triple_list": [["Ada", "works_for", "ACME"]]},
+            {"text": "Ada works for ACME", "triple_list": [["Ada", relation, "ACME"]]}])
+        argv, out = self.argv(command, tmp_path, data, schema)
+        code = main([*argv, "--mode", mode])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: line 2: relation must be a string, got {relation!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("relations", [[1], [None], [""]])
+    def test_decode_of_a_line_with_bad_names_exits_3(self, tmp_path, capsys, relations):
+        bad = write_jsonl(tmp_path / "bad.jsonl", [
+            {"n": 1, "relations": relations, "eh2et": [0], "sh2oh": [[0]], "st2ot": [[0]]}])
+        out = tmp_path / "out.jsonl"
+        code = main(["decode", "--data", bad, "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (f"error: {bad}:1: relation names must be non-empty "
+                                           f"strings, got {relations[0]!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("relation", [1, None])
+    def test_stats_deriving_its_schema_exits_3_on_such_a_record(self, workspace, capsys,
+                                                                relation):
+        # sorting "works_for" with 1 raised a raw TypeError; None became "None"
+        tmp_path, _, data = workspace
+        bad = write_jsonl(tmp_path / "bad.jsonl", [
+            {"text": "Ada works for ACME", "triple_list": [["Ada", relation, "ACME"]]}])
+        argv, out = self.argv("stats", tmp_path, data, None)
+        code = main([*argv, "--test", bad])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: line 1: relation must be a string, got {relation!r}\n")
+        assert not out.exists()
+
+
 class TestStats:
     def test_prints_and_writes_report(self, workspace, capsys):
         tmp_path, schema, data = workspace
@@ -384,6 +450,10 @@ def corrupt_checkpoint(tmp_path, kind):
         meta["vocab"][1] = 5
     elif kind == "relation_names_not_strings":
         meta["relations"] = [1, 2]
+    elif kind == "relation_name_empty":
+        meta["relations"][1] = ""
+    elif kind == "relation_names_duplicate":
+        meta["relations"][1] = meta["relations"][0]
     elif kind == "unexpected_tensor":
         arrays["encoder__extra"] = np.zeros(3)
     elif kind.startswith("max_len="):
@@ -408,7 +478,8 @@ class TestCorruptCheckpoint:
         "kind",
         ["directory", "random_bytes", "metadata_only", "mixer_tensors_missing",
          "vocab_longer_than_embed", "vocab_duplicate_token", "vocab_unknown_not_first",
-         "vocab_token_not_a_string", "relation_names_not_strings", "unexpected_tensor",
+         "vocab_token_not_a_string", "relation_names_not_strings", "relation_name_empty",
+         "relation_names_duplicate", "unexpected_tensor",
          "max_len=0", "max_len=-1", "max_len=true"]
         + [f"{damage}:{name}" for name in TENSOR_NAMES for damage in ("extra_axis", "float32")],
     )
@@ -521,6 +592,32 @@ class TestSelftestAndUsage:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
+        assert not ckpt.exists()
+
+    def test_an_optimizer_other_than_adam_exits_4(self, workspace, capsys):
+        tmp_path, schema, data = workspace
+        config = write(tmp_path / "sgd.json", json.dumps({"optimizer": "sgd", "epochs": 1}))
+        ckpt = tmp_path / "x.npz"
+        code = main(["train", "--data", data, "--schema", schema, "--ckpt", str(ckpt),
+                     "--config", config])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: optimizer must be one of ('adam',), got 'sgd'\n")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("records", [[], [
+        {"text": "Ada works for ACME", "triple_list": [["Ada", "unknown", "ACME"]]}]],
+        ids=["empty-file", "every-record-skipped"])
+    def test_a_validation_file_with_no_usable_record_exits_4(self, workspace, capsys,
+                                                             records):
+        # it scored F1 1.0 every epoch, kept epoch 0's parameters and exited 0
+        tmp_path, schema, data = workspace
+        valid = write_jsonl(tmp_path / "valid.jsonl", records)
+        ckpt = tmp_path / "x.npz"
+        code = main(["train", "--data", data, "--valid", valid, "--schema", schema,
+                     "--ckpt", str(ckpt), "--epochs", "30"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.endswith("error: empty validation set\n")
         assert not ckpt.exists()
 
     def test_bad_config_file_exits_3(self, workspace, capsys):

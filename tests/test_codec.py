@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -250,6 +251,20 @@ class TestSerialization:
         mutate(obj)
         with pytest.raises(InvalidInput):
             parse_tagging_line(json.dumps(obj), mode="strict")
+
+    @pytest.mark.parametrize("relations, problem", [
+        (["mayor", 1, "live_in"], "relation names must be non-empty strings, got 1"),
+        (["mayor", None, "live_in"], "relation names must be non-empty strings, got None"),
+        (["mayor", "", "live_in"], "relation names must be non-empty strings, got ''"),
+        (["mayor", "mayor", "live_in"], "duplicate relation name: 'mayor'"),
+    ])
+    def test_parse_holds_relation_names_to_the_schema_rule(self, figure_fixture,
+                                                           relations, problem):
+        schema, _, tagging, _ = figure_fixture
+        obj = tagging_to_obj(tagging, schema)
+        obj["relations"] = relations
+        with pytest.raises(InvalidInput, match=f"^{re.escape(problem)}$"):
+            parse_tagging_line(json.dumps(obj), mode="lenient")
 
     @pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")])
     @pytest.mark.parametrize("tag", [True, False])

@@ -36,7 +36,7 @@ from pairlink import (
     tag_distribution,
     truncate_for_training,
 )
-from pairlink import evaluate, model
+from pairlink import model
 
 from conftest import annotation, triple
 
@@ -104,6 +104,13 @@ class TestRelationSchema:
             RelationSchema(("a", ""))
         with pytest.raises(InvalidInput):
             RelationSchema(())
+
+    @pytest.mark.parametrize("names", [(1, 2), (True,), ("a", None), (b"a",)])
+    def test_rejects_names_that_are_not_strings(self, names):
+        # (1, 2) and (True,) built, and a tagging line or checkpoint written
+        # with them could not be read back
+        with pytest.raises(InvalidInput, match="^relation names must be non-empty strings, got "):
+            RelationSchema(names)
 
     def test_unknown_lookups_raise(self):
         schema = RelationSchema(("a",))
@@ -223,14 +230,6 @@ def batch_size_passed_on(value, monkeypatch):
     return seen[0]
 
 
-def warmups_run(value, monkeypatch):
-    """The warmup passes ``bench_inference`` runs: its ``infer_batch`` calls but the timed one."""
-    calls, body = [], evaluate.infer_batch
-    monkeypatch.setattr(evaluate, "infer_batch", lambda *a, **kw: calls.append(a) or body(*a, **kw))
-    bench_inference(small_model(), SCHEMA1, [("a",)], warmup=value)
-    return len(calls) - 1
-
-
 def tagger_scored(value, _):
     """The head whose distribution ``tag_distribution`` returns, of five with distinct biases."""
     taggers = TaggerParams(np.zeros((5, 3, 2)), np.outer(np.arange(5.0), [0.0, 1.0, 0.0]))
@@ -268,14 +267,13 @@ INT_ARGUMENTS = {
     "init_model.max_len": ("max_len", 1, lambda v, _: small_model(max_len=v).max_len),
     "infer_batch.batch_size": ("batch_size", 1, batch_size_passed_on),
     "bench_inference.batch_size": ("batch_size", 1, lambda v, _: bench_inference(
-        small_model(), SCHEMA1, [("a",)], batch_size=v, warmup=0).batched.batch_size),
+        small_model(), SCHEMA1, [("a",)], batch_size=v).batched.batch_size),
     "TrainConfig.epochs": ("epochs", 1, lambda v, _: TrainConfig(epochs=v).epochs),
     "TrainConfig.batch_size": ("batch_size", 1, lambda v, _: TrainConfig(batch_size=v).batch_size),
     "TrainConfig.seed": ("seed", 0, lambda v, _: TrainConfig(seed=v).seed),
     "truncate_for_training.max_len": ("max_len", 1, lambda v, _: truncate_for_training(
         annotation(5, []), v)[0].n),
     "parse_tagging_line.n": ("field 'n'", 1, lambda v, _: parse_tagging_line(tagging_line(v))[0].n),
-    "bench_inference.warmup": ("warmup", 0, warmups_run),
     "tag_distribution.tagger": ("tagger", 0, tagger_scored),
 }
 
@@ -306,7 +304,7 @@ class TestArgumentRules:
     @pytest.mark.parametrize("entry", INT_ARGUMENTS)
     def test_the_minimum_is_kept(self, entry, monkeypatch):
         _, minimum, kept = INT_ARGUMENTS[entry]
-        assert kept(minimum, monkeypatch) == minimum  # a warmup of 0 runs none
+        assert kept(minimum, monkeypatch) == minimum
 
     @pytest.mark.parametrize("entry", INT_ARGUMENTS)
     @pytest.mark.parametrize("bad", [True, 2.0, "3", "below the minimum"])

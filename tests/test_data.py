@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict
 
 import pytest
@@ -236,6 +237,20 @@ class TestLoadDataset:
                                              rf"\[start, end\], got {got}$"):
             load_dataset(path, schema2, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("relation", [1, None, True, ["works_for"]])
+    def test_relation_must_be_a_string(self, tmp_path, schema2, mode, relation):
+        # 1, None and True were read as the relations "1", "None" and "True"
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [{"text": "Ada here", "triple_list": []},
+                           {"text": "Ada works for ACME",
+                            "triple_list": [["Ada", relation, "ACME"]]}])
+        with pytest.raises(ParseError, match=rf"^line 2: relation must be a string, got "
+                                             rf"{re.escape(repr(relation))}$"):
+            load_dataset(path, schema2, mode=mode)
+        with pytest.raises(ParseError, match="^line 2: relation must be a string, got "):
+            relation_names(read_records(path))
+
     def test_blank_lines_are_ignored(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('\n{"text": "a", "triple_list": []}\n\n', encoding="utf-8")
@@ -369,4 +384,21 @@ class TestLoadSchema:
         path = tmp_path / "schema.json"
         path.write_text(content, encoding="utf-8")
         with pytest.raises(ParseError):
+            load_schema(path)
+
+    @pytest.mark.parametrize("content, problem", [
+        ("[1, 2]", "relation names must be non-empty strings, got 1"),
+        ("[null, true]", "relation names must be non-empty strings, got None"),
+        ('{"relations": [1.5]}', "relation names must be non-empty strings, got 1.5"),
+        ('["r", ""]', "relation names must be non-empty strings, got ''"),
+        ('["r", "r"]', "duplicate relation name: 'r'"),
+        ("[]", "a schema needs at least one relation"),
+    ])
+    def test_names_that_are_not_unique_non_empty_strings_are_a_parse_error(
+            self, tmp_path, content, problem):
+        # [null, true] was read as the relations "None" and "True", and a
+        # duplicate, empty or missing name raised InvalidInput, not ParseError
+        path = tmp_path / "schema.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {problem}')}$"):
             load_schema(path)

@@ -266,7 +266,7 @@ class TestParameterCountsAndBench:
         vocab = build_vocab([("a", "b", "c")])
         params = init_model(schema, vocab, d_embed=4, d_state=3, d_pair=4)
         sentences = [("a", "b"), ("b", "c"), ("a", "b", "c"), ("c",)] * 3
-        report = bench_inference(params, schema, sentences, batch_size=6, warmup=1)
+        report = bench_inference(params, schema, sentences, batch_size=6)
         assert report.batched.mean_ms_per_sample > 0
         assert report.single.mean_ms_per_sample > 0
         assert report.batched.n_samples == len(sentences)

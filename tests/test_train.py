@@ -1,4 +1,4 @@
-"""Tests for the training loop, optimizers, and the gradient spot check."""
+"""Tests for the training loop, the optimizer, and the gradient spot check."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from pairlink import (
 )
 from pairlink.model import gradient, named_tensors
 from pairlink.synth import random_annotation, synthetic_dataset
-from pairlink.train import Adam, Sgd, make_optimizer
+from pairlink.train import Adam
 
 from conftest import annotation, triple
 
@@ -46,6 +46,7 @@ class TestTrainConfig:
             {"epochs": 0},
             {"batch_size": 0},
             {"optimizer": "momentum"},
+            {"optimizer": "sgd"},
             {"early_stop_f1": "x"},
             {"early_stop_f1": True},
             {"epochs": 1.5},
@@ -78,18 +79,8 @@ class TestTrainConfig:
                           batch_size=np.int32(2), seed=np.int64(5))
         assert (cfg.learning_rate, cfg.epochs, cfg.batch_size, cfg.seed) == (0.01, 3, 2, 5)
 
-    def test_make_optimizer_picks_class(self):
-        assert isinstance(make_optimizer(TrainConfig(optimizer="sgd")), Sgd)
-        assert isinstance(make_optimizer(TrainConfig(optimizer="adam")), Adam)
-
 
 class TestOptimizers:
-    def test_sgd_step_is_exact(self):
-        tensors = {"w": np.array([1.0, 2.0])}
-        grads = {"w": np.array([0.5, -1.0])}
-        Sgd(lr=0.1).step(tensors, grads)
-        assert np.allclose(tensors["w"], [0.95, 2.1])
-
     def test_adam_first_step_is_signed_learning_rate(self):
         # with bias correction the first update is lr * g / (|g| + eps)
         tensors = {"w": np.zeros(3)}
@@ -167,6 +158,13 @@ class TestTrainLoop:
         _, schema = small_dataset()
         with pytest.raises(InvalidInput):
             train([], schema, TrainConfig())
+
+    def test_empty_validation_set_rejected(self):
+        # it scored the vacuous F1 1.0 every epoch, so epoch 0 stayed best
+        # and its parameters were returned in place of the trained ones
+        data, schema = small_dataset()
+        with pytest.raises(InvalidInput, match="^empty validation set$"):
+            train(data, schema, TrainConfig(epochs=2), valid=[])
 
     @pytest.mark.parametrize("dims", [{"seed": 1}, {"d_embd": 8}])
     def test_dims_take_only_init_model_sizes(self, dims):
