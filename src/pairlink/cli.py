@@ -32,7 +32,6 @@ from .data import (
     format_stats,
     load_dataset,
     load_schema,
-    read_records,
     relation_names,
 )
 from .evaluate import format_report, micro_prf, subset_report
@@ -225,7 +224,7 @@ def cmd_stats(opts: _Options) -> int:
     else:
         names: set[str] = set()
         for path in paths.values():
-            names.update(relation_names(read_records(path)))
+            names.update(relation_names(path))
         if not names:
             raise InvalidInput("no relations found; supply --schema")
         schema = RelationSchema(tuple(sorted(names)))

@@ -50,6 +50,13 @@ def check_choice(name: str, value, choices: tuple) -> None:
         raise InvalidInput(f"{name} must be one of {choices}, got {value!r}")
 
 
+def check_relation_name(name, error: type[InvalidInput] = InvalidInput) -> str:
+    """``name`` if it is a non-empty ``str``, else ``error``: the one rule for a relation name."""
+    if not isinstance(name, str) or not name:
+        raise error(f"relation names must be non-empty strings, got {name!r}")
+    return name
+
+
 def seq_length(n: int) -> int:
     """Number of token pairs (i, j), 0 <= i <= j < n: (n^2 + n) / 2 for an integer n >= 1."""
     n = check_int("n", n)
@@ -98,9 +105,7 @@ class RelationSchema:
             raise InvalidInput("a schema needs at least one relation")
         ids: dict[str, int] = {}
         for rid, name in enumerate(relations):
-            if not isinstance(name, str) or not name:
-                raise InvalidInput(f"relation names must be non-empty strings, got {name!r}")
-            if name in ids:
+            if check_relation_name(name) in ids:
                 raise InvalidInput(f"duplicate relation name: {name!r}")
             ids[name] = rid
         object.__setattr__(self, "_ids", ids)

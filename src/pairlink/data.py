@@ -26,6 +26,7 @@ from .core import (
     Triple,
     check_choice,
     check_int,
+    check_relation_name,
     is_int,
 )
 
@@ -107,54 +108,63 @@ class LoadResult:
     skipped: list[SkippedRecord]
 
 
-def _parse_ref(ref, line_no: int):
+def _parse_ref(ref):
     """A subject/object field: mention string or [start, end) character offsets, integers >= 0."""
     if isinstance(ref, str):
         return ref
     if (isinstance(ref, (list, tuple)) and len(ref) == 2
             and all(is_int(x) and x >= 0 for x in ref)):
         return (ref[0], ref[1])
-    raise ParseError(
-        f"line {line_no}: subject/object must be a string or [start, end], got {ref!r}"
-    )
+    raise ParseError(f"subject/object must be a string or [start, end], got {ref!r}")
 
 
-def read_records(path) -> list[dict]:
-    """Raw JSONL records; malformed lines raise with their line number."""
-    records = []
+def _triple_fields(entry) -> tuple:
+    """A triple_list entry as (subject ref, relation, object ref), else :class:`ParseError`."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+        raise ParseError("each triple_list entry must be [subject, relation, object]")
+    return _parse_ref(entry[0]), check_relation_name(entry[1], ParseError), _parse_ref(entry[2])
+
+
+def _record(line: str) -> dict:
+    """One JSONL line as a record: an object with a 'text' field and a list 'triple_list'."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc}") from None
+    if not isinstance(obj, dict) or "text" not in obj:
+        raise ParseError("expected an object with a 'text' field")
+    if not isinstance(obj.get("triple_list", []), list):
+        raise ParseError("'triple_list' must be a list")
+    return obj
+
+
+def _read(path, parse, mode: str) -> tuple[list, list[SkippedRecord]]:
+    """``parse(record)`` for each record of the JSONL file at ``path``, and the records skipped.
+
+    The one location rule for a data file: an error is raised again as its own
+    type with ``<path>:<line>: `` before its message.  Only lenient mode skips a
+    record instead, and only for an error that is not a :class:`ParseError`.
+    Blank lines are ignored but counted.
+    """
+    parsed, skipped = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{line_no}: not valid JSON: {exc}") from None
-            if not isinstance(obj, dict) or "text" not in obj:
-                raise ParseError(f"{path}:{line_no}: expected an object with a 'text' field")
-            if not isinstance(obj.get("triple_list", []), list):
-                raise ParseError(f"{path}:{line_no}: 'triple_list' must be a list")
-            obj["_line_no"] = line_no
-            records.append(obj)
-    return records
+                parsed.append(parse(_record(line)))
+            except (AlignmentError, InvalidInput) as exc:
+                if mode == "strict" or isinstance(exc, ParseError):
+                    raise type(exc)(f"{path}:{line_no}: {exc}") from None
+                skipped.append(SkippedRecord(line_no, str(exc)))
+    return parsed, skipped
 
 
-def _relation_name(value, line_no: int) -> str:
-    """A triple_list entry's relation field; :class:`ParseError` unless it is a string."""
-    if not isinstance(value, str):
-        raise ParseError(f"line {line_no}: relation must be a string, got {value!r}")
-    return value
-
-
-def relation_names(records) -> list[str]:
-    """Sorted unique relation names appearing in raw records."""
-    names = set()
-    for obj in records:
-        for entry in obj.get("triple_list", []):
-            if isinstance(entry, (list, tuple)) and len(entry) == 3:
-                names.add(_relation_name(entry[1], obj["_line_no"]))
-    return sorted(names)
+def relation_names(path) -> list[str]:
+    """Sorted unique relation names in a JSONL file; a malformed record raises ParseError."""
+    def names(obj):
+        return {_triple_fields(entry)[1] for entry in obj.get("triple_list", [])}
+    return sorted(set().union(*_read(path, names, "strict")[0]))
 
 
 def load_dataset(
@@ -166,36 +176,23 @@ def load_dataset(
     """Annotations from a JSONL file under the given annotation standard.
 
     Lenient mode skips records with unresolvable mentions or unknown
-    relations and reports them; strict mode raises instead.  File parse
-    errors always raise.
+    relations and reports them; strict mode raises instead.  A malformed
+    record raises :class:`ParseError` in both modes.  Every error raised
+    begins with ``<path>:<line>: ``.
     """
     check_choice("standard", standard, STANDARDS)
     check_choice("mode", mode, MODES)
-    annotations: list[SentenceAnnotation] = []
-    skipped: list[SkippedRecord] = []
-    for obj in read_records(path):
-        line_no = obj["_line_no"]
-        try:
-            annotations.append(
-                _record_to_annotation(obj, schema, standard, line_no)
-            )
-        except (AlignmentError, InvalidInput) as exc:
-            if isinstance(exc, ParseError):
-                raise
-            if mode == "strict":
-                raise type(exc)(f"{path}:{line_no}: {exc}") from None
-            skipped.append(SkippedRecord(line_no, str(exc)))
-    return LoadResult(annotations, skipped)
+    return LoadResult(*_read(path, lambda obj: _record_to_annotation(obj, schema, standard), mode))
 
 
-def _record_to_annotation(obj, schema, standard, line_no):
+def _record_to_annotation(obj, schema, standard):
     text = obj["text"]
     if not isinstance(text, str):
-        raise ParseError(f"line {line_no}: 'text' must be a string")
+        raise ParseError("'text' must be a string")
     tokens = obj.get("tokens")
     if tokens is not None:
         if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-            raise ParseError(f"line {line_no}: 'tokens' must be a list of strings")
+            raise ParseError("'tokens' must be a list of strings")
         offsets = None
     else:
         tokens, offsets = tokenize_with_offsets(text)
@@ -204,13 +201,8 @@ def _record_to_annotation(obj, schema, standard, line_no):
 
     triples = []
     for entry in obj.get("triple_list", []):
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise ParseError(
-                f"line {line_no}: each triple_list entry must be [subject, relation, object]"
-            )
-        subj_ref = _parse_ref(entry[0], line_no)
-        obj_ref = _parse_ref(entry[2], line_no)
-        rid = schema.id_of(_relation_name(entry[1], line_no))
+        subj_ref, name, obj_ref = _triple_fields(entry)
+        rid = schema.id_of(name)
         spans = []
         for ref in (subj_ref, obj_ref):
             if isinstance(ref, str):

@@ -289,11 +289,12 @@ def _encode(token_lists, enc: EncoderParams) -> tuple[np.ndarray, dict]:
     s[:, 1] = pre[:, ::-1].transpose(1, 0, 2)
     u = np.stack([m.u_fwd, m.u_bwd]).transpose(0, 2, 1)  # (2, state, state), each uᵀ
     carry = np.empty_like(s[0])
-    np.tanh(s[0], out=s[0])
-    for t in range(1, len(s)):
-        np.matmul(s[t - 1], u, out=carry)
-        s[t] += carry
-        np.tanh(s[t], out=s[t])
+    steps = list(s)  # views, so no step re-indexes s
+    np.tanh(steps[0], out=steps[0])
+    for prev, cur in zip(steps, steps[1:]):
+        np.matmul(prev, u, out=carry)
+        np.add(cur, carry, out=cur)
+        np.tanh(cur, out=cur)
     cache.update(f=s[:, 0].transpose(1, 0, 2), g=s[::-1, 1].transpose(1, 0, 2))  # (B, n_max, state)
     return np.concatenate([cache["f"], cache["g"]], axis=2), cache
 
@@ -617,12 +618,12 @@ def _screen_logits(a: np.ndarray, b: np.ndarray, head: np.ndarray, bias: np.ndar
                    imap: IndexMap) -> np.ndarray:
     """L₃₂: one head's logits (3, P) at every pair, computed in float32 throughout.
 
-    The product runs as x @ headᵀ over the contiguous pair rows x, which BLAS
-    runs faster than head @ xᵀ; the result is its (3, P) transposed view.
+    The product runs as x @ headᵀ over the contiguous pair rows x and a C-ordered
+    headᵀ, BLAS's fastest layout; the result is its (3, P) transposed view.
     """
     x = np.take(a.astype(np.float32), imap.rows, axis=0)
     x += np.take(b.astype(np.float32), imap.cols, axis=0)
-    logits = np.tanh(x, out=x) @ head.T.astype(np.float32)
+    logits = np.tanh(x, out=x) @ np.ascontiguousarray(head.T, dtype=np.float32)
     logits += bias.astype(np.float32)
     return logits.T
 
@@ -822,9 +823,10 @@ def _read_meta(path, raw: np.ndarray | None) -> dict:
         raise ParseError(f"{path}: unexpected checkpoint format {meta.get('format')!r}")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: checkpoint version {meta.get('version')!r} is not supported")
-    for key in ("relations", "vocab"):
-        if not isinstance(meta.get(key), list) or not all(isinstance(v, str) for v in meta[key]):
-            raise ParseError(f"{path}: checkpoint metadata needs {key!r} as a list of strings")
+    if not isinstance(meta.get("relations"), list):  # RelationSchema checks the names
+        raise ParseError(f"{path}: checkpoint metadata needs 'relations' as a list")
+    if not isinstance(meta.get("vocab"), list) or not all(isinstance(v, str) for v in meta["vocab"]):
+        raise ParseError(f"{path}: checkpoint metadata needs 'vocab' as a list of strings")
     return meta
 
 

@@ -41,7 +41,7 @@ from pairlink import (
     train,
     TrainConfig,
 )
-from pairlink.data import relation_names, read_records
+from pairlink.data import relation_names
 from pairlink.model import named_tensors
 from pairlink.synth import random_annotation, random_tagging, synthetic_dataset
 
@@ -325,7 +325,7 @@ def _stats_from_dir(root: Path):
         return None
     names = set()
     for p in paths.values():
-        names.update(relation_names(read_records(p)))
+        names.update(relation_names(p))
     schema = RelationSchema(tuple(sorted(names)))
     splits = {
         name: load_dataset(p, schema, mode="lenient").annotations

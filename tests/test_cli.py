@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairlink import RelationSchema
+from pairlink import RelationSchema, load_dataset
 from pairlink.cli import EXIT_DATA, EXIT_FAILURE, EXIT_INPUT, EXIT_OK, main
+from pairlink.data import ParseError
 from pairlink.model import (
     build_vocab,
     init_model,
@@ -184,7 +185,7 @@ class TestEncodeDecode:
         out = tmp_path / "out.jsonl"
         code = main([command, "--data", data, "--schema", schema, "--out", str(out)])
         assert code == EXIT_INPUT
-        assert capsys.readouterr().err == "error: line 1: 'tokens' must be a list of strings\n"
+        assert capsys.readouterr().err == f"error: {data}:1: 'tokens' must be a list of strings\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["encode", "stats"])
@@ -200,8 +201,8 @@ class TestEncodeDecode:
         code = main([command, "--data", data, "--schema", schema, "--out", str(out),
                      "--mode", mode])
         assert code == EXIT_INPUT
-        assert capsys.readouterr().err == ("error: line 1: subject/object must be a string or "
-                                           f"[start, end], got [{offsets[0]}, {offsets[1]}]\n")
+        assert capsys.readouterr().err == (f"error: {data}:1: subject/object must be a string "
+                                           f"or [start, end], got [{offsets[0]}, {offsets[1]}]\n")
         assert not out.exists()
 
 
@@ -242,7 +243,7 @@ class TestRelationNames:
         code = main([*argv, "--mode", mode])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == (
-            f"error: line 2: relation must be a string, got {relation!r}\n")
+            f"error: {data}:2: relation names must be non-empty strings, got {relation!r}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("relations", [[1], [None], [""]])
@@ -256,10 +257,11 @@ class TestRelationNames:
                                            f"strings, got {relations[0]!r}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("relation", [1, None])
+    @pytest.mark.parametrize("relation", [1, None, ""])
     def test_stats_deriving_its_schema_exits_3_on_such_a_record(self, workspace, capsys,
                                                                 relation):
-        # sorting "works_for" with 1 raised a raw TypeError; None became "None"
+        # sorting "works_for" with 1 raised a raw TypeError; None became "None";
+        # "" exited 4, naming neither file nor line
         tmp_path, _, data = workspace
         bad = write_jsonl(tmp_path / "bad.jsonl", [
             {"text": "Ada works for ACME", "triple_list": [["Ada", relation, "ACME"]]}])
@@ -267,7 +269,58 @@ class TestRelationNames:
         code = main([*argv, "--test", bad])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == (
-            f"error: line 1: relation must be a string, got {relation!r}\n")
+            f"error: {bad}:1: relation names must be non-empty strings, got {relation!r}\n")
+        assert not out.exists()
+
+
+SENTENCE = "Ada works for ACME"
+
+# one malformed record of each kind, with the error it gives after its location
+MALFORMED = {
+    "text_not_a_string": ({"text": 5, "triple_list": []}, "'text' must be a string"),
+    "tokens_not_strings": ({"text": SENTENCE, "tokens": ["Ada", 7], "triple_list": []},
+                           "'tokens' must be a list of strings"),
+    "entry_not_a_triple": ({"text": SENTENCE, "triple_list": [["Ada", "works_for"]]},
+                           "each triple_list entry must be [subject, relation, object]"),
+    "bad_subject": ({"text": SENTENCE, "triple_list": [[[-3, 3], "works_for", "ACME"]]},
+                    "subject/object must be a string or [start, end], got [-3, 3]"),
+    "bad_object": ({"text": SENTENCE, "triple_list": [["Ada", "works_for", [14]]]},
+                   "subject/object must be a string or [start, end], got [14]"),
+    **{f"relation_{value!r}": ({"text": SENTENCE, "triple_list": [["Ada", value, "ACME"]]},
+                               f"relation names must be non-empty strings, got {value!r}")
+       for value in (1, None, "")},
+}
+
+
+class TestMalformedRecords:
+    """A malformed record is an input error named by file and line, in every reader and mode."""
+
+    @pytest.mark.parametrize("route", ["load_dataset", "encode", "stats", "stats_derived",
+                                       "train", "eval"])
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("kind", list(MALFORMED))
+    def test_exits_3_naming_file_and_line(self, workspace, capsys, route, mode, kind):
+        tmp_path, schema, good = workspace
+        record, message = MALFORMED[kind]
+        bad = write_jsonl(tmp_path / "bad.jsonl", [
+            {"text": SENTENCE, "triple_list": [["Ada", "works_for", "ACME"]]}, record])
+        if route == "load_dataset":
+            with pytest.raises(ParseError) as info:
+                load_dataset(bad, RelationSchema(("works_for",)), mode=mode)
+            assert str(info.value) == f"{bad}:2: {message}"
+            return
+        if route == "eval":
+            out = tmp_path / "out.json"
+            argv = ["eval", "--data", bad, "--ckpt", untrained_checkpoint(tmp_path),
+                    "--out", str(out)]
+        elif route == "stats_derived":  # no --schema: it comes from the records' relations
+            argv, out = TestRelationNames.argv("stats", tmp_path, good, None)
+            argv += ["--test", bad]
+        else:
+            argv, out = TestRelationNames.argv(route, tmp_path, bad, schema)
+        code = main([*argv, "--mode", mode])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
         assert not out.exists()
 
 

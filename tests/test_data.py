@@ -25,7 +25,6 @@ from pairlink import (
 from pairlink.data import (
     ParseError,
     format_stats,
-    read_records,
     relation_names,
     span_from_offsets,
     tokenize_with_offsets,
@@ -220,7 +219,8 @@ class TestLoadDataset:
         path = tmp_path / "data.jsonl"
         write_jsonl(path, [{"text": "Ada here", "triple_list": []},
                            {"text": "Ada 7 here", "tokens": tokens, "triple_list": []}])
-        with pytest.raises(ParseError, match="^line 2: 'tokens' must be a list of strings$"):
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:2: 'tokens' must be a "
+                                             "list of strings$"):
             load_dataset(path, schema2, mode=mode)
 
     @pytest.mark.parametrize("mode", ["strict", "lenient"])
@@ -233,30 +233,34 @@ class TestLoadDataset:
                            {"text": "Ada works for ACME",
                             "triple_list": [[offsets, "works_for", [14, 18]]]}])
         got = rf"\[{offsets[0]}, {offsets[1]}\]"
-        with pytest.raises(ParseError, match=r"^line 2: subject/object must be a string or "
-                                             rf"\[start, end\], got {got}$"):
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:2: subject/object must "
+                                             rf"be a string or \[start, end\], got {got}$"):
             load_dataset(path, schema2, mode=mode)
 
     @pytest.mark.parametrize("mode", ["strict", "lenient"])
-    @pytest.mark.parametrize("relation", [1, None, True, ["works_for"]])
+    @pytest.mark.parametrize("relation", [1, None, True, ["works_for"], ""])
     def test_relation_must_be_a_string(self, tmp_path, schema2, mode, relation):
-        # 1, None and True were read as the relations "1", "None" and "True"
+        # 1, None and True were read as the relations "1", "None" and "True";
+        # "" was skipped as an unknown relation, or broke a derived schema
         path = tmp_path / "data.jsonl"
         write_jsonl(path, [{"text": "Ada here", "triple_list": []},
                            {"text": "Ada works for ACME",
                             "triple_list": [["Ada", relation, "ACME"]]}])
-        with pytest.raises(ParseError, match=rf"^line 2: relation must be a string, got "
-                                             rf"{re.escape(repr(relation))}$"):
+        message = (rf"^{re.escape(str(path))}:2: relation names must be non-empty strings, "
+                   rf"got {re.escape(repr(relation))}$")
+        with pytest.raises(ParseError, match=message):
             load_dataset(path, schema2, mode=mode)
-        with pytest.raises(ParseError, match="^line 2: relation must be a string, got "):
-            relation_names(read_records(path))
+        with pytest.raises(ParseError, match=message):
+            relation_names(path)
 
-    def test_blank_lines_are_ignored(self, tmp_path):
+    def test_blank_lines_are_ignored(self, tmp_path, schema2):
+        # ignored, but counted in the line numbers
         path = tmp_path / "data.jsonl"
-        path.write_text('\n{"text": "a", "triple_list": []}\n\n', encoding="utf-8")
-        records = read_records(path)
-        assert len(records) == 1
-        assert records[0]["_line_no"] == 2
+        path.write_text('\n{"text": "a", "triple_list": [["a", "r9", "a"]]}\n\n',
+                        encoding="utf-8")
+        result = load_dataset(path, schema2, mode="lenient")
+        assert result.annotations == []
+        assert [s.line_no for s in result.skipped] == [2]
 
     def test_relation_names_collects_sorted_unique(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -267,7 +271,7 @@ class TestLoadDataset:
                 {"text": "y", "triple_list": [["c", "r1", "d"]]},
             ],
         )
-        assert relation_names(read_records(path)) == ["r1", "r2"]
+        assert relation_names(path) == ["r1", "r2"]
 
 
 class TestOverlapTaxonomy:
