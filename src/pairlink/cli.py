@@ -7,9 +7,9 @@ for ``train``, the seed).  JSONL artifacts get a ``<out>.meta.json`` sidecar
 instead, because their line format is fixed.  Artifacts carry no timestamps,
 so rerunning an embedded config reproduces them byte for byte.
 
-Exit codes: 0 success, 1 internal failure or training divergence, 2 usage,
-3 unreadable or malformed input files, 4 schema/data mismatches (including
-strict-mode encode conflicts).
+Exit codes: 0 success, 1 internal failure or training divergence, 2 usage, 3 a
+file that cannot be read, parsed or written (a directory, bytes that are not
+UTF-8, a corrupt archive), 4 schema/data mismatches (strict encode conflicts too).
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .data import (
     format_stats,
     load_dataset,
     load_schema,
+    read_json,
+    read_lines,
     relation_names,
 )
 from .evaluate import format_report, micro_prf, subset_report
@@ -70,10 +72,7 @@ class _Options:
         self.config: dict = {}
         self.config_path = getattr(args, "config", None)
         if self.config_path:
-            try:
-                self.config = json.loads(Path(self.config_path).read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{self.config_path}: not valid JSON: {exc}") from None
+            self.config = read_json(self.config_path)
             if not isinstance(self.config, dict):
                 raise ParseError(f"{self.config_path}: config must be a JSON object")
         self.resolved: dict = {}
@@ -185,23 +184,17 @@ def cmd_decode(opts: _Options) -> int:
     args = opts.args
     mode = opts.get("mode", "strict")
     opts.check_all_read()
-    out_lines = []
-    with open(args.data, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                tagging, schema = codec.parse_tagging_line(line, mode=mode)
-            except InvalidInput as exc:
-                raise ParseError(f"{args.data}:{line_no}: {exc}") from None
-            triples = sorted(decoding.decode(tagging, schema, mode=mode))
-            out_lines.append(
-                json.dumps(
-                    {"n": tagging.n, "triples": [_triple_obj(t, schema) for t in triples]},
-                    separators=(",", ":"),
-                )
-            )
+
+    def decoded(line):  # one output line per tagging line, so no tagging is kept
+        try:
+            tagging, schema = codec.parse_tagging_line(line, mode=mode)
+        except InvalidInput as exc:  # a malformed line is a bad input file, whatever its fault
+            raise ParseError(str(exc)) from None
+        triples = sorted(decoding.decode(tagging, schema, mode=mode))
+        return json.dumps({"n": tagging.n, "triples": [_triple_obj(t, schema) for t in triples]},
+                          separators=(",", ":"))
+
+    out_lines = read_lines(args.data, decoded)[0]
     _write(args.out, "\n".join(out_lines) + ("\n" if out_lines else ""))
     _write(str(args.out) + ".meta.json", _dump_json(opts.provenance("decode")))
     print(f"decoded {len(out_lines)} tagging(s) -> {args.out}")
@@ -336,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairlink",
         description="Token-pair link tagging: encode, decode, train, and score relation triples.",
-        epilog="exit codes: 0 ok, 1 failure, 2 usage, 3 bad input file, 4 schema/data mismatch",
+        epilog="exit codes: 0 ok, 1 failure, 2 usage, 3 bad file or path, 4 schema/data mismatch",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -420,18 +413,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](_Options(args))
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (OSError, ParseError) as exc:  # any file that cannot be opened, read or written
+        code, error = EXIT_INPUT, exc
     except (codec.EncodeConflictError, InvalidInput, AlignmentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        code, error = EXIT_DATA, exc
     except PairLinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        code, error = EXIT_FAILURE, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

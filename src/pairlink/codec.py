@@ -273,7 +273,7 @@ def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagg
     check_choice("mode", mode, MODES)
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InvalidInput(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InvalidInput(f"expected a JSON object, got {type(obj).__name__}")

@@ -129,7 +129,7 @@ def _record(line: str) -> dict:
     """One JSONL line as a record: an object with a 'text' field and a list 'triple_list'."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "text" not in obj:
         raise ParseError("expected an object with a 'text' field")
@@ -138,21 +138,28 @@ def _record(line: str) -> dict:
     return obj
 
 
-def _read(path, parse, mode: str) -> tuple[list, list[SkippedRecord]]:
-    """``parse(record)`` for each record of the JSONL file at ``path``, and the records skipped.
+def _utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
 
-    The one location rule for a data file: an error is raised again as its own
-    type with ``<path>:<line>: `` before its message.  Only lenient mode skips a
-    record instead, and only for an error that is not a :class:`ParseError`.
-    Blank lines are ignored but counted.
+
+def read_lines(path, parse, mode: str = "strict") -> tuple[list, list[SkippedRecord]]:
+    """``parse(line)`` for each non-blank line of the file at ``path``, and the lines skipped.
+
+    The one location rule for a line file: any error, a line that is not UTF-8
+    included, is raised again as its own type with ``<path>:<line>: `` before
+    its message.  Only lenient mode skips a line instead, and only for an error
+    that is not a :class:`ParseError`.  Blank lines are ignored but counted.
     """
     parsed, skipped = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                parsed.append(parse(_record(line)))
+                line = _utf8(raw)
+                if line.strip():
+                    parsed.append(parse(line))
             except (AlignmentError, InvalidInput) as exc:
                 if mode == "strict" or isinstance(exc, ParseError):
                     raise type(exc)(f"{path}:{line_no}: {exc}") from None
@@ -160,11 +167,19 @@ def _read(path, parse, mode: str) -> tuple[list, list[SkippedRecord]]:
     return parsed, skipped
 
 
+def read_json(path, raw: bytes | None = None):
+    """The UTF-8 JSON of the file at ``path`` (or ``raw``, its bytes), else :class:`ParseError`."""
+    try:
+        return json.loads((Path(path).read_bytes() if raw is None else raw).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
+        raise ParseError(f"{path}: not valid JSON: {exc}") from None
+
+
 def relation_names(path) -> list[str]:
     """Sorted unique relation names in a JSONL file; a malformed record raises ParseError."""
-    def names(obj):
-        return {_triple_fields(entry)[1] for entry in obj.get("triple_list", [])}
-    return sorted(set().union(*_read(path, names, "strict")[0]))
+    def names(line):
+        return {_triple_fields(entry)[1] for entry in _record(line).get("triple_list", [])}
+    return sorted(set().union(*read_lines(path, names)[0]))
 
 
 def load_dataset(
@@ -182,7 +197,8 @@ def load_dataset(
     """
     check_choice("standard", standard, STANDARDS)
     check_choice("mode", mode, MODES)
-    return LoadResult(*_read(path, lambda obj: _record_to_annotation(obj, schema, standard), mode))
+    return LoadResult(*read_lines(
+        path, lambda line: _record_to_annotation(_record(line), schema, standard), mode))
 
 
 def _record_to_annotation(obj, schema, standard):
@@ -347,11 +363,7 @@ def format_stats(report: StatsReport) -> str:
 
 def load_schema(path) -> RelationSchema:
     """Schema file: a JSON list of names or {"relations": [...]}, else :class:`ParseError`."""
-    p = Path(path)
-    try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    obj = read_json(path)
     if isinstance(obj, dict) and "relations" in obj:
         obj = obj["relations"]
     if not isinstance(obj, list):

@@ -64,7 +64,7 @@ from .core import (
     check_choice,
     check_int,
 )
-from .data import ParseError
+from .data import ParseError, read_json
 from .decoding import decode
 
 UNK = "<unk>"
@@ -798,14 +798,15 @@ def save_checkpoint(path, params: ModelParams, schema: RelationSchema,
 
 
 def _read_archive(path) -> dict[str, np.ndarray]:
-    """Every array stored in an .npz file."""
+    """Every array of the .npz file at ``path``; any damage is a :class:`ParseError`, a bad
+    offset (OSError) and a flag or version zipfile cannot read (RuntimeError) included."""
     try:
         data = np.load(str(path))
         if isinstance(data, np.lib.npyio.NpzFile):
             with data:
                 return {key: data[key] for key in data.files}
         problem = "holds a single array, not an .npz archive"
-    except (IsADirectoryError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except (OSError, RuntimeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         problem = f"{type(exc).__name__}: {exc}".splitlines()[0]
     raise ParseError(f"{path}: not a readable checkpoint archive ({problem})")
 
@@ -813,10 +814,7 @@ def _read_archive(path) -> dict[str, np.ndarray]:
 def _read_meta(path, raw: np.ndarray | None) -> dict:
     if raw is None:
         raise ParseError(f"{path}: not a model checkpoint (no metadata entry)")
-    try:
-        meta = json.loads(raw.tobytes().decode("utf-8"))
-    except ValueError as exc:
-        raise ParseError(f"{path}: checkpoint metadata is not JSON: {exc}") from None
+    meta = read_json(path, raw.tobytes())
     if not isinstance(meta, dict):
         raise ParseError(f"{path}: checkpoint metadata is not a JSON object")
     if meta.get("format") != CHECKPOINT_FORMAT:

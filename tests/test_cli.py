@@ -769,3 +769,57 @@ class TestSelftestAndUsage:
             ]
         )
         assert code == EXIT_INPUT
+
+
+# a line made unreadable in one way: a byte that is not UTF-8, or JSON nested
+# too deep for the parser
+DAMAGE = {
+    "not_utf8": lambda line: line[:2] + b"\xff" + line[2:],
+    "nested_too_deep": lambda line: b"[" * 100_000 + line,
+}
+
+
+class TestFileErrors:
+    """A file a command cannot open, read, decode or write exits 3 in one line naming it."""
+
+    @pytest.mark.parametrize("flag", ["--data", "--schema", "--config", "--ckpt", "--out"])
+    def test_a_directory_for_a_file_exits_3(self, workspace, capsys, flag):
+        # each but --ckpt was a raw IsADirectoryError traceback
+        tmp_path, schema, data = workspace
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        if flag == "--ckpt":
+            argv = ["eval", "--data", data, "--ckpt", str(directory)]
+        else:
+            paths = {"--data": data, "--schema": schema, "--out": str(tmp_path / "out.jsonl"),
+                     flag: str(directory)}
+            argv = ["encode", *(arg for pair in paths.items() for arg in pair)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and str(directory) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage", list(DAMAGE))
+    @pytest.mark.parametrize("kind", ["dataset", "schema", "config", "tagging"])
+    def test_a_damaged_last_line_exits_3_naming_file_and_line(self, workspace, capsys,
+                                                              kind, damage):
+        # each was a raw UnicodeDecodeError or RecursionError traceback
+        tmp_path, schema, data = workspace
+        tagged, out = str(tmp_path / "tagged.jsonl"), str(tmp_path / "out.jsonl")
+        assert main(["encode", "--data", data, "--schema", schema, "--out", tagged]) == EXIT_OK
+        config = write(tmp_path / "config.json", '{"mode": "strict"}')
+        target = Path({"dataset": data, "schema": schema, "config": config, "tagging": tagged}[kind])
+        lines = target.read_bytes().splitlines(keepends=True)
+        lines[-1] = DAMAGE[damage](lines[-1])
+        target.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        if kind == "tagging":
+            argv = ["decode", "--data", tagged, "--out", out]
+        else:
+            argv = ["encode", "--data", data, "--schema", schema, "--config", config, "--out", out]
+        code = main(argv)
+        err = capsys.readouterr().err
+        where = f"{target}:3: " if kind in ("dataset", "tagging") else f"{target}: "
+        assert code == EXIT_INPUT
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1
+        assert not Path(out).exists()

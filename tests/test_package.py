@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -54,3 +55,38 @@ def test_the_readme_quick_tour_runs_as_written(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out.startswith("MicroScores(")
+
+
+SOURCES = sorted(Path(pairlink.__file__).parent.glob("*.py"))
+
+# the calls that read a file: open() in a mode that does not write, Path reads, np.load
+_FILE_READS = {"read_text", "read_bytes", "load"}
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else None
+        return not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax"))
+    return isinstance(func, ast.Attribute) and func.attr in _FILE_READS
+
+
+def test_files_are_read_by_the_readers_alone():
+    # one reader per input format: lines, whole-file JSON and checkpoint archives
+    readers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Call) and _reads_a_file(inner):
+                    readers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert readers == {"data.read_lines", "data.read_json", "model._read_archive"}
+
+
+def test_a_file_location_is_formatted_in_one_place():
+    # "<path>:<line>: " is written by data.read_lines alone
+    location = re.compile(r"f['\"]\{[^{}]+\}:\{[^{}]+\}: ")
+    places = [path.stem for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.JoinedStr) and location.match(ast.unparse(node))]
+    assert places == ["data"]
