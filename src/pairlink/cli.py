@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -187,10 +188,10 @@ def cmd_decode(opts: _Options) -> int:
 
     def decoded(line):  # one output line per tagging line, so no tagging is kept
         try:
-            tagging, schema = codec.parse_tagging_line(line, mode=mode)
+            tagging, schema = codec.parse_tagging_line(line)
+            triples = sorted(decoding.decode(tagging, schema, mode=mode))
         except InvalidInput as exc:  # a malformed line is a bad input file, whatever its fault
             raise ParseError(str(exc)) from None
-        triples = sorted(decoding.decode(tagging, schema, mode=mode))
         return json.dumps({"n": tagging.n, "triples": [_triple_obj(t, schema) for t in triples]},
                           separators=(",", ":"))
 
@@ -250,6 +251,9 @@ def cmd_train(opts: _Options) -> int:
     dims = {name: opts.get(name, sizes[name].default)
             for name in ("d_embed", "d_state", "d_pair", "max_len")}
     opts.check_all_read()
+    folder = Path(args.ckpt).parent  # checked now, so a long run cannot end unwritable
+    if not (folder.is_dir() and os.access(folder, os.W_OK | os.X_OK)):
+        raise OSError(f"{args.ckpt}: {folder} is not a writable directory")
     result = train(train_set, schema, config, valid=valid_set, **dims)
     extra = opts.provenance("train")
     extra["seed"] = config.seed
@@ -266,7 +270,8 @@ def cmd_train(opts: _Options) -> int:
     )
     if result.diverged:
         print(
-            "error: training diverged; checkpoint holds the last finite parameters",
+            "error: training diverged; checkpoint holds the best-scoring parameters "
+            "(the initial ones if no epoch completed)",
             file=sys.stderr,
         )
         return EXIT_FAILURE

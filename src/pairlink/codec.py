@@ -261,16 +261,16 @@ def dump_tagging_line(tagging: HandshakingTagging, schema: RelationSchema) -> st
     )).decode("ascii")
 
 
-def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagging, RelationSchema]:
+def parse_tagging_line(line: str) -> tuple[HandshakingTagging, RelationSchema]:
     """The tagging and schema of one line; :class:`InvalidInput` if it is malformed.
 
     Each row becomes the tag array through ``bytes(row)``, which rejects
     anything but ints in [0, 256), and :class:`HandshakingTagging` rejects
     values above 2.  JSON ``true``/``false`` would pass ``bytes`` as 1 and 0,
     so a line holding either word, in a relation name too, has its rows also
-    scanned for bools.  Strict mode also rejects a reversed entity tag.
+    scanned for bools.  This reads the line format only: a reversed entity
+    tag is well formed, and strict :func:`~pairlink.decoding.decode` rejects it.
     """
-    check_choice("mode", mode, MODES)
     try:
         obj = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -303,9 +303,5 @@ def parse_tagging_line(line: str, mode: str = "strict") -> tuple[HandshakingTagg
             raise _bad_tag(r, n_rel, row) from None
         if may_hold_bools and bool in set(map(type, row)):
             raise _bad_tag(r, n_rel, row)
-    tagging = HandshakingTagging(
-        n, np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(rows), length))
-    if mode == "strict" and tagging.tags[0].max() == 2:
-        k = int(np.argmax(tagging.tags[0] == 2))
-        raise InvalidInput(f"corrupt tagging: reversed tag in eh2et at flat index {k}")
-    return tagging, schema
+    tags = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(rows), length)
+    return HandshakingTagging(n, tags), schema

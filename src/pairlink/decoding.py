@@ -36,6 +36,7 @@ def decode(
     in the tail sequence.  Output is a set: one occurrence per triple.  A
     reversed tag in the entity sequence cannot come from encoded data:
     strict mode raises, lenient mode ignores it.
+    :func:`~pairlink.codec.parse_tagging_line` leaves this rule to decoding.
     """
     check_choice("mode", mode, MODES)
     check_relation_count(tagging, schema)

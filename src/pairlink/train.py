@@ -3,7 +3,8 @@
 The Adam optimizer, a seeded deterministic loop, per-epoch exact-match F1
 tracking, and the finite-difference gradient check the tests hold the
 analytic gradients to.  The loop never silently eats a numeric blow-up: on
-divergence it stops and hands back the last finite parameters.
+divergence it stops and hands back the best-scoring parameters, or the
+initial ones if no epoch completed.
 """
 
 from __future__ import annotations
@@ -194,9 +195,8 @@ def train(
     optimizer = Adam(config.learning_rate)
     history: list[EpochStats] = []
     best_f1 = -1.0
-    best_params: ModelParams | None = None
+    best_params = clone_params(params)
     best_epoch = -1
-    last_finite = clone_params(params)
     diverged = False
 
     for epoch in range(config.epochs):
@@ -210,9 +210,7 @@ def train(
                 losses.append(loss)
         except NumericError:
             diverged = True
-            params = last_finite
             break
-        last_finite = clone_params(params)
         preds = [infer(ann.tokens, params, schema) for ann in eval_set]
         f1 = micro_prf(preds, eval_golds, mode="exact").f1
         history.append(EpochStats(epoch, float(np.mean(losses)), f1))
@@ -223,5 +221,4 @@ def train(
         if config.early_stop_f1 is not None and f1 >= config.early_stop_f1:
             break
 
-    final = best_params if best_epoch >= 0 else params
-    return TrainResult(final, history, best_epoch, diverged)
+    return TrainResult(best_params, history, best_epoch, diverged)

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairlink import RelationSchema, load_dataset
+from pairlink import RelationSchema, cli, load_dataset
 from pairlink.cli import EXIT_DATA, EXIT_FAILURE, EXIT_INPUT, EXIT_OK, main
+from pairlink.codec import tagging_to_obj
 from pairlink.data import ParseError
 from pairlink.model import (
     build_vocab,
@@ -174,6 +175,30 @@ class TestEncodeDecode:
         err = capsys.readouterr().err
         assert "bad.jsonl:1" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_decode_of_a_reversed_entity_tag_follows_the_mode(self, tmp_path, capsys,
+                                                              figure_fixture, mode):
+        # tag 2 in eh2et is well formed but cannot come from encoded data
+        schema, _, tagging, _ = figure_fixture
+        obj = tagging_to_obj(tagging, schema)
+        obj["eh2et"][0] = 2
+        bad = write_jsonl(tmp_path / "bad.jsonl", [obj])
+        out = tmp_path / "out.jsonl"
+        code = main(["decode", "--data", bad, "--out", str(out), "--mode", mode])
+        err = capsys.readouterr().err
+        if mode == "strict":
+            assert code == EXIT_INPUT
+            assert err.startswith(f"error: {bad}:1: ") and "reversed tag" in err
+            assert err.count("\n") == 1 and not out.exists()
+        else:  # the tag is ignored: the figure's five triples
+            assert code == EXIT_OK and err == ""
+            assert out.read_text(encoding="utf-8") == (
+                '{"n":5,"triples":[{"subject":[0,1],"relation":"mayor","object":[3,4]},'
+                '{"subject":[3,4],"relation":"born_in","object":[0,1]},'
+                '{"subject":[3,4],"relation":"born_in","object":[0,2]},'
+                '{"subject":[3,4],"relation":"live_in","object":[0,1]},'
+                '{"subject":[3,4],"relation":"live_in","object":[0,2]}]}\n')
 
     @pytest.mark.parametrize("command", ["encode", "stats"])
     @pytest.mark.parametrize("tokens", ["Ada", 5, ["Ada", 7]])
@@ -459,6 +484,25 @@ class TestTrainEvalBench:
         payload = json.loads(out.read_text())
         assert payload["timing"]["batched"]["mean_ms_per_sample"] > 0
         assert payload["timing"]["single"]["batch_size"] == 1
+
+    @pytest.mark.parametrize("folder", ["missing_dir", "a_file"])
+    def test_an_unwritable_checkpoint_folder_exits_3_before_training(self, workspace, capsys,
+                                                                      monkeypatch, folder):
+        # this ran every epoch, then failed to write the checkpoint
+        tmp_path, schema, data = workspace
+        write(tmp_path / "a_file", "")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        ckpt = str(tmp_path / folder / "x")
+        code = main(["train", "--data", data, "--schema", schema, "--ckpt", ckpt,
+                     "--epochs", "200"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("**/*.npz"))
 
     def test_missing_checkpoint_exits_3(self, workspace, capsys):
         tmp_path, _, data = workspace

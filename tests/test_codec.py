@@ -192,17 +192,16 @@ class TestSerialization:
         # names json.dumps escapes: non-ASCII, a quote, a backslash, a control character
         odd = RelationSchema(("née_à", 'say "true"', "back\\slash\t"))
         cases.append((odd, random_tagging(rng, 5, 3, zero_bias=0.5)))
-        # the figure is strict mode's control for valid reversed head and tail tags
+        # the figure is strict decoding's control for valid reversed head and tail tags
         assert figure.tags[0].max() == 1 and figure.tags[1:].max() == 2
         for rel_schema, tagging in cases:
             line = dump_tagging_line(tagging, rel_schema)
             assert line == json.dumps(tagging_to_obj(tagging, rel_schema), separators=(",", ":"))
-            # random taggings may hold reversed entity tags, which only lenient mode reads
-            mode = "lenient" if tagging.tags[0].max() == 2 else "strict"
-            if mode == "lenient":
-                with pytest.raises(InvalidInput, match="reversed tag in eh2et"):
-                    parse_tagging_line(line, mode="strict")
-            parsed_tagging, parsed_schema = parse_tagging_line(line, mode=mode)
+            parsed_tagging, parsed_schema = parse_tagging_line(line)
+            # random taggings may hold reversed entity tags, which only lenient decoding reads
+            if tagging.tags[0].max() == 2:
+                with pytest.raises(InvalidInput, match="reversed tag in entity sequence"):
+                    decode(parsed_tagging, parsed_schema, mode="strict")
             assert parsed_tagging == tagging
             assert parsed_schema == rel_schema
             assert dump_tagging_line(parsed_tagging, parsed_schema) == line
@@ -228,7 +227,8 @@ class TestSerialization:
             lambda o: o.__setitem__("n", "3"),
             lambda o: o.__setitem__("sh2oh", o["sh2oh"][:-1]),
             lambda o: o["st2ot"][0].__setitem__(0, 7),
-            lambda o: o["eh2et"].__setitem__(0, 2),  # reversed tag in entity sequence
+            # well formed, but a reversed tag in the entity sequence: strict decoding rejects it
+            lambda o: o["eh2et"].__setitem__(0, 2),
             lambda o: o.__setitem__("eh2et", None),
             lambda o: o.__setitem__("sh2oh", 5),
             lambda o: o["sh2oh"].__setitem__(1, 5),
@@ -246,11 +246,12 @@ class TestSerialization:
         ],
     )
     def test_strict_parse_rejects_corrupt_lines(self, figure_fixture, mutate):
+        # read as `pairlink decode --mode strict` reads a line: parse, then strict decode
         schema, _, tagging, _ = figure_fixture
         obj = tagging_to_obj(tagging, schema)
         mutate(obj)
         with pytest.raises(InvalidInput):
-            parse_tagging_line(json.dumps(obj), mode="strict")
+            decode(*parse_tagging_line(json.dumps(obj)), mode="strict")
 
     @pytest.mark.parametrize("relations, problem", [
         (["mayor", 1, "live_in"], "relation names must be non-empty strings, got 1"),
@@ -264,7 +265,7 @@ class TestSerialization:
         obj = tagging_to_obj(tagging, schema)
         obj["relations"] = relations
         with pytest.raises(InvalidInput, match=f"^{re.escape(problem)}$"):
-            parse_tagging_line(json.dumps(obj), mode="lenient")
+            parse_tagging_line(json.dumps(obj))
 
     @pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")])
     @pytest.mark.parametrize("tag", [True, False])
@@ -274,7 +275,7 @@ class TestSerialization:
         obj = tagging_to_obj(tagging, schema)
         obj["st2ot"][1][4] = tag
         with pytest.raises(InvalidInput, match="holds tag"):
-            parse_tagging_line(json.dumps(obj, separators=separators), mode="lenient")
+            parse_tagging_line(json.dumps(obj, separators=separators))
 
     @pytest.mark.parametrize("tag", [7, 300, -1, True, 1.0])
     def test_every_bad_tag_gets_one_message_naming_its_field(self, figure_fixture, tag):
@@ -284,17 +285,20 @@ class TestSerialization:
         obj = tagging_to_obj(tagging, schema)
         obj["st2ot"][1][4] = tag
         want = f"corrupt tagging: st2ot[1] holds tag {tag!r} at flat index 4, expected 0, 1 or 2"
-        for mode in ("strict", "lenient"):
-            with pytest.raises(InvalidInput) as info:
-                parse_tagging_line(json.dumps(obj), mode=mode)
-            assert str(info.value) == want
+        with pytest.raises(InvalidInput) as info:
+            parse_tagging_line(json.dumps(obj))
+        assert str(info.value) == want
 
     def test_lenient_parse_accepts_reversed_entity_tag(self, figure_fixture):
-        schema, _, tagging, _ = figure_fixture
+        schema, _, tagging, expected = figure_fixture
         obj = tagging_to_obj(tagging, schema)
         obj["eh2et"][0] = 2
-        parsed, _ = parse_tagging_line(json.dumps(obj), mode="lenient")
+        parsed, parsed_schema = parse_tagging_line(json.dumps(obj))
         assert parsed.eh2et[0] == 2
+        # the rule belongs to decoding: strict mode raises, lenient mode ignores the tag
+        with pytest.raises(InvalidInput, match="^reversed tag in entity sequence at flat index 0$"):
+            decode(parsed, parsed_schema, mode="strict")
+        assert decode(parsed, parsed_schema, mode="lenient") == expected
 
     def test_parse_rejects_non_json(self):
         with pytest.raises(InvalidInput):

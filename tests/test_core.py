@@ -280,7 +280,6 @@ INT_ARGUMENTS = {
 # entry point -> (argument name in the error, call with a value)
 CHOICE_ARGUMENTS = {
     "encode.mode": ("mode", lambda v: encode(annotation(2, []), SCHEMA1, mode=v)),
-    "parse_tagging_line.mode": ("mode", lambda v: parse_tagging_line(tagging_line(1), mode=v)),
     "decode.mode": ("mode", lambda v: decode(*parse_tagging_line(tagging_line(1)), mode=v)),
     "decode_oracle.mode": ("mode", lambda v: decode_oracle(
         *parse_tagging_line(tagging_line(1)), mode=v)),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import re
 from pathlib import Path
@@ -38,8 +39,8 @@ def test_the_library_reads_no_tuple_view(figure_fixture, tmp_path, monkeypatch):
     assert pairlink.encode(ann, schema) == tagging
     line = pairlink.dump_tagging_line(tagging, schema)
     assert line == json.dumps(tagging_to_obj(tagging, schema), separators=(",", ":"))
+    assert pairlink.parse_tagging_line(line) == (tagging, schema)
     for mode in ("strict", "lenient"):
-        assert pairlink.parse_tagging_line(line, mode=mode) == (tagging, schema)
         assert pairlink.decode(tagging, schema, mode=mode) == expected
         assert pairlink.decode_oracle(tagging, schema, mode=mode) == expected
     assert pairlink.infer_batch(sentences, params, schema) == unpatched
@@ -90,3 +91,12 @@ def test_a_file_location_is_formatted_in_one_place():
               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
               if isinstance(node, ast.JoinedStr) and location.match(ast.unparse(node))]
     assert places == ["data"]
+
+
+def test_the_reversed_entity_rule_is_checked_by_decoding_alone():
+    # the line parser reads the format only; strict decode and its oracle own the rule
+    assert "mode" not in inspect.signature(pairlink.parse_tagging_line).parameters
+    raisers = {path.stem for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Raise) and "reversed tag" in ast.unparse(node)}
+    assert raisers == {"decoding"}
