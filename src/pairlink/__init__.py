@@ -47,10 +47,8 @@ from .data import (
 )
 from .decoding import decode, decode_oracle
 from .evaluate import (
-    BenchReport,
     EvalReport,
     MicroScores,
-    bench_inference,
     micro_prf,
     subset_report,
 )
@@ -79,7 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentError",
-    "BenchReport",
     "EncodeConflict",
     "EncodeConflictError",
     "EncoderParams",
@@ -104,7 +101,6 @@ __all__ = [
     "TrainResult",
     "Triple",
     "align_mention",
-    "bench_inference",
     "build_vocab",
     "check_gradients",
     "classify_overlap",

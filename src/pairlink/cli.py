@@ -9,7 +9,8 @@ so rerunning an embedded config reproduces them byte for byte.
 
 Exit codes: 0 success, 1 internal failure or training divergence, 2 usage, 3 a
 file that cannot be read, parsed or written (a directory, bytes that are not
-UTF-8, a corrupt archive), 4 schema/data mismatches (strict encode conflicts too).
+UTF-8, a corrupt archive), 4 schema/data mismatches (strict encode conflicts too,
+and an eval corpus with no sentence to score).
 """
 
 from __future__ import annotations
@@ -285,6 +286,8 @@ def cmd_eval(opts: _Options) -> int:
     match = opts.get("match", "partial")
     batch_size = opts.get("batch_size", INFER_BATCH_SIZE)
     opts.check_all_read()
+    if not annotations:  # scoring nothing would report a vacuous F1 of 1.0
+        raise InvalidInput(f"{args.data}: no sentence to score")
     golds = [set(ann.triples) for ann in annotations]
     preds = infer_batch(
         [ann.tokens for ann in annotations], params, schema, batch_size=batch_size
@@ -303,29 +306,6 @@ def cmd_eval(opts: _Options) -> int:
         )
         payload["report"] = asdict(scores)
     if args.out:
-        _write(args.out, _dump_json(payload))
-    return EXIT_OK
-
-
-def cmd_bench(opts: _Options) -> int:
-    args = opts.args
-    params, schema, _ = load_checkpoint(args.ckpt)
-    annotations = _load_corpus(opts, args.data, schema).annotations
-    batch_size = opts.get("batch_size", INFER_BATCH_SIZE)
-    opts.check_all_read()
-    report = evaluate.bench_inference(
-        params, schema, [ann.tokens for ann in annotations], batch_size=batch_size
-    )
-    print(
-        f"batched  {report.batched.mean_ms_per_sample:8.3f} ms/sample "
-        f"(batch size {report.batched.batch_size})\n"
-        f"single   {report.single.mean_ms_per_sample:8.3f} ms/sample "
-        f"(batch size 1)\n"
-        f"params   {report.params_total} ({report.encoder_fraction:.1%} encoder)"
-    )
-    if args.out:
-        payload = opts.provenance("bench")
-        payload["timing"] = asdict(report)
         _write(args.out, _dump_json(payload))
     return EXIT_OK
 
@@ -392,14 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     corpus(p)
     common(p)
 
-    p = sub.add_parser("bench", help="time inference, batched and one-by-one")
-    p.add_argument("--data", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--out")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    corpus(p)
-    common(p)
-
     return parser
 
 
@@ -409,7 +381,6 @@ _COMMANDS = {
     "stats": cmd_stats,
     "train": cmd_train,
     "eval": cmd_eval,
-    "bench": cmd_bench,
 }
 
 

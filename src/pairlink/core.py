@@ -34,7 +34,9 @@ class InvalidIndex(PairLinkError, IndexError):
 
 def is_int(value) -> bool:
     """Whether ``value`` is an integer: any ``numbers.Integral``, numpy's included, but a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int is the common case, and the abstract-class check is slow
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def check_int(name: str, value, minimum: int = 1) -> int:
@@ -71,8 +73,12 @@ class TokenSpan:
     tail: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.head <= self.tail:
-            raise InvalidInput(f"bad span: head={self.head}, tail={self.tail}")
+        head = check_int("head", self.head, minimum=0)
+        tail = check_int("tail", self.tail, minimum=0)
+        if head > tail:
+            raise InvalidInput(f"bad span: head={head}, tail={tail}")
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "tail", tail)
 
     def __len__(self) -> int:
         return self.tail - self.head + 1
@@ -87,8 +93,7 @@ class Triple:
     object: TokenSpan
 
     def __post_init__(self) -> None:
-        if self.relation < 0:
-            raise InvalidInput(f"relation id must be >= 0, got {self.relation}")
+        object.__setattr__(self, "relation", check_int("relation", self.relation, minimum=0))
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,8 @@ class SentenceAnnotation:
                 unique.append(t)
         object.__setattr__(self, "triples", tuple(unique))
         if self.char_spans is not None:
-            spans = tuple((int(a), int(b)) for a, b in self.char_spans)
+            spans = tuple((check_int("char offset", a, minimum=0),
+                           check_int("char offset", b, minimum=0)) for a, b in self.char_spans)
             if len(spans) != n:
                 raise InvalidInput(
                     f"char_spans must align 1:1 with tokens ({len(spans)} vs {n})"

@@ -1,19 +1,16 @@
-"""Scoring predicted triples: match modes, pooled micro metrics, subset
-breakdowns, and the inference timing benchmark."""
+"""Scoring predicted triples: match modes, pooled micro metrics and subset
+breakdowns.  Timing inference is the benchmark's job (``perfbench``)."""
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from time import perf_counter
 
-from .core import InvalidInput, RelationSchema, Triple, check_choice, check_int
+from .core import InvalidInput, Triple, check_choice
 from .data import BUCKETS, subset_members
-from .model import INFER_BATCH_SIZE, ModelParams, infer, infer_batch, named_tensors
 
 MATCH_MODES = ("partial", "exact")
-_BENCH_PASSES_UNTIMED = 2  # passes that populate caches before bench_inference times one
 
 
 def _partial_key(t: Triple) -> tuple[int, int, int]:
@@ -136,68 +133,3 @@ def format_report(report: EvalReport) -> str:
             continue
         lines.append(row(key, scores))
     return "\n".join(lines)
-
-
-# --- model accounting and timing ------------------------------------------------
-
-
-def parameter_counts(params: ModelParams) -> dict[str, float]:
-    tensors = named_tensors(params)
-    total = sum(arr.size for arr in tensors.values())
-    encoder = sum(arr.size for name, arr in tensors.items() if name.startswith("encoder."))
-    return {"total": total, "encoder": encoder, "encoder_fraction": encoder / total}
-
-
-@dataclass(frozen=True)
-class TimingReport:
-    mean_ms_per_sample: float
-    batch_size: int
-    n_samples: int
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    batched: TimingReport
-    single: TimingReport
-    params_total: int
-    encoder_fraction: float
-
-
-def bench_inference(
-    params: ModelParams,
-    schema: RelationSchema,
-    sentences,
-    batch_size: int = INFER_BATCH_SIZE,
-) -> BenchReport:
-    """Mean wall-clock milliseconds per sentence, batched and one at a time.
-
-    Two untimed passes over the first batch populate caches first.  Timing
-    wraps the same inference calls the rest of the package uses, so measured
-    outputs equal unmeasured ones.
-    """
-    sentences = [list(toks) for toks in sentences]
-    if not sentences:
-        raise InvalidInput("empty benchmark corpus")
-    batch_size = check_int("batch_size", batch_size)
-    warm = sentences[: min(len(sentences), batch_size)]
-    for _ in range(_BENCH_PASSES_UNTIMED):
-        infer_batch(warm, params, schema, batch_size=batch_size)
-        for toks in warm[: min(4, len(warm))]:
-            infer(toks, params, schema)
-
-    start = perf_counter()
-    infer_batch(sentences, params, schema, batch_size=batch_size)
-    batched_ms = (perf_counter() - start) * 1000.0 / len(sentences)
-
-    start = perf_counter()
-    for toks in sentences:
-        infer(toks, params, schema)
-    single_ms = (perf_counter() - start) * 1000.0 / len(sentences)
-
-    counts = parameter_counts(params)
-    return BenchReport(
-        batched=TimingReport(batched_ms, batch_size, len(sentences)),
-        single=TimingReport(single_ms, 1, len(sentences)),
-        params_total=int(counts["total"]),
-        encoder_fraction=counts["encoder_fraction"],
-    )

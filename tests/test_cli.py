@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -474,17 +475,6 @@ class TestTrainEvalBench:
         assert main(["eval", "--data", data, "--ckpt", ckpt]) == EXIT_OK
         assert "match mode: partial" in capsys.readouterr().out
 
-    def test_bench_reports_both_timings(self, trained, capsys):
-        tmp_path, _, data, ckpt, _ = trained
-        out = tmp_path / "bench.json"
-        code = main(["bench", "--data", data, "--ckpt", ckpt, "--out", str(out)])
-        assert code == EXIT_OK
-        text = capsys.readouterr().out
-        assert "batched" in text and "single" in text and "params" in text
-        payload = json.loads(out.read_text())
-        assert payload["timing"]["batched"]["mean_ms_per_sample"] > 0
-        assert payload["timing"]["single"]["batch_size"] == 1
-
     @pytest.mark.parametrize("folder", ["missing_dir", "a_file"])
     def test_an_unwritable_checkpoint_folder_exits_3_before_training(self, workspace, capsys,
                                                                       monkeypatch, folder):
@@ -503,6 +493,25 @@ class TestTrainEvalBench:
         assert code == EXIT_INPUT
         assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
         assert not list(tmp_path.glob("**/*.npz"))
+
+    @pytest.mark.parametrize("records", [[], [
+        {"text": "Ada works for ACME", "triple_list": [["Ada", "unknown", "ACME"]]}]],
+        ids=["empty-file", "every-record-skipped"])
+    @pytest.mark.parametrize("flags", [[], ["--by-subset"]], ids=["micro", "by-subset"])
+    def test_eval_with_no_sentence_to_score_exits_4(self, workspace, capsys, records, flags):
+        # it printed precision, recall and F1 1.0 with a raw UserWarning and exited 0
+        tmp_path, _, _ = workspace
+        data = write_jsonl(tmp_path / "test.jsonl", records)
+        out = tmp_path / "eval.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--data", data, "--ckpt", untrained_checkpoint(tmp_path),
+                         "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {data}: no sentence to score"]
+        assert not out.exists()
 
     def test_missing_checkpoint_exits_3(self, workspace, capsys):
         tmp_path, _, data = workspace
@@ -641,8 +650,6 @@ class TestSelftestAndUsage:
                                     "max_len"}),
             ("eval", ["--data", data, "--ckpt", ckpt, "--out", out], out,
              corpus | {"match", "batch_size"}),
-            ("bench", ["--data", data, "--ckpt", ckpt, "--out", out], out,
-             corpus | {"batch_size"}),
         ]
         for command, argv, artifact, keys in runs:
             assert main([command, *argv]) == EXIT_OK
@@ -761,7 +768,7 @@ class TestSelftestAndUsage:
         assert meta["extra"]["config"]["early_stop_f1"] is None
 
     @pytest.mark.parametrize("command", [
-        "encode", "decode", "stats", "train", "eval", "bench",
+        "encode", "decode", "stats", "train", "eval",
     ])
     def test_config_key_the_command_does_not_read_exits_3(self, workspace, capsys, command):
         # "epoch" is a misspelt "epochs": silently ignored, it left 100 epochs in force
@@ -775,7 +782,6 @@ class TestSelftestAndUsage:
             "stats": ["--data", data, "--out", str(out)],
             "train": ["--data", data, "--schema", schema, "--ckpt", str(out)],
             "eval": ["--data", data, "--ckpt", ckpt, "--out", str(out)],
-            "bench": ["--data", data, "--ckpt", ckpt, "--out", str(out)],
         }[command]
         code = main([command, *argv, "--config", config])
         err = capsys.readouterr().err

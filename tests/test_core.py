@@ -19,7 +19,6 @@ from pairlink import (
     TokenSpan,
     TrainConfig,
     Triple,
-    bench_inference,
     build_vocab,
     decode,
     decode_oracle,
@@ -256,6 +255,14 @@ def max_len_of_rebuilt_model(value, _):
 
 # entry point -> (argument name in the error, minimum, what the entry point keeps of a value)
 INT_ARGUMENTS = {
+    "TokenSpan.head": ("head", 0, lambda v, _: TokenSpan(v, 5).head),
+    "TokenSpan.tail": ("tail", 0, lambda v, _: TokenSpan(0, v).tail),
+    "Triple.relation": ("relation", 0, lambda v, _: Triple(
+        TokenSpan(0, 0), v, TokenSpan(1, 1)).relation),
+    "SentenceAnnotation.char_spans.start": ("char offset", 0, lambda v, _: SentenceAnnotation(
+        ("a",), char_spans=((v, 4),)).char_spans[0][0]),
+    "SentenceAnnotation.char_spans.end": ("char offset", 0, lambda v, _: SentenceAnnotation(
+        ("a",), char_spans=((0, v),)).char_spans[0][1]),
     "seq_length.n": ("n", 1, n_counted),
     "HandshakingTagging.n": ("n", 1, tagging_n),
     "ModelParams.max_len": ("max_len", 1, max_len_of_rebuilt_model),
@@ -266,8 +273,6 @@ INT_ARGUMENTS = {
     "init_model.d_pair": ("d_pair", 1, lambda v, _: small_model(d_pair=v).kernel.weight.shape[0]),
     "init_model.max_len": ("max_len", 1, lambda v, _: small_model(max_len=v).max_len),
     "infer_batch.batch_size": ("batch_size", 1, batch_size_passed_on),
-    "bench_inference.batch_size": ("batch_size", 1, lambda v, _: bench_inference(
-        small_model(), SCHEMA1, [("a",)], batch_size=v).batched.batch_size),
     "TrainConfig.epochs": ("epochs", 1, lambda v, _: TrainConfig(epochs=v).epochs),
     "TrainConfig.batch_size": ("batch_size", 1, lambda v, _: TrainConfig(batch_size=v).batch_size),
     "TrainConfig.seed": ("seed", 0, lambda v, _: TrainConfig(seed=v).seed),

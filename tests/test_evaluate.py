@@ -1,4 +1,4 @@
-"""Tests for match modes, micro scoring, subset reports, and the benchmark."""
+"""Tests for match modes, micro scoring and subset reports."""
 
 from __future__ import annotations
 
@@ -11,16 +11,12 @@ import pytest
 
 from pairlink import (
     InvalidInput,
-    RelationSchema,
     TokenSpan,
     Triple,
-    bench_inference,
-    build_vocab,
-    init_model,
     micro_prf,
     subset_report,
 )
-from pairlink.evaluate import format_report, parameter_counts
+from pairlink.evaluate import format_report
 
 from conftest import annotation, match_exact, match_partial, triple
 
@@ -241,51 +237,3 @@ class TestSubsetReport:
         preds, golds, anns = self.corpus()
         with pytest.raises(InvalidInput):
             subset_report(preds[:-1], golds, anns)
-
-
-class TestParameterCountsAndBench:
-    def make_model(self, schema):
-        vocab = build_vocab([("a", "b")])
-        return init_model(schema, vocab, d_embed=4, d_state=3, d_pair=4)
-
-    def test_parameter_counts_by_hand(self):
-        schema = RelationSchema(("r0", "r1"))
-        params = self.make_model(schema)
-        counts = parameter_counts(params)
-        vocab_rows = 3  # unk, a, b
-        embed = vocab_rows * 4
-        mixer = 2 * (3 * 4 + 3 * 3 + 3)  # w (state, embed), u (state, state), b per direction
-        kernel = 4 * (2 * (2 * 3)) + 4  # token vectors [f; g] are 2 * d_state wide
-        heads = 5 * 3 * 4 + 5 * 3
-        assert counts["total"] == embed + mixer + kernel + heads
-        assert counts["encoder"] == embed + mixer
-        assert counts["encoder_fraction"] == pytest.approx((embed + mixer) / counts["total"])
-
-    def test_bench_reports_both_paths(self):
-        schema = RelationSchema(("r0",))
-        vocab = build_vocab([("a", "b", "c")])
-        params = init_model(schema, vocab, d_embed=4, d_state=3, d_pair=4)
-        sentences = [("a", "b"), ("b", "c"), ("a", "b", "c"), ("c",)] * 3
-        report = bench_inference(params, schema, sentences, batch_size=6)
-        assert report.batched.mean_ms_per_sample > 0
-        assert report.single.mean_ms_per_sample > 0
-        assert report.batched.n_samples == len(sentences)
-        assert report.single.batch_size == 1
-        assert report.params_total > 0
-        assert 0 < report.encoder_fraction < 1
-        json.dumps(asdict(report))
-
-    def test_bench_validates_inputs(self):
-        schema = RelationSchema(("r0",))
-        params = self.make_model(schema)
-        with pytest.raises(InvalidInput):
-            bench_inference(params, schema, [])
-        with pytest.raises(InvalidInput):
-            bench_inference(params, schema, [("a",)], batch_size=0)
-
-    @pytest.mark.parametrize("batch_size", [-1, True, 2.5, "3", None])
-    def test_bench_validates_batch_size(self, batch_size):
-        schema = RelationSchema(("r0",))
-        params = self.make_model(schema)
-        with pytest.raises(InvalidInput, match="batch_size must be an integer >= 1"):
-            bench_inference(params, schema, [("a",)], batch_size=batch_size)

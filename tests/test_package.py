@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import inspect
 import json
 import re
 from pathlib import Path
+
+import pytest
 
 import pairlink
 from pairlink.cli import main
@@ -100,3 +103,21 @@ def test_the_reversed_entity_rule_is_checked_by_decoding_alone():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Raise) and "reversed tag" in ast.unparse(node)}
     assert raisers == {"decoding"}
+
+
+def test_scoring_does_not_import_the_model():
+    # timing inference is the benchmark's job; evaluate holds scoring only
+    tree = ast.parse((Path(pairlink.__file__).parent / "evaluate.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not imported & {"model", "pairlink.model"}
+
+
+def test_the_commands_are_exactly_the_extractor_operations(capsys):
+    parser = pairlink.cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"encode", "decode", "stats", "train", "eval"}
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--data", "x.jsonl", "--ckpt", "x.npz"])
+    assert exc.value.code == 2
