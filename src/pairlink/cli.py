@@ -39,7 +39,7 @@ from .data import (
     relation_names,
 )
 from .evaluate import format_report, micro_prf, subset_report
-from .model import INFER_BATCH_SIZE, infer_batch, init_model, load_checkpoint, save_checkpoint
+from .model import infer_batch, init_model, load_checkpoint, save_checkpoint
 from .train import TrainConfig, train
 
 EXIT_OK = 0
@@ -284,14 +284,11 @@ def cmd_eval(opts: _Options) -> int:
     params, schema, _ = load_checkpoint(args.ckpt)
     annotations = _load_corpus(opts, args.data, schema).annotations
     match = opts.get("match", "partial")
-    batch_size = opts.get("batch_size", INFER_BATCH_SIZE)
     opts.check_all_read()
     if not annotations:  # scoring nothing would report a vacuous F1 of 1.0
         raise InvalidInput(f"{args.data}: no sentence to score")
     golds = [set(ann.triples) for ann in annotations]
-    preds = infer_batch(
-        [ann.tokens for ann in annotations], params, schema, batch_size=batch_size
-    )
+    preds = infer_batch([ann.tokens for ann in annotations], params, schema)
     payload = opts.provenance("eval")
     if args.by_subset:
         report = subset_report(preds, golds, annotations, mode=match)
@@ -368,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--match", choices=evaluate.MATCH_MODES, default=None)
     p.add_argument("--by-subset", dest="by_subset", action="store_true",
                    help="also break scores down by overlap pattern and triple count")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     corpus(p)
     common(p)
 

@@ -140,7 +140,8 @@ class SentenceAnnotation:
     ``triples`` keeps input order but never holds structural duplicates
     (set semantics with a stable order, so downstream tie-breaks are
     deterministic).  ``char_spans`` optionally maps each token to its
-    (start, end) character offsets in ``text``, end exclusive.
+    (start, end) character offsets in ``text``, end exclusive, with
+    0 <= start <= end <= len(text).
     """
 
     tokens: tuple[str, ...]
@@ -173,6 +174,10 @@ class SentenceAnnotation:
                 raise InvalidInput(
                     f"char_spans must align 1:1 with tokens ({len(spans)} vs {n})"
                 )
+            for start, end in spans:
+                if not start <= end <= len(self.text):
+                    raise InvalidInput(f"char span ({start}, {end}) does not fit a text "
+                                       f"of {len(self.text)} characters")
             object.__setattr__(self, "char_spans", spans)
 
     @property

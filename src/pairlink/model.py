@@ -39,8 +39,8 @@ apart, for the per-sentence error bound ε of :func:`_screen_bound` (the
 standard dot-product bound plus an assumed float32 ``tanh`` accuracy that
 the test suite checks), the float32 argmax is the float64 one.  The
 near-ties and the relation cells are scored in float64, so the tags equal
-the float64 argmax.  Training, :func:`forward_probs` and :func:`batch_loss`
-stay in float64.
+the float64 argmax; when ε is not finite, every pair counts as a near-tie.
+Training, :func:`forward_probs` and :func:`batch_loss` stay in float64.
 """
 
 from __future__ import annotations
@@ -54,16 +54,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .codec import MODES, IndexMap, index_map
-from .core import (
-    HandshakingTagging,
-    InvalidInput,
-    PairLinkError,
-    RelationSchema,
-    Triple,
-    check_choice,
-    check_int,
-)
+from .codec import IndexMap, index_map
+from .core import HandshakingTagging, InvalidInput, PairLinkError, RelationSchema, Triple, check_int
 from .data import ParseError, read_json
 from .decoding import decode
 
@@ -380,11 +372,6 @@ def _pair_cells(a: np.ndarray, b: np.ndarray, imap: IndexMap, cells: np.ndarray)
     return np.tanh(a[imap.rows[cells]] + b[imap.cols[cells]])
 
 
-def _pair_grid(h: np.ndarray, kernel: KernelParams) -> np.ndarray:
-    """One sentence's pair vectors k (P, pair_dim) from its token vectors h (n, d)."""
-    return _pair_rows(*_projections(h, kernel))
-
-
 def _head_logits(k: np.ndarray, heads: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Logits (T, 3, P) of any T head rows over one sentence's pair vectors k (P, pair_dim).
 
@@ -400,9 +387,9 @@ def _head_logits(k: np.ndarray, heads: np.ndarray, bias: np.ndarray) -> np.ndarr
 
 def _logits(tokens, params: ModelParams) -> np.ndarray:
     """One sentence's full forward: every head's logits (2N+1, 3, P)."""
-    h = _encode([tokens], params.encoder)[0]
+    h = _encode([tokens], params.encoder)[0][0]
     taggers = params.taggers
-    return _head_logits(_pair_grid(h[0], params.kernel), taggers.weight, taggers.bias)
+    return _head_logits(_pair_rows(*_projections(h, params.kernel)), taggers.weight, taggers.bias)
 
 
 def forward_probs(tokens, params: ModelParams) -> np.ndarray:
@@ -578,8 +565,9 @@ def gradient(batch, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
     scale = 1.0 / len(batch)
     for row, (tokens, tagging) in enumerate(batch):
         h_row = h[row, :len(tokens)]
-        loss, dh[row, :len(tokens)] = _pair_backward(
-            gold_tags(tagging), _pair_grid(h_row, params.kernel), h_row, params, grads, scale)
+        loss, dh[row, :len(tokens)] = _pair_backward(  # k is a temporary, freed per sentence
+            gold_tags(tagging), _pair_rows(*_projections(h_row, params.kernel)),
+            h_row, params, grads, scale)
         total += loss
     loss = total * scale
     if not math.isfinite(loss):
@@ -594,11 +582,9 @@ def gradient(batch, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
 # --- inference ---------------------------------------------------------------
 
 
-def _fit_length(tokens, max_len: int, mode: str):
+def _fit_length(tokens, max_len: int):
     if len(tokens) <= max_len:
         return tokens
-    if mode == "strict":
-        raise InvalidInput(f"sentence has {len(tokens)} tokens, limit is {max_len}")
     warnings.warn(
         f"truncating a {len(tokens)}-token sentence to {max_len} tokens",
         stacklevel=4,  # _fit_length <- _infer <- infer or infer_batch <- their caller
@@ -674,22 +660,19 @@ def _entity_row(a: np.ndarray, b: np.ndarray, params: ModelParams, imap: IndexMa
     Every pair is scored in float32; wherever the top two logits differ by
     more than 2ε (:func:`_screen_bound`), the float32 argmax is the float64
     one.  The other pairs, the near-ties, are rescored in float64 from
-    :func:`_pair_cells`.  When ε is not finite, or the near-ties are more
-    than a quarter of the pairs, the whole float64 grid is built by rows
-    instead, as training builds it.
+    :func:`_pair_cells`.  When ε is not finite, the screen is not run and
+    all P pairs are rescored that way.
     """
     heads, bias = params.taggers.weight[:1], params.taggers.bias[:1]
     eps = _screen_bound(heads[0], bias[0], a, b)
     if math.isfinite(eps):
         logits = _screen_logits(a, b, heads[0], bias[0], imap)
-        near = np.flatnonzero(~(_top_gap(logits) > 2.0 * eps))
-        if 4 * len(near) <= imap.length:
-            tags = _argmax_tags(logits)
-            if len(near):
-                exact = _head_logits(_pair_cells(a, b, imap, near), heads, bias)
-                tags[near] = _argmax_tags(exact)[0]
-            return tags
-    return _argmax_tags(_head_logits(_pair_rows(a, b), heads, bias))[0]
+        tags, near = _argmax_tags(logits), np.flatnonzero(~(_top_gap(logits) > 2.0 * eps))
+    else:
+        tags, near = np.empty(imap.length, dtype=np.int8), np.arange(imap.length)
+    if len(near):
+        tags[near] = _argmax_tags(_head_logits(_pair_cells(a, b, imap, near), heads, bias))[0]
+    return tags
 
 
 def _entity_first_tags(a: np.ndarray, b: np.ndarray, params: ModelParams,
@@ -716,17 +699,16 @@ def _entity_first_tags(a: np.ndarray, b: np.ndarray, params: ModelParams,
     return tags
 
 
-def _infer(sentences, params: ModelParams, schema: RelationSchema, batch_size: int,
-           mode: str) -> list[set[Triple]]:
+def _infer(sentences, params: ModelParams, schema: RelationSchema,
+           batch_size: int) -> list[set[Triple]]:
     """Shared body of :func:`infer` and :func:`infer_batch`."""
-    check_choice("mode", mode, MODES)
     if params.n_relations != len(schema):
         raise InvalidInput(
             f"model has {params.n_relations} relations, schema has {len(schema)}"
         )
     fitted = []
     for tokens in sentences:  # a comprehension would add a frame under the warning
-        fitted.append(_fit_length(tokens, params.max_len, mode))
+        fitted.append(_fit_length(tokens, params.max_len))
     results = []
     for start in range(0, len(fitted), batch_size):
         chunk = fitted[start:start + batch_size]
@@ -735,12 +717,11 @@ def _infer(sentences, params: ModelParams, schema: RelationSchema, batch_size: i
             n = len(tokens)
             a, b = _projections(h_row[:n], params.kernel)
             tags = _entity_first_tags(a, b, params, index_map(n))
-            results.append(decode(HandshakingTagging(n, tags), schema, mode=mode))
+            results.append(decode(HandshakingTagging(n, tags), schema))
     return results
 
 
-def infer(tokens, params: ModelParams, schema: RelationSchema,
-          mode: str = "lenient") -> set[Triple]:
+def infer(tokens, params: ModelParams, schema: RelationSchema) -> set[Triple]:
     """Encode, score the heads, argmax tags (ties toward the smaller label), decode.
 
     The entity head is scored at every token pair; the 2N relation heads only
@@ -751,12 +732,16 @@ def infer(tokens, params: ModelParams, schema: RelationSchema,
     entity head is screened in float32 and its near-ties rescored in float64,
     so its tags equal the float64 argmax (see the module docstring).  The
     result equals ``infer_batch([tokens], ...)[0]``: both run one body.
+
+    A sentence over ``params.max_len`` tokens is cut to that length with a
+    warning, and the tags are decoded leniently: a reversed entity tag is
+    ignored, not raised.
     """
-    return _infer([tokens], params, schema, 1, mode)[0]
+    return _infer([tokens], params, schema, 1)[0]
 
 
 def infer_batch(sentences, params: ModelParams, schema: RelationSchema,
-                batch_size: int = INFER_BATCH_SIZE, mode: str = "lenient") -> list[set[Triple]]:
+                batch_size: int = INFER_BATCH_SIZE) -> list[set[Triple]]:
     """Inference over many sentences; output order matches input order.
 
     Each chunk of ``batch_size`` sentences, an integer >= 1 (numpy integers
@@ -764,7 +749,7 @@ def infer_batch(sentences, params: ModelParams, schema: RelationSchema,
     pair kernel and heads one sentence at a time; decoded triple sets equal
     per-sentence :func:`infer`.
     """
-    return _infer(sentences, params, schema, check_int("batch_size", batch_size), mode)
+    return _infer(sentences, params, schema, check_int("batch_size", batch_size))
 
 
 # --- checkpoints ---------------------------------------------------------------

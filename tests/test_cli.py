@@ -649,7 +649,7 @@ class TestSelftestAndUsage:
                                     "early_stop_f1", "d_embed", "d_state", "d_pair",
                                     "max_len"}),
             ("eval", ["--data", data, "--ckpt", ckpt, "--out", out], out,
-             corpus | {"match", "batch_size"}),
+             corpus | {"match"}),
         ]
         for command, argv, artifact, keys in runs:
             assert main([command, *argv]) == EXIT_OK

@@ -23,7 +23,6 @@ from pairlink import (
     decode,
     decode_oracle,
     encode,
-    infer,
     infer_batch,
     init_model,
     load_checkpoint,
@@ -147,6 +146,15 @@ class TestSentenceAnnotation:
                 char_spans=((0, 1),),
             )
 
+    @pytest.mark.parametrize("spans", [((5, 2),), ((2, 1),), ((0, 3),), ((0, 1), (1, 3))])
+    def test_char_spans_must_fit_the_text(self, spans):
+        with pytest.raises(InvalidInput, match="does not fit a text of 2 characters"):
+            SentenceAnnotation(("a",) * len(spans), text="ab", char_spans=spans)
+
+    def test_char_spans_may_be_empty_or_reach_the_end_of_the_text(self):
+        ann = SentenceAnnotation(("a", "b", "c"), text="ab", char_spans=((0, 0), (0, 1), (2, 2)))
+        assert ann.char_spans == ((0, 0), (0, 1), (2, 2))
+
 
 class TestHandshakingTagging:
     def test_shape_validation(self):
@@ -260,9 +268,9 @@ INT_ARGUMENTS = {
     "Triple.relation": ("relation", 0, lambda v, _: Triple(
         TokenSpan(0, 0), v, TokenSpan(1, 1)).relation),
     "SentenceAnnotation.char_spans.start": ("char offset", 0, lambda v, _: SentenceAnnotation(
-        ("a",), char_spans=((v, 4),)).char_spans[0][0]),
+        ("a",), text="abcd", char_spans=((v, 4),)).char_spans[0][0]),
     "SentenceAnnotation.char_spans.end": ("char offset", 0, lambda v, _: SentenceAnnotation(
-        ("a",), char_spans=((0, v),)).char_spans[0][1]),
+        ("a",), text="abcd", char_spans=((0, v),)).char_spans[0][1]),
     "seq_length.n": ("n", 1, n_counted),
     "HandshakingTagging.n": ("n", 1, tagging_n),
     "ModelParams.max_len": ("max_len", 1, max_len_of_rebuilt_model),
@@ -290,8 +298,6 @@ CHOICE_ARGUMENTS = {
         *parse_tagging_line(tagging_line(1)), mode=v)),
     "load_dataset.standard": ("standard", lambda v: load_dataset("-", SCHEMA1, standard=v)),
     "load_dataset.mode": ("mode", lambda v: load_dataset("-", SCHEMA1, mode=v)),
-    "infer.mode": ("mode", lambda v: infer(("a",), small_model(), SCHEMA1, mode=v)),
-    "infer_batch.mode": ("mode", lambda v: infer_batch([("a",)], small_model(), SCHEMA1, mode=v)),
     "micro_prf.match": ("match", lambda v: micro_prf([], [], mode=v)),
     "TrainConfig.optimizer": ("optimizer", lambda v: TrainConfig(optimizer=v)),
 }

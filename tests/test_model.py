@@ -6,7 +6,6 @@ import json
 import math
 import random
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -241,7 +240,7 @@ class TestPairKernel:
             a, b = model._projections(row, p.kernel)
             assert np.array_equal(a, row @ p.kernel.weight[:, :d].T + p.kernel.bias)
             assert np.array_equal(b, row @ p.kernel.weight[:, d:].T)
-            grid = model._pair_grid(row, p.kernel)
+            grid = model._pair_rows(*model._projections(row, p.kernel))
             assert np.array_equal(grid, model._pair_cells(a, b, imap, np.arange(imap.length)))
             for size in (0, 1, imap.length // 2, imap.length):
                 cells = cells_rng.choice(imap.length, size=size, replace=False)
@@ -453,7 +452,7 @@ def whole_array_gradient(batch, params):
     for row, (tokens, tagging) in enumerate(batch):
         n, imap = len(tokens), index_map(len(tokens))
         h_row, d = h[row, :n], h.shape[2]
-        k = model._pair_grid(h_row, params.kernel)
+        k = model._pair_rows(*model._projections(h_row, params.kernel))
         probs = model.softmax(model._head_logits(k, heads, bias), axis=1)  # (T, 3, P)
         gold = gold_tags(tagging)
         total += loss_from_probs(probs.transpose(0, 2, 1), gold)
@@ -596,40 +595,21 @@ class TestInfer:
     def test_max_len_strict_vs_lenient(self, schema2):
         p = tiny_model(schema2, [("a", "b", "c")], max_len=2)
         long_sentence = ("a", "b", "c")
-        with pytest.raises(InvalidInput):
-            infer(long_sentence, p, schema2, mode="strict")
         with pytest.warns(UserWarning, match="truncating") as record:
-            result = infer(long_sentence, p, schema2, mode="lenient")
+            result = infer(long_sentence, p, schema2)
         assert record[0].filename == __file__  # points at the caller
         for t in result:
             assert t.subject.tail < 2 and t.object.tail < 2
         with pytest.warns(UserWarning, match="truncating") as record:
-            infer_batch([long_sentence], p, schema2, mode="lenient")
+            infer_batch([long_sentence], p, schema2)
         assert record[0].filename == __file__
 
-    def test_mode_is_checked_before_any_work(self, schema2):
-        p = tiny_model(schema2, [("a", "b", "c")], max_len=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a truncation warning would fail the test
-            with pytest.raises(InvalidInput, match="mode"):
-                infer_batch([], p, schema2, mode="bogus")
-            with pytest.raises(InvalidInput, match="mode"):
-                infer(("a", "b", "c"), p, schema2, mode="bogus")
 
-
-def full_scoring(tokens, params, schema, mode):
+def full_scoring(tokens, params, schema, mode="lenient"):
     """Reference inference: every head scored at every pair, argmax, decode."""
     logits = model._logits(tokens, params)
     return decode(HandshakingTagging(len(tokens), model._argmax_tags(logits)), schema,
                   mode=mode)
-
-
-def outcome(call):
-    """``call()``'s result, or "raises" if it raised InvalidInput."""
-    try:
-        return call()
-    except InvalidInput:
-        return "raises"
 
 
 def model_emitting(tagging: HandshakingTagging):
@@ -663,20 +643,11 @@ def model_emitting(tagging: HandshakingTagging):
 
 
 def assert_inference_equals_full_scoring(corpus, params, schema) -> int:
-    """infer and infer_batch give full_scoring's triples, or raise where it does.
-
-    Returns the number of triples full scoring emits in lenient mode.
-    """
-    emitted = 0
-    for mode in ("lenient", "strict"):
-        want = [outcome(lambda: full_scoring(tokens, params, schema, mode)) for tokens in corpus]
-        got = [outcome(lambda: infer(tokens, params, schema, mode=mode)) for tokens in corpus]
-        assert got == want, mode
-        batched = outcome(lambda: infer_batch(corpus, params, schema, mode=mode))
-        assert batched == ("raises" if "raises" in want else want), mode
-        if mode == "lenient":
-            emitted = sum(map(len, want))
-    return emitted
+    """infer and infer_batch give full_scoring's triples; returns how many it emits."""
+    want = [full_scoring(tokens, params, schema) for tokens in corpus]
+    assert [infer(tokens, params, schema) for tokens in corpus] == want
+    assert infer_batch(corpus, params, schema) == want
+    return sum(map(len, want))
 
 
 class TestEntityFirstInference:
@@ -690,11 +661,13 @@ class TestEntityFirstInference:
         tokens, p = model_emitting(HandshakingTagging(5, tags))
         assert full_scoring(tokens, p, schema2, "strict") == gold
         assert assert_inference_equals_full_scoring([tokens], p, schema2) == len(gold)
-        # a reversed entity tag: strict mode raises, lenient mode ignores it
+        # a reversed entity tag: strict decoding raises on it, inference
+        # decodes leniently and ignores it
         tags[0, seq_index(0, 2, 5)] = 2
         tokens, p = model_emitting(HandshakingTagging(5, tags))
         with pytest.raises(InvalidInput, match="reversed tag in entity sequence"):
-            infer(tokens, p, schema2, mode="strict")
+            full_scoring(tokens, p, schema2, "strict")
+        assert infer(tokens, p, schema2) == infer_batch([tokens], p, schema2)[0] == gold
         assert assert_inference_equals_full_scoring([tokens], p, schema2) == len(gold)
 
         # paper scale: 24 relations, n <= 60, the tag-0 bias raised so that
@@ -740,7 +713,7 @@ def entity_reference(tokens, p):
     """(projections, index map, the float64 entity logits of every pair and their argmax)."""
     h = encode_tokens(tokens, p.encoder)
     head, bias = p.taggers.weight[0], p.taggers.bias[0]
-    logits = head @ model._pair_grid(h, p.kernel).T + bias[:, None]
+    logits = head @ model._pair_rows(*model._projections(h, p.kernel)).T + bias[:, None]
     return model._projections(h, p.kernel), index_map(len(tokens)), logits, model._argmax_tags(logits)
 
 
@@ -811,8 +784,10 @@ class TestFloat32Screen:
         cells, rows = spy(monkeypatch, "_pair_cells"), spy(monkeypatch, "_pair_rows")
         got = model._entity_row(a, b, p, imap)
         assert np.array_equal(got, want) and not want.any()  # ties go to tag 0
-        assert rows == [imap.length] and cells == []
-        assert infer(tokens, p, PAPER_SCHEMA) == full_scoring(tokens, p, PAPER_SCHEMA, "lenient")
+        assert cells == [imap.length]  # every cell is a near-tie, rescored by one gather
+        triples = infer(tokens, p, PAPER_SCHEMA)
+        assert rows == []
+        assert triples == full_scoring(tokens, p, PAPER_SCHEMA)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_kernel_weight_scores_every_cell_in_float64(self, bad, monkeypatch):
@@ -821,9 +796,10 @@ class TestFloat32Screen:
         tokens = tuple(random.Random(8).choice(words) for _ in range(30))
         (a, b), imap, _, want = entity_reference(tokens, p)
         assert not math.isfinite(model._screen_bound(p.taggers.weight[0], p.taggers.bias[0], a, b))
-        rows = spy(monkeypatch, "_pair_rows")
+        cells, rows = spy(monkeypatch, "_pair_cells"), spy(monkeypatch, "_pair_rows")
+        screened = spy(monkeypatch, "_screen_logits")
         assert np.array_equal(model._entity_row(a, b, p, imap), want)
-        assert rows == [imap.length]
+        assert cells == [imap.length] and rows == [] and screened == []
 
 
 class TestInferBatch:

@@ -7,6 +7,7 @@ import ast
 import inspect
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +122,26 @@ def test_the_commands_are_exactly_the_extractor_operations(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--data", "x.jsonl", "--ckpt", "x.npz"])
     assert exc.value.code == 2
+
+
+def test_inference_has_one_behaviour():
+    # a long sentence is always cut with a warning and tags always decode leniently
+    for function in (pairlink.infer, pairlink.infer_batch):
+        assert "mode" not in inspect.signature(function).parameters
+
+
+def test_the_library_imports_only_the_standard_library_and_its_dependencies():
+    # a module that happens to be installed but is not declared would pass the tests
+    # and fail to import for users
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    listed = re.search(r"^dependencies = \[(.*)\]$", pyproject, flags=re.MULTILINE).group(1)
+    declared = set(re.findall(r'"([A-Za-z0-9_]+)', listed))
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert {"numpy", "json", "zipfile"} <= imported
+    assert imported - sys.stdlib_module_names - declared == set()
