@@ -43,7 +43,6 @@ from .data import (
     load_dataset,
     load_schema,
     tokenize,
-    truncate_for_training,
 )
 from .decoding import decode, decode_oracle
 from .evaluate import (
@@ -131,5 +130,4 @@ __all__ = [
     "tag_distribution",
     "tokenize",
     "train",
-    "truncate_for_training",
 ]

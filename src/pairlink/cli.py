@@ -250,7 +250,7 @@ def cmd_train(opts: _Options) -> int:
     )
     sizes = inspect.signature(init_model).parameters
     dims = {name: opts.get(name, sizes[name].default)
-            for name in ("d_embed", "d_state", "d_pair", "max_len")}
+            for name in ("d_embed", "d_state", "d_pair")}
     opts.check_all_read()
     folder = Path(args.ckpt).parent  # checked now, so a long run cannot end unwritable
     if not (folder.is_dir() and os.access(folder, os.W_OK | os.X_OK)):

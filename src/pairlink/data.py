@@ -25,7 +25,6 @@ from .core import (
     TokenSpan,
     Triple,
     check_choice,
-    check_int,
     check_relation_name,
     is_int,
 )
@@ -272,30 +271,6 @@ def triple_bucket(count: int) -> str:
     if count < 0:
         raise InvalidInput(f"triple count cannot be negative: {count}")
     return str(count) if count < 5 else "5+"
-
-
-def truncate_for_training(
-    ann: SentenceAnnotation, max_len: int
-) -> tuple[SentenceAnnotation, int]:
-    """Clip a sentence to ``max_len`` tokens for the training view.
-
-    Triples reaching past the window are dropped; the second value is how
-    many.  Evaluation should keep the original annotation.
-    """
-    max_len = check_int("max_len", max_len)
-    if ann.n <= max_len:
-        return ann, 0
-    kept = tuple(
-        t for t in ann.triples
-        if t.subject.tail < max_len and t.object.tail < max_len
-    )
-    view = SentenceAnnotation(
-        tokens=ann.tokens[:max_len],
-        text=ann.text,
-        triples=kept,
-        char_spans=ann.char_spans[:max_len] if ann.char_spans else None,
-    )
-    return view, len(ann.triples) - len(kept)
 
 
 @dataclass

@@ -5,12 +5,16 @@ tagging's (2N+1, P) array that hold a tag, then one ``np.nonzero`` over just
 those rows finds every tagged cell; everything after it loops in Python over
 those cells only.  It collects the entity spans grouped by head position and
 the oriented tail links of every relation, then resolves each head link
-against the span candidates.  ``decode_oracle`` recomputes the same
+against the span candidates, at most ``DECODE_BUDGET`` (subject, object)
+candidates per tagging.  ``decode_oracle`` recomputes the same
 answer in pure Python by brute force over all entity-span pairs, sharing no
 index code with ``decode``, and exists purely to cross-check it.
 """
 
 from __future__ import annotations
+
+import sys
+import warnings
 
 import numpy as np
 
@@ -23,6 +27,19 @@ from .core import (
     Triple,
     check_choice,
 )
+
+# (subject, object) candidates one tagging may cost: 1,750x the largest gold
+# tagging in the test suite (57; 34 in the benchmark's codec workload), and at
+# n=100 with 24 relations an all-ones tagging decodes in 0.15-0.35 s
+DECODE_BUDGET = 100_000
+
+
+def _outside_level() -> int:
+    """``stacklevel`` that makes a warning raised here point at the first caller outside pairlink."""
+    frame, level = sys._getframe(2), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith("pairlink."):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def decode(
@@ -37,6 +54,13 @@ def decode(
     reversed tag in the entity sequence cannot come from encoded data:
     strict mode raises, lenient mode ignores it.
     :func:`~pairlink.codec.parse_tagging_line` leaves this rule to decoding.
+
+    Each head link costs (spans at its subject head) x (spans at its object
+    head) candidates, charged in sweep order before they are tried.  A
+    tagging that needs more than ``DECODE_BUDGET`` raises in strict mode; in
+    lenient mode decoding stops at the link that would exceed it and warns
+    with the number of triples kept, pointing at the first caller outside
+    pairlink, so a cut tagging always gives the same triples.
     """
     check_choice("mode", mode, MODES)
     check_relation_count(tagging, schema)
@@ -64,11 +88,20 @@ def decode(
                          source[tails_at:].tolist(), target[tails_at:].tolist()))
     result: set[Triple] = set()
     no_spans: tuple[TokenSpan, ...] = ()
+    tried = 0
     for rid, subj_head, obj_head in zip((seq[heads_at:tails_at] - 1).tolist(),
                                         source[heads_at:tails_at].tolist(),
                                         target[heads_at:tails_at].tolist()):
-        for s in by_head.get(subj_head, no_spans):
-            for o in by_head.get(obj_head, no_spans):
+        subjects, objects = by_head.get(subj_head, no_spans), by_head.get(obj_head, no_spans)
+        tried += len(subjects) * len(objects)
+        if tried > DECODE_BUDGET:
+            if mode == "strict":
+                raise InvalidInput(f"tagging needs more than {DECODE_BUDGET:,} candidate pairs")
+            warnings.warn(f"decode stopped at {DECODE_BUDGET:,} candidate pairs; "
+                          f"kept {len(result):,} triples", stacklevel=_outside_level())
+            break
+        for s in subjects:
+            for o in objects:
                 if (rid, s.tail, o.tail) in tail_links:
                     result.add(Triple(s, rid, o))
     return result

@@ -48,7 +48,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import warnings
 import zipfile
 from dataclasses import dataclass, fields
 
@@ -150,15 +149,13 @@ class TaggerParams:
 
 @dataclass
 class ModelParams:
-    """A whole model; construction checks every tensor's full shape and dtype, and max_len."""
+    """A whole model; construction checks every tensor's full shape and dtype."""
 
     encoder: EncoderParams
     kernel: KernelParams
     taggers: TaggerParams
-    max_len: int
 
     def __post_init__(self) -> None:
-        self.max_len = check_int("max_len", self.max_len)
         heads, pair_dim = _axis(self.taggers.weight, 0), _axis(self.kernel.weight, 0)
         if heads % 2 == 0:
             raise ShapeError(f"need an odd number 2N+1 of output heads, got {heads}")
@@ -195,7 +192,6 @@ def init_model(
     d_embed: int = 32,
     d_state: int = 16,
     d_pair: int = 32,
-    max_len: int = 100,
     seed: int = 0,
     rng: np.random.Generator | None = None,
 ) -> ModelParams:
@@ -223,7 +219,7 @@ def init_model(
         weight=_uniform(rng, (2 * n_rel + 1, 3, d_pair), d_pair),
         bias=np.zeros((2 * n_rel + 1, 3)),
     )
-    return ModelParams(encoder, kernel, taggers, max_len)
+    return ModelParams(encoder, kernel, taggers)
 
 
 def named_tensors(params: ModelParams) -> dict[str, np.ndarray]:
@@ -582,16 +578,6 @@ def gradient(batch, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
 # --- inference ---------------------------------------------------------------
 
 
-def _fit_length(tokens, max_len: int):
-    if len(tokens) <= max_len:
-        return tokens
-    warnings.warn(
-        f"truncating a {len(tokens)}-token sentence to {max_len} tokens",
-        stacklevel=4,  # _fit_length <- _infer <- infer or infer_batch <- their caller
-    )
-    return tokens[:max_len]
-
-
 def _boundary_cells(positions: np.ndarray, imap: IndexMap) -> np.ndarray:
     """Flat indices of the upper-triangle pairs within token ``positions``, diagonal included."""
     positions = np.unique(positions)
@@ -706,12 +692,10 @@ def _infer(sentences, params: ModelParams, schema: RelationSchema,
         raise InvalidInput(
             f"model has {params.n_relations} relations, schema has {len(schema)}"
         )
-    fitted = []
-    for tokens in sentences:  # a comprehension would add a frame under the warning
-        fitted.append(_fit_length(tokens, params.max_len))
+    sentences = list(sentences)
     results = []
-    for start in range(0, len(fitted), batch_size):
-        chunk = fitted[start:start + batch_size]
+    for start in range(0, len(sentences), batch_size):
+        chunk = sentences[start:start + batch_size]
         h = _encode(chunk, params.encoder)[0]
         for tokens, h_row in zip(chunk, h):
             n = len(tokens)
@@ -733,9 +717,10 @@ def infer(tokens, params: ModelParams, schema: RelationSchema) -> set[Triple]:
     so its tags equal the float64 argmax (see the module docstring).  The
     result equals ``infer_batch([tokens], ...)[0]``: both run one body.
 
-    A sentence over ``params.max_len`` tokens is cut to that length with a
-    warning, and the tags are decoded leniently: a reversed entity tag is
-    ignored, not raised.
+    A sentence of any length is scored whole.  The tags are decoded
+    leniently: a reversed entity tag is ignored, and a tagging past
+    :data:`~pairlink.decoding.DECODE_BUDGET` is cut with a warning that
+    points at the caller.
     """
     return _infer([tokens], params, schema, 1)[0]
 
@@ -767,7 +752,6 @@ def save_checkpoint(path, params: ModelParams, schema: RelationSchema,
         "version": CHECKPOINT_VERSION,
         "relations": list(schema.relations),
         "vocab": sorted(vocab, key=vocab.get),
-        "max_len": params.max_len,
         "extra": extra or {},
     }
     arrays = {
@@ -831,7 +815,6 @@ def load_checkpoint(path) -> tuple[ModelParams, RelationSchema, dict]:
                                   tensors.pop("encoder.embed"), mixer),
             kernel=KernelParams(tensors.pop("kernel.weight"), tensors.pop("kernel.bias")),
             taggers=TaggerParams(tensors.pop("taggers.weight"), tensors.pop("taggers.bias")),
-            max_len=meta.get("max_len"),
         )
     except KeyError as exc:
         raise ParseError(f"{path}: checkpoint has no tensor {exc.args[0]}") from None

@@ -17,7 +17,6 @@ import numpy as np
 
 from .codec import encode
 from .core import InvalidInput, RelationSchema, SentenceAnnotation, check_choice, check_int
-from .data import truncate_for_training
 from .evaluate import micro_prf
 from .model import (
     ModelParams,
@@ -174,8 +173,8 @@ def train(
     the best parameters are kept; an empty training or validation set raises
     :class:`InvalidInput`.  All randomness flows through one generator seeded
     from the config, so equal seeds give identical histories.  ``dims`` are
-    :func:`init_model`'s size options (``d_embed``, ``d_state``, ``d_pair``,
-    ``max_len``), with its defaults.
+    :func:`init_model`'s size options (``d_embed``, ``d_state``, ``d_pair``),
+    with its defaults.  Every sentence is trained whole, whatever its length.
     """
     if not dataset:
         raise InvalidInput("empty training set")
@@ -184,10 +183,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     vocab = build_vocab(ann.tokens for ann in dataset)
     params = init_model(schema, vocab, seed=config.seed, rng=rng, **dims)
-    train_view = [truncate_for_training(ann, params.max_len)[0] for ann in dataset]
-    examples = [
-        (ann.tokens, encode(ann, schema, mode="lenient")) for ann in train_view
-    ]
+    examples = [(ann.tokens, encode(ann, schema, mode="lenient")) for ann in dataset]
     eval_set = valid if valid is not None else dataset
     eval_golds = [set(ann.triples) for ann in eval_set]
 

@@ -201,6 +201,20 @@ class TestEncodeDecode:
                 '{"subject":[3,4],"relation":"live_in","object":[0,1]},'
                 '{"subject":[3,4],"relation":"live_in","object":[0,2]}]}\n')
 
+    def test_strict_decode_of_a_line_past_the_budget_exits_3(self, tmp_path, capsys,
+                                                              figure_fixture):
+        # every cell tag 1 at n=35 with one relation: 205,905 candidate pairs
+        schema, _, figure, _ = figure_fixture
+        dense = {"n": 35, "relations": ["r"], "eh2et": [1] * 630, "sh2oh": [[1] * 630],
+                 "st2ot": [[1] * 630]}
+        data = write_jsonl(tmp_path / "dense.jsonl", [tagging_to_obj(figure, schema), dense])
+        out = tmp_path / "out.jsonl"
+        code = main(["decode", "--data", data, "--out", str(out), "--mode", "strict"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {data}:2: tagging needs more than 100,000 candidate pairs\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["encode", "stats"])
     @pytest.mark.parametrize("tokens", ["Ada", 5, ["Ada", 7]])
     def test_tokens_that_are_not_a_list_of_strings_exit_3(self, tmp_path, capsys,
@@ -401,12 +415,13 @@ class TestTrainEvalBench:
         assert meta["extra"]["config"] == {
             "lr": 1e-3, "epochs": 100, "batch_size": 6, "seed": 0, "optimizer": "adam",
             "early_stop_f1": None,
-            "d_embed": 32, "d_state": 16, "d_pair": 32, "max_len": 100,
+            "d_embed": 32, "d_state": 16, "d_pair": 32,
             "standard": "whole-span", "mode": "lenient",
         }
         assert len(meta["extra"]["history"]) == 100
         assert (params.encoder.embed.shape[1], params.encoder.mixer.state_dim,
-                params.kernel.bias.shape[0], params.max_len) == (32, 16, 32, 100)
+                params.kernel.bias.shape[0]) == (32, 16, 32)
+        assert "max_len" not in meta
 
     def test_train_writes_a_loadable_checkpoint_with_provenance(self, trained):
         _, _, _, ckpt, _ = trained
@@ -562,8 +577,6 @@ def corrupt_checkpoint(tmp_path, kind):
         meta["relations"][1] = meta["relations"][0]
     elif kind == "unexpected_tensor":
         arrays["encoder__extra"] = np.zeros(3)
-    elif kind.startswith("max_len="):
-        meta["max_len"] = json.loads(kind.partition("=")[2])
     elif kind.startswith("extra_axis:"):
         arrays[tensor] = arrays[tensor][..., None]
     elif kind.startswith("float32:"):
@@ -585,8 +598,7 @@ class TestCorruptCheckpoint:
         ["directory", "random_bytes", "metadata_only", "mixer_tensors_missing",
          "vocab_longer_than_embed", "vocab_duplicate_token", "vocab_unknown_not_first",
          "vocab_token_not_a_string", "relation_names_not_strings", "relation_name_empty",
-         "relation_names_duplicate", "unexpected_tensor",
-         "max_len=0", "max_len=-1", "max_len=true"]
+         "relation_names_duplicate", "unexpected_tensor"]
         + [f"{damage}:{name}" for name in TENSOR_NAMES for damage in ("extra_axis", "float32")],
     )
     def test_eval_exits_3_with_one_line_error(self, workspace, capsys, kind):
@@ -646,8 +658,7 @@ class TestSelftestAndUsage:
             ("stats", ["--data", data, "--out", out], out, corpus),
             ("train", ["--data", data, "--schema", schema, "--ckpt", out, "--epochs", "1"],
              out + ".npz", corpus | {"lr", "epochs", "batch_size", "seed", "optimizer",
-                                    "early_stop_f1", "d_embed", "d_state", "d_pair",
-                                    "max_len"}),
+                                    "early_stop_f1", "d_embed", "d_state", "d_pair"}),
             ("eval", ["--data", data, "--ckpt", ckpt, "--out", out], out,
              corpus | {"match"}),
         ]
@@ -787,6 +798,24 @@ class TestSelftestAndUsage:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert err == f"error: {config}: config key 'epoch' is not an option of {command}\n"
+        assert not out.exists() and not (tmp_path / "out.npz").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "max_len", 100), ("eval", "batch_size", 24),
+    ])
+    def test_a_removed_option_in_a_config_exits_3(self, workspace, capsys, command, key, value):
+        # a length cap and eval's chunk size are no longer options: a config
+        # holding one is refused as an unread key, not run without it
+        tmp_path, schema, data = workspace
+        config = write(tmp_path / "old.json", json.dumps({key: value}))
+        out = tmp_path / "out"
+        argv = {"train": ["--data", data, "--schema", schema, "--ckpt", str(out)],
+                "eval": ["--data", data, "--ckpt", untrained_checkpoint(tmp_path),
+                         "--out", str(out)]}[command]
+        code = main([command, *argv, "--config", config])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {config}: config key {key!r} is not an option of {command}\n")
         assert not out.exists() and not (tmp_path / "out.npz").exists()
 
     @pytest.mark.parametrize("command, options", [

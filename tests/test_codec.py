@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pairlink import (
     TokenSpan,
     Triple,
     decode,
+    decode_oracle,
     detect_conflicts,
     dump_tagging_line,
     encode,
@@ -194,7 +196,15 @@ class TestSerialization:
         cases.append((odd, random_tagging(rng, 5, 3, zero_bias=0.5)))
         # the figure is strict decoding's control for valid reversed head and tail tags
         assert figure.tags[0].max() == 1 and figure.tags[1:].max() == 2
+        compared = 0
         for rel_schema, tagging in cases:
+            # decode equals the oracle on every tagging its budget does not cut
+            with warnings.catch_warnings(record=True) as cut:
+                warnings.simplefilter("always")
+                decoded = decode(tagging, rel_schema)
+            if not cut:
+                assert decoded == decode_oracle(tagging, rel_schema)
+                compared += 1
             line = dump_tagging_line(tagging, rel_schema)
             assert line == json.dumps(tagging_to_obj(tagging, rel_schema), separators=(",", ":"))
             parsed_tagging, parsed_schema = parse_tagging_line(line)
@@ -206,6 +216,7 @@ class TestSerialization:
             assert parsed_schema == rel_schema
             assert dump_tagging_line(parsed_tagging, parsed_schema) == line
             assert "\n" not in line
+        assert compared == len(cases) == 63  # no tagging here comes near the budget
 
     def test_obj_shape(self, schema2):
         tagging = encode(annotation(3, [triple(0, 0, 0, 1, 2)]), schema2)

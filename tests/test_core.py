@@ -25,14 +25,11 @@ from pairlink import (
     encode,
     infer_batch,
     init_model,
-    load_checkpoint,
     load_dataset,
     micro_prf,
     parse_tagging_line,
-    save_checkpoint,
     seq_length,
     tag_distribution,
-    truncate_for_training,
 )
 from pairlink import model
 
@@ -256,11 +253,6 @@ def tagging_n(value, _):
     return HandshakingTagging(value, np.zeros((3, n * (n + 1) // 2), dtype=np.int8)).n
 
 
-def max_len_of_rebuilt_model(value, _):
-    m = small_model()
-    return ModelParams(m.encoder, m.kernel, m.taggers, value).max_len
-
-
 # entry point -> (argument name in the error, minimum, what the entry point keeps of a value)
 INT_ARGUMENTS = {
     "TokenSpan.head": ("head", 0, lambda v, _: TokenSpan(v, 5).head),
@@ -273,19 +265,15 @@ INT_ARGUMENTS = {
         ("a",), text="abcd", char_spans=((0, v),)).char_spans[0][1]),
     "seq_length.n": ("n", 1, n_counted),
     "HandshakingTagging.n": ("n", 1, tagging_n),
-    "ModelParams.max_len": ("max_len", 1, max_len_of_rebuilt_model),
     "init_model.d_embed": ("d_embed", 1,
                            lambda v, _: small_model(d_embed=v).encoder.embed.shape[1]),
     "init_model.d_state": ("d_state", 1,
                            lambda v, _: small_model(d_state=v).encoder.mixer.state_dim),
     "init_model.d_pair": ("d_pair", 1, lambda v, _: small_model(d_pair=v).kernel.weight.shape[0]),
-    "init_model.max_len": ("max_len", 1, lambda v, _: small_model(max_len=v).max_len),
     "infer_batch.batch_size": ("batch_size", 1, batch_size_passed_on),
     "TrainConfig.epochs": ("epochs", 1, lambda v, _: TrainConfig(epochs=v).epochs),
     "TrainConfig.batch_size": ("batch_size", 1, lambda v, _: TrainConfig(batch_size=v).batch_size),
     "TrainConfig.seed": ("seed", 0, lambda v, _: TrainConfig(seed=v).seed),
-    "truncate_for_training.max_len": ("max_len", 1, lambda v, _: truncate_for_training(
-        annotation(5, []), v)[0].n),
     "parse_tagging_line.n": ("field 'n'", 1, lambda v, _: parse_tagging_line(tagging_line(v))[0].n),
     "tag_distribution.tagger": ("tagger", 0, tagger_scored),
 }
@@ -323,11 +311,6 @@ class TestArgumentRules:
         bad = minimum - 1 if bad == "below the minimum" else bad
         with pytest.raises(InvalidInput, match=f"^{name} must be an integer >= {minimum}, got "):
             kept(bad, monkeypatch)
-
-    def test_a_model_with_a_numpy_max_len_saves_and_loads(self, tmp_path):
-        path = save_checkpoint(tmp_path / "model", small_model(max_len=np.int64(50)), SCHEMA1)
-        params, _, meta = load_checkpoint(path)
-        assert type(params.max_len) is int and params.max_len == meta["max_len"] == 50
 
     @pytest.mark.parametrize("entry", CHOICE_ARGUMENTS)
     def test_a_value_outside_the_choices_is_rejected(self, entry):

@@ -20,7 +20,6 @@ from pairlink import (
     load_dataset,
     load_schema,
     tokenize,
-    truncate_for_training,
 )
 from pairlink.data import (
     ParseError,
@@ -318,24 +317,6 @@ class TestOverlapTaxonomy:
         assert [triple_bucket(i) for i in range(7)] == ["0", "1", "2", "3", "4", "5+", "5+"]
         with pytest.raises(InvalidInput):
             triple_bucket(-1)
-
-
-class TestTruncateForTraining:
-    def test_short_sentence_is_untouched(self):
-        ann = annotation(5, [triple(0, 0, 0, 4, 4)])
-        view, dropped = truncate_for_training(ann, max_len=5)
-        assert view is ann and dropped == 0
-
-    def test_drops_triples_past_the_window(self):
-        ann = annotation(10, [triple(0, 0, 0, 2, 3), triple(1, 1, 0, 8, 9)])
-        view, dropped = truncate_for_training(ann, max_len=6)
-        assert view.n == 6
-        assert view.triples == (triple(0, 0, 0, 2, 3),)
-        assert dropped == 1
-
-    def test_validates_max_len(self):
-        with pytest.raises(InvalidInput):
-            truncate_for_training(annotation(3, []), max_len=0)
 
 
 class TestStats:

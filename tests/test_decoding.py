@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -236,3 +237,41 @@ class TestRowSkipEdges:
         assert got == decode_outcome(decode_oracle, tagging, schema2, mode)
         reversed_entity = 2 in tagging.tags[0]
         assert got == (InvalidInput if reversed_entity and mode == "strict" else want)
+
+
+class TestDecodeBudget:
+    # spans at heads 0 and 3, and one diagonal head and tail link per token:
+    # the head links cost 3 x 3, 0, 0 and 1 x 1 candidates in sweep order
+    SPANS = {(0, 0): 1, (0, 1): 1, (0, 2): 1, (3, 3): 1}
+
+    def test_each_head_link_costs_its_subject_spans_times_its_object_spans(self, monkeypatch):
+        tagging, schema = self_links(4, self.SPANS), RelationSchema(("r",))
+        every = decode_oracle(tagging, schema)
+        monkeypatch.setattr(decoding, "DECODE_BUDGET", 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decode(tagging, schema) == decode(tagging, schema, mode="strict") == every
+        monkeypatch.setattr(decoding, "DECODE_BUDGET", 9)
+        with pytest.warns(UserWarning, match="^decode stopped at 9 candidate pairs; "
+                                             "kept 3 triples$") as record:
+            kept = decode(tagging, schema)
+        assert record[0].filename == __file__
+        assert kept == {t for t in every if t.subject.head == 0} and len(every) == 4
+        with pytest.raises(InvalidInput, match="^tagging needs more than 9 candidate pairs$"):
+            decode(tagging, schema, mode="strict")
+
+    def test_a_dense_tagging_is_cut_at_the_same_triples_every_time(self, monkeypatch):
+        # every cell holds tag 1: 205,905 candidates at n=35 with one relation
+        n, schema = 35, RelationSchema(("r",))
+        dense = HandshakingTagging(n, np.ones((3, seq_length(n)), dtype=np.int8))
+        with pytest.warns(UserWarning, match="decode stopped") as record:
+            first, second = decode(dense, schema), decode(dense, schema)
+        assert len(record) == 2 and first == second
+        assert f"kept {len(first):,} triples" in str(record[0].message)
+        with pytest.raises(InvalidInput, match="candidate pairs"):
+            decode(dense, schema, mode="strict")
+        monkeypatch.setattr(decoding, "DECODE_BUDGET", 205_905)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            whole = decode(dense, schema)
+        assert first and first < whole

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from pairlink import (
     seq_length,
     tag_distribution,
 )
+from pairlink.cli import EXIT_OK, main
 from pairlink.model import (
     UNK,
     batch_loss,
@@ -101,7 +104,6 @@ class TestVocabAndInit:
                 encoder=p.encoder,
                 kernel=p.kernel,
                 taggers=TaggerParams(p.taggers.weight[:-1], p.taggers.bias[:-1]),
-                max_len=p.max_len,
             )
 
     @pytest.mark.parametrize("vocab, rows, error", [
@@ -125,10 +127,10 @@ class TestVocabAndInit:
         p = tiny_model(schema2, [("a", "b")])
         kernel = KernelParams(p.kernel.weight, p.kernel.bias.astype(np.float32))
         with pytest.raises(ShapeError, match="kernel.bias is float32"):
-            ModelParams(p.encoder, kernel, p.taggers, p.max_len)
+            ModelParams(p.encoder, kernel, p.taggers)
 
     @pytest.mark.parametrize("value", [0, -1, True, 2.0])
-    @pytest.mark.parametrize("size", ["max_len", "d_embed", "d_state", "d_pair"])
+    @pytest.mark.parametrize("size", ["d_embed", "d_state", "d_pair"])
     def test_size_must_be_a_positive_int(self, schema2, size, value):
         with pytest.raises(InvalidInput, match=f"{size} must be an integer >= 1"):
             init_model(schema2, build_vocab([("a",)]), **{size: value})
@@ -143,7 +145,7 @@ class TestVocabAndInit:
         p = tiny_model(schema2, [("a", "b")])
         q = clone_params(p)
         assert q.encoder.vocab == p.encoder.vocab and q.encoder.vocab is not p.encoder.vocab
-        assert (q.n_relations, q.max_len) == (p.n_relations, p.max_len)
+        assert q.n_relations == p.n_relations
         originals, copies = named_tensors(p), named_tensors(q)
         assert list(originals) == list(copies)
         for name, arr in originals.items():
@@ -572,6 +574,11 @@ class TestGradient:
             gradient(batch, p)
 
 
+# one 100-token sentence through a paper-scale model straight from init_model,
+# under tracemalloc: 0.7-1.1 s and 19 MB on a 2-vCPU host (0.2 s untraced)
+UNTRAINED_BOUND_S, UNTRAINED_BOUND_MB = 5.0, 64
+
+
 class TestInfer:
     def test_one_encoder_call_one_kernel(self, schema2, monkeypatch):
         p = tiny_model(schema2, [("a", "b", "c", "d", "e", "f")])
@@ -592,17 +599,72 @@ class TestInfer:
         with pytest.raises(InvalidInput):
             infer(("a",), p, RelationSchema(("only_one",)))
 
-    def test_max_len_strict_vs_lenient(self, schema2):
-        p = tiny_model(schema2, [("a", "b", "c")], max_len=2)
-        long_sentence = ("a", "b", "c")
-        with pytest.warns(UserWarning, match="truncating") as record:
-            result = infer(long_sentence, p, schema2)
-        assert record[0].filename == __file__  # points at the caller
-        for t in result:
-            assert t.subject.tail < 2 and t.object.tail < 2
-        with pytest.warns(UserWarning, match="truncating") as record:
-            infer_batch([long_sentence], p, schema2)
+    def test_a_250_token_sentence_is_scored_and_trained_whole(self, schema2, tmp_path,
+                                                                capsys):
+        gold = triple(120, 121, 1, 230, 232)  # past token 100
+        tagging = encode(annotation(250, [gold]), schema2)
+        tokens, p = model_emitting(tagging)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert infer(tokens, p, schema2) == {gold}
+            assert infer_batch([tokens, tokens[:50]], p, schema2) == [{gold}, set()]
+            corpus = tmp_path / "long.jsonl"
+            corpus.write_text(json.dumps({"text": " ".join(tokens), "triple_list": [
+                ["w120 w121", "lives_in", "w230 w231 w232"]]}) + "\n", encoding="utf-8")
+            ckpt = save_checkpoint(tmp_path / "long", p, schema2)
+            out = tmp_path / "eval.json"
+            assert main(["eval", "--data", str(corpus), "--ckpt", ckpt, "--match", "exact",
+                         "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"))["report"]
+        assert (report["f1"], report["n_gold"], report["n_predicted"]) == (1.0, 1, 1)
+        assert capsys.readouterr().err == ""
+        loss, grads = gradient([(tokens, tagging)], p)
+        assert math.isfinite(loss) and loss > 0
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        assert np.any(grads["kernel.weight"] != 0)
+
+    def test_a_cut_decode_warns_at_the_caller(self, schema2):
+        # every head holds tag 1 at every cell: 225,680 candidates at n=30
+        n = 30
+        dense = HandshakingTagging(n, np.ones((2 * len(schema2) + 1, seq_length(n)),
+                                              dtype=np.int8))
+        tokens, p = model_emitting(dense)
+        with pytest.warns(UserWarning, match="decode stopped") as record:
+            kept = decode(dense, schema2)
         assert record[0].filename == __file__
+        assert f"kept {len(kept):,} triples" in str(record[0].message) and kept
+        with pytest.warns(UserWarning, match="decode stopped") as record:
+            assert infer(tokens, p, schema2) == kept
+        assert len(record) == 1 and record[0].filename == __file__  # points at the caller
+        with pytest.warns(UserWarning, match="decode stopped") as record:
+            assert infer_batch([tokens, tokens[:5]], p, schema2)[0] == kept
+        assert len(record) == 1 and record[0].filename == __file__
+
+    @pytest.mark.parametrize("entry", ["infer", "pairlink eval"])
+    def test_an_untrained_model_decodes_within_its_bound(self, entry, tmp_path):
+        # init_model's tags are dense: with no budget, one 60-token sentence
+        # decodes to 1.4M triples in 3.2 s
+        words = [f"w{i}" for i in range(500)]
+        p = tiny_model(PAPER_SCHEMA, [words], d_embed=64, d_state=32, d_pair=64)
+        rng = random.Random(0)
+        tokens = tuple(rng.choice(words) for _ in range(100))
+        corpus = tmp_path / "one.jsonl"
+        corpus.write_text(json.dumps({"text": " ".join(tokens), "triple_list": [
+            [tokens[3], "rel00", tokens[60]]]}) + "\n", encoding="utf-8")
+        ckpt = save_checkpoint(tmp_path / "untrained", p, PAPER_SCHEMA)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.warns(UserWarning, match="decode stopped"):
+                if entry == "infer":
+                    infer(tokens, p, PAPER_SCHEMA)
+                else:
+                    assert main(["eval", "--data", str(corpus), "--ckpt", ckpt]) == EXIT_OK
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < UNTRAINED_BOUND_S and peak < UNTRAINED_BOUND_MB * 2 ** 20
 
 
 def full_scoring(tokens, params, schema, mode="lenient"):
@@ -617,27 +679,29 @@ def model_emitting(tagging: HandshakingTagging):
 
     Tokens are one-hot vectors, which the mixer passes on as tanh(1) times
     themselves in its forward states (w_fwd = I, every other mixer tensor
-    zero); kernel unit c reads about +1 at cell c and -1 at every other cell,
-    so a head's logit for tag t is about +1 at the cells where ``tagging``
-    holds t and -1 elsewhere, against 0 for tag 0.
+    zero).  There is one kernel unit per cell that holds a tag in some
+    head; unit u reads about +1 at its cell and -1 at every other cell, so a
+    head's logit for tag t is about +1 at the cells where ``tagging`` holds
+    t and -1 elsewhere, against 0 for tag 0.
     """
     n, tags = tagging.n, tagging.tags
     tokens = tuple(f"w{i}" for i in range(n))
     imap = index_map(n)
-    cells = np.arange(imap.length)
+    cells = np.flatnonzero(tags.any(axis=0))
+    units = np.arange(len(cells))
     embed = np.vstack([np.zeros(n), np.eye(n)])  # id 0 is the unknown token
     zero = np.zeros((n, n))
     mixer = MixerParams(np.eye(n), zero, np.zeros(n), zero, zero, np.zeros(n))
-    kernel = np.zeros((imap.length, 4 * n))  # token vectors are [f; g], 2n wide
-    kernel[cells, imap.rows] = kernel[cells, 2 * n + imap.cols] = 20.0 / math.tanh(1.0)
-    heads = np.zeros((len(tags), 3, imap.length))
+    kernel = np.zeros((len(cells), 4 * n))  # token vectors are [f; g], 2n wide
+    kernel[units, imap.rows[cells]] = 20.0 / math.tanh(1.0)
+    kernel[units, 2 * n + imap.cols[cells]] = 20.0 / math.tanh(1.0)
+    heads = np.zeros((len(tags), 3, len(cells)))
     for t in (1, 2):
-        heads[:, t] = tags == t
+        heads[:, t] = tags[:, cells] == t
     params = ModelParams(
         encoder=EncoderParams(build_vocab([tokens]), embed, mixer),
-        kernel=KernelParams(kernel, np.full(imap.length, -30.0)),
+        kernel=KernelParams(kernel, np.full(len(cells), -30.0)),
         taggers=TaggerParams(heads, heads.sum(axis=2) - [0, 1, 1]),
-        max_len=100,
     )
     return tokens, params
 
@@ -864,7 +928,7 @@ class TestCheckpoint:
         assert schema == schema2
         assert meta["extra"] == {"note": "x"}
         assert loaded.encoder.vocab == p.encoder.vocab
-        assert loaded.max_len == p.max_len
+        assert "max_len" not in meta
         for name, arr in named_tensors(p).items():
             assert np.array_equal(arr, named_tensors(loaded)[name]), name
 
@@ -887,6 +951,23 @@ class TestCheckpoint:
         for name, arr in named_tensors(p).items():
             assert np.array_equal(arr, named_tensors(loaded)[name]), name
         assert np.array_equal(forward_probs(("a", "b"), p), forward_probs(("a", "b"), loaded))
+
+    @pytest.mark.parametrize("cap", [100, 2])
+    def test_an_older_archive_holding_max_len_loads_bit_for_bit(self, tmp_path, schema2, cap):
+        # archives used to carry the model's length cap; the key is now
+        # ignored, at the same format version, and no sentence is cut
+        tokens = ("a", "b", "c")
+        p = tiny_model(schema2, [tokens], seed=4)
+        path = save_checkpoint(tmp_path / "model", p, schema2)
+        older = self.with_meta(path, tmp_path / "older.npz", max_len=cap)
+        loaded, _, meta = load_checkpoint(older)
+        assert meta["max_len"] == cap and meta["version"] == model.CHECKPOINT_VERSION
+        for name, arr in named_tensors(p).items():
+            assert np.array_equal(arr, named_tensors(loaded)[name]), name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert infer(tokens, loaded, schema2) == infer(tokens, p, schema2)
+        assert np.array_equal(forward_probs(tokens, p), forward_probs(tokens, loaded))
 
     def test_rejects_unsupported_version(self, tmp_path, schema2):
         p = tiny_model(schema2, [("a",)])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pairlink import (
     RelationSchema,
     TrainConfig,
     check_gradients,
+    decode,
     encode,
     infer,
     micro_prf,
@@ -173,15 +175,24 @@ class TestTrainLoop:
         with pytest.raises(TypeError):
             train(data, schema, TrainConfig(epochs=1), **dims)
 
-    def test_long_sentences_are_truncated_for_training(self):
+    def test_long_sentences_are_trained_whole(self, monkeypatch):
+        # the triple lies past token 4, where a length cap used to drop it
         schema = RelationSchema(("r0",))
-        ann = annotation(8, [triple(0, 0, 0, 1, 1)])
+        ann = annotation(8, [triple(0, 0, 0, 6, 7)])
         cfg = TrainConfig(learning_rate=1e-2, epochs=1, batch_size=1, seed=0)
-        with pytest.warns(UserWarning, match="truncating"):
-            result = train(
-                [ann], schema, cfg, d_embed=4, d_state=3, d_pair=4, max_len=4
-            )
+        batches = []
+
+        def recording_gradient(batch, params):
+            batches.append(batch)
+            return gradient(batch, params)
+
+        monkeypatch.setattr(train_mod, "gradient", recording_gradient)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = train([ann], schema, cfg, d_embed=4, d_state=3, d_pair=4)
         assert len(result.history) == 1
+        [[(tokens, tagging)]] = batches
+        assert tokens == ann.tokens and decode(tagging, schema) == ann.triple_set()
 
 
 class TestDivergenceHandling:
