@@ -198,6 +198,7 @@ def init_model(
     """Fresh parameters, every weight uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     for name, size in (("d_embed", d_embed), ("d_state", d_state), ("d_pair", d_pair)):
         check_int(name, size)
+    seed = check_int("seed", seed, minimum=0)
     if rng is None:
         rng = np.random.default_rng(seed)
     n_rel = len(schema)

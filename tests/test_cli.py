@@ -215,6 +215,23 @@ class TestEncodeDecode:
             f"error: {data}:2: tagging needs more than 100,000 candidate pairs\n")
         assert not out.exists()
 
+    def test_lenient_decode_of_a_line_past_the_budget_writes_the_triples_kept(
+            self, tmp_path, capsys, figure_fixture):
+        schema, _, figure, _ = figure_fixture
+        dense = {"n": 35, "relations": ["r"], "eh2et": [1] * 630, "sh2oh": [[1] * 630],
+                 "st2ot": [[1] * 630]}
+        data = write_jsonl(tmp_path / "dense.jsonl", [tagging_to_obj(figure, schema), dense])
+        out = tmp_path / "out.jsonl"
+        with pytest.warns(UserWarning, match="^decode stopped at 100,000 candidate pairs; "
+                                             r"kept [\d,]+ triples$") as record:
+            code = main(["decode", "--data", data, "--out", str(out), "--mode", "lenient"])
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        assert len(record) == 1 and record[0].filename == __file__  # points at main's caller
+        figure_line, dense_line = out.read_text(encoding="utf-8").splitlines()
+        assert len(json.loads(figure_line)["triples"]) == 5
+        kept = json.loads(dense_line)["triples"]
+        assert kept and f"kept {len(kept):,} triples" in str(record[0].message)
+
     @pytest.mark.parametrize("command", ["encode", "stats"])
     @pytest.mark.parametrize("tokens", ["Ada", 5, ["Ada", 7]])
     def test_tokens_that_are_not_a_list_of_strings_exit_3(self, tmp_path, capsys,
@@ -608,6 +625,28 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cap", ["0", "-1", "true"])
+    def test_eval_ignores_the_length_cap_of_an_older_checkpoint(self, workspace, capsys, cap):
+        # older archives carried the model's length cap, and these values
+        # were refused as corrupt; the key is no longer read, so the archive
+        # scores as it does without it
+        tmp_path, _, data = workspace
+        good = untrained_checkpoint(tmp_path)
+        with np.load(good) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        meta["max_len"] = json.loads(cap)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        older = tmp_path / "older.npz"
+        np.savez(older, **arrays)
+        reports = []
+        for ckpt in (good, str(older)):
+            out = tmp_path / "eval.json"
+            assert main(["eval", "--data", data, "--ckpt", ckpt, "--out", str(out)]) == EXIT_OK
+            reports.append(json.loads(out.read_text(encoding="utf-8"))["report"])
+        assert reports[0] == reports[1] and reports[0]["n_gold"] > 0
+        assert capsys.readouterr().err == ""
 
     def test_a_checkpoint_without_a_mixer_exits_3(self, workspace, capsys):
         # an archive as an older version wrote it for an embedding-only encoder:

@@ -156,6 +156,21 @@ class TestRoundTrip:
             tagging = encode(ann, schema2)
             assert decode(tagging, schema2) == ann.triple_set()
 
+    @pytest.mark.parametrize("n", [101, 250, 500])
+    def test_sentences_past_100_tokens_round_trip(self, schema2, n):
+        # lengths past the cap sentences used to be cut to: one annotation
+        # whose spans reach the last token, then seeded ones of length n
+        reaching = annotation(n, [triple(0, 1, 0, n - 3, n - 1), triple(n - 1, n - 1, 1, 99, 100)])
+        rng = random.Random(n)
+        seeded = [random_annotation(rng, schema2, n_min=n, n_max=n, max_triples=6, min_triples=1)
+                  for _ in range(10)]
+        for ann in [reaching, *seeded]:
+            tagging = encode(ann, schema2)
+            assert decode(tagging, schema2, mode="strict") == ann.triple_set()
+            assert decode_oracle(tagging, schema2) == ann.triple_set()
+            parsed, _ = parse_tagging_line(dump_tagging_line(tagging, schema2))
+            assert parsed == tagging
+
     def test_phantom_counterexample_is_closed_not_lost(self):
         # Head links and tail pairs recombine across triples of one relation:
         # the gold set below is cell-conflict-free yet not losslessly

@@ -234,6 +234,14 @@ def batch_size_passed_on(value, monkeypatch):
     return seen[0]
 
 
+def seed_drawn(value, monkeypatch):
+    """The seed ``init_model`` hands to its generator when given none."""
+    seen, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: seen.append(s) or default_rng(s))
+    small_model(seed=value)
+    return seen[0]
+
+
 def tagger_scored(value, _):
     """The head whose distribution ``tag_distribution`` returns, of five with distinct biases."""
     taggers = TaggerParams(np.zeros((5, 3, 2)), np.outer(np.arange(5.0), [0.0, 1.0, 0.0]))
@@ -270,6 +278,7 @@ INT_ARGUMENTS = {
     "init_model.d_state": ("d_state", 1,
                            lambda v, _: small_model(d_state=v).encoder.mixer.state_dim),
     "init_model.d_pair": ("d_pair", 1, lambda v, _: small_model(d_pair=v).kernel.weight.shape[0]),
+    "init_model.seed": ("seed", 0, seed_drawn),
     "infer_batch.batch_size": ("batch_size", 1, batch_size_passed_on),
     "TrainConfig.epochs": ("epochs", 1, lambda v, _: TrainConfig(epochs=v).epochs),
     "TrainConfig.batch_size": ("batch_size", 1, lambda v, _: TrainConfig(batch_size=v).batch_size),

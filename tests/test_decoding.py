@@ -260,6 +260,25 @@ class TestDecodeBudget:
         with pytest.raises(InvalidInput, match="^tagging needs more than 9 candidate pairs$"):
             decode(tagging, schema, mode="strict")
 
+    def test_the_budget_is_shared_by_every_relation_of_the_tagging(self, monkeypatch):
+        # each relation alone costs 10; the second one's first head link
+        # brings the tagging to 19
+        diagonal = {(i, i): 1 for i in range(4)}
+        tagging = make_tagging(4, self.SPANS, [diagonal, diagonal], [diagonal, diagonal])
+        schema = RelationSchema(("r", "s"))
+        every = decode_oracle(tagging, schema)
+        monkeypatch.setattr(decoding, "DECODE_BUDGET", 15)
+        with pytest.warns(UserWarning, match="^decode stopped at 15 candidate pairs; "
+                                             "kept 4 triples$"):
+            kept = decode(tagging, schema)
+        assert kept == {t for t in every if t.relation == 0} and len(every) == 8
+        with pytest.raises(InvalidInput, match="^tagging needs more than 15 candidate pairs$"):
+            decode(tagging, schema, mode="strict")
+        monkeypatch.setattr(decoding, "DECODE_BUDGET", 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decode(tagging, schema) == decode(tagging, schema, mode="strict") == every
+
     def test_a_dense_tagging_is_cut_at_the_same_triples_every_time(self, monkeypatch):
         # every cell holds tag 1: 205,905 candidates at n=35 with one relation
         n, schema = 35, RelationSchema(("r",))

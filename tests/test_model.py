@@ -177,6 +177,7 @@ class TestEncoder:
 
     @pytest.mark.parametrize("lengths", [
         (1,), (2,), (7,), (1, 1, 1), (2, 2, 2), (7, 7, 7), (1, 2, 7), (7, 1, 2),
+        (250,), (3, 250, 120),  # past the length cap sentences used to be cut to
     ])
     def test_two_direction_loop_equals_per_direction_recurrences(self, schema2, lengths):
         # one time-major loop steps both directions over a right-padded stack;
@@ -534,6 +535,14 @@ class TestGradient:
         p = tiny_model(schema2, [toks for toks, _ in batch], d_embed=3, d_state=2, d_pair=3)
         check_gradients(batch, p, step=1e-5, rel_tol=1e-4, abs_tol=0.0, max_coords=None)
 
+    def test_a_sentence_past_100_tokens_matches_finite_differences(self, schema2):
+        # the 130-token sentence's triples and the padding of the 2-token one
+        # reach past the length cap sentences used to be cut to
+        batch = batch_of_lengths(schema2, random.Random(31), (2, 130))
+        assert max(max(t.subject.tail, t.object.tail) for t in decode(batch[1][1], schema2)) >= 100
+        p = tiny_model(schema2, [toks for toks, _ in batch], d_embed=3, d_state=2, d_pair=3)
+        check_gradients(batch, p, step=1e-5, rel_tol=1e-4, abs_tol=0.0, max_coords=24)
+
     def test_one_encoder_call_per_batch_one_kernel_per_sentence(self, schema2, monkeypatch):
         batch = batch_of_lengths(schema2, random.Random(4), (3, 3, 3, 4, 4))
         p = tiny_model(schema2, [toks for toks, _ in batch])
@@ -639,6 +648,20 @@ class TestInfer:
         with pytest.warns(UserWarning, match="decode stopped") as record:
             assert infer_batch([tokens, tokens[:5]], p, schema2)[0] == kept
         assert len(record) == 1 and record[0].filename == __file__
+
+    def test_each_cut_sentence_of_a_batch_warns_once_at_the_caller(self, schema2):
+        n = 30
+        dense = HandshakingTagging(n, np.ones((2 * len(schema2) + 1, seq_length(n)),
+                                              dtype=np.int8))
+        tokens, p = model_emitting(dense)
+        with pytest.warns(UserWarning, match="decode stopped"):
+            kept = decode(dense, schema2)
+        short = infer(tokens[:5], p, schema2)
+        # two chunks of two: the cut sentences sit in both
+        with pytest.warns(UserWarning, match="decode stopped") as record:
+            got = infer_batch([tokens, tokens[:5], tokens, tokens], p, schema2, batch_size=2)
+        assert got == [kept, short, kept, kept]
+        assert len(record) == 3 and all(r.filename == __file__ for r in record)
 
     @pytest.mark.parametrize("entry", ["infer", "pairlink eval"])
     def test_an_untrained_model_decodes_within_its_bound(self, entry, tmp_path):
@@ -952,10 +975,11 @@ class TestCheckpoint:
             assert np.array_equal(arr, named_tensors(loaded)[name]), name
         assert np.array_equal(forward_probs(("a", "b"), p), forward_probs(("a", "b"), loaded))
 
-    @pytest.mark.parametrize("cap", [100, 2])
+    @pytest.mark.parametrize("cap", [100, 2, 0, -1, True])
     def test_an_older_archive_holding_max_len_loads_bit_for_bit(self, tmp_path, schema2, cap):
         # archives used to carry the model's length cap; the key is now
-        # ignored, at the same format version, and no sentence is cut
+        # ignored, at the same format version, and no sentence is cut; 0, -1
+        # and true, which the cap's check used to refuse, are not read either
         tokens = ("a", "b", "c")
         p = tiny_model(schema2, [tokens], seed=4)
         path = save_checkpoint(tmp_path / "model", p, schema2)
