@@ -1,14 +1,16 @@
 """Turning flattened link-tag sequences back into relation triples.
 
-``decode`` is the production path.  It first finds the rows of the
-tagging's (2N+1, P) array that hold a tag, then one ``np.nonzero`` over just
-those rows finds every tagged cell; everything after it loops in Python over
-those cells only.  It collects the entity spans grouped by head position and
-the oriented tail links of every relation, then resolves each head link
-against the span candidates, at most ``DECODE_BUDGET`` (subject, object)
-candidates per tagging.  ``decode_oracle`` recomputes the same
-answer in pure Python by brute force over all entity-span pairs, sharing no
-index code with ``decode``, and exists purely to cross-check it.
+``decode`` is the production path, and :func:`_decode_cells` its body.
+``decode`` checks its arguments, finds the rows of the tagging's (2N+1, P)
+array that hold a tag, then one ``np.nonzero`` over just those rows finds
+every tagged cell.  Entity-first inference hands the cells it scored
+straight to :func:`_decode_cells`, with no tag array at all.  The body loops
+in Python over those cells only.  It groups the entity spans by head
+position, then resolves each head link against the span candidates and the
+tail links of its relation, at most ``DECODE_BUDGET`` (subject, object)
+candidates per tagging.  ``decode_oracle`` recomputes the same answer in
+pure Python by brute force over all entity-span pairs, sharing no index code
+with ``decode``, and exists purely to cross-check it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .codec import MODES, check_relation_count, index_map
+from .codec import MODES, IndexMap, check_relation_count, index_map
 from .core import (
     HandshakingTagging,
     InvalidInput,
@@ -29,8 +31,8 @@ from .core import (
 )
 
 # (subject, object) candidates one tagging may cost: 1,750x the largest gold
-# tagging in the test suite (57; 34 in the benchmark's codec workload), and at
-# n=100 with 24 relations an all-ones tagging decodes in 0.15-0.35 s
+# tagging in the test suite (57; 34 in the benchmark's codec workload), and
+# with 24 relations an all-ones tagging decodes in 0.1-0.2 s at n=100 or 200
 DECODE_BUDGET = 100_000
 
 
@@ -64,34 +66,51 @@ def decode(
     """
     check_choice("mode", mode, MODES)
     check_relation_count(tagging, schema)
-    n_rel = len(schema)
-    imap = index_map(tagging.n)
     tagged = np.flatnonzero(tagging.tags.any(axis=1))
     tags = tagging.tags[tagged]
     # row-major over the tagged rows: entity cells, then head rows, then tail rows
     local, cell = np.nonzero(tags)
-    seq = tagged[local]
-    forward = tags[local, cell] == 1
-    # a forward tag links row token to column token; a reversed one the other way
-    rows, cols = imap.rows[cell], imap.cols[cell]
-    source = np.where(forward, rows, cols)
-    target = np.where(forward, cols, rows)
-    heads_at, tails_at = np.searchsorted(seq, (1, 1 + n_rel)).tolist()
-    is_span = forward[:heads_at]
+    return _decode_cells(index_map(tagging.n), len(schema), tagged[local], cell,
+                         tags[local, cell], mode)
+
+
+def _decode_cells(imap: IndexMap, n_rel: int, row: np.ndarray, cell: np.ndarray,
+                  tag: np.ndarray, mode: str) -> set[Triple]:
+    """:func:`decode`'s body, on the nonzero cells of a tagging with ``n_rel`` relations.
+
+    ``row``, ``cell`` and ``tag`` give each nonzero cell's row of the
+    (2N+1, P) tag array, flat index (``imap`` is the sentence's) and tag 1
+    or 2, row-major: rows ascending, cells ascending within a row.  Nothing
+    here checks that; :func:`decode` and entity-first inference both hand
+    over their cells in that order, and ``mode`` is "strict" or "lenient".
+    """
+    forward = tag == 1
+    # the cells of row r are starts[r]:starts[r + 1]
+    starts = np.searchsorted(row, np.arange(2 * n_rel + 2)).tolist()
+    is_span = forward[:starts[1]]
     if mode == "strict" and not is_span.all():
         k = int(cell[np.argmin(is_span)])
         raise InvalidInput(f"reversed tag in entity sequence at flat index {k}")
+    if not is_span.any():
+        return set()
+    spans = cell[:starts[1]][is_span]
     by_head: dict[int, list[TokenSpan]] = {}
-    for i, j in zip(rows[:heads_at][is_span].tolist(), cols[:heads_at][is_span].tolist()):
+    for i, j in zip(imap.rows[spans].tolist(), imap.cols[spans].tolist()):
         by_head.setdefault(i, []).append(TokenSpan(i, j))
-    tail_links = set(zip((seq[tails_at:] - (1 + n_rel)).tolist(),
-                         source[tails_at:].tolist(), target[tails_at:].tolist()))
+
+    def links(lo: int, hi: int) -> tuple[list[int], list[int]]:
+        """(sources, targets) of cells lo:hi: a forward tag links row token to column token."""
+        rows, cols, ahead = imap.rows[cell[lo:hi]], imap.cols[cell[lo:hi]], forward[lo:hi]
+        return np.where(ahead, rows, cols).tolist(), np.where(ahead, cols, rows).tolist()
+
+    heads_at, tails_at = starts[1], starts[1 + n_rel]
+    # a relation's tail links, read into a set when one of its head links first has candidates
+    tail_links: dict[int, set[tuple[int, int]]] = {}
     result: set[Triple] = set()
     no_spans: tuple[TokenSpan, ...] = ()
     tried = 0
-    for rid, subj_head, obj_head in zip((seq[heads_at:tails_at] - 1).tolist(),
-                                        source[heads_at:tails_at].tolist(),
-                                        target[heads_at:tails_at].tolist()):
+    for rid, subj_head, obj_head in zip((row[heads_at:tails_at] - 1).tolist(),
+                                        *links(heads_at, tails_at)):
         subjects, objects = by_head.get(subj_head, no_spans), by_head.get(obj_head, no_spans)
         tried += len(subjects) * len(objects)
         if tried > DECODE_BUDGET:
@@ -100,9 +119,15 @@ def decode(
             warnings.warn(f"decode stopped at {DECODE_BUDGET:,} candidate pairs; "
                           f"kept {len(result):,} triples", stacklevel=_outside_level())
             break
+        if not (subjects and objects):
+            continue
+        tails = tail_links.get(rid)
+        if tails is None:
+            tails = tail_links[rid] = set(zip(*links(starts[1 + n_rel + rid],
+                                                     starts[2 + n_rel + rid])))
         for s in subjects:
             for o in objects:
-                if (rid, s.tail, o.tail) in tail_links:
+                if (s.tail, o.tail) in tails:
                     result.add(Triple(s, rid, o))
     return result
 

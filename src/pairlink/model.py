@@ -31,7 +31,9 @@ Inference scores the entity head at every pair, but the 2N relation heads
 only at entity-boundary pairs: the head rows at the pairs within the entity
 head positions, the tail rows at the pairs within the entity tail positions.
 No other relation cell can reach a triple in :func:`decode`, so the triples
-equal those of scoring every head everywhere.
+equal those of scoring every head everywhere.  The nonzero cells it scores
+go straight to decode's body, :func:`~pairlink.decoding._decode_cells`,
+with no (2N+1, P) tag array in between.
 
 The entity head is screened in float32: every pair is scored from float32
 copies of the projections, and wherever the top two logits are more than 2ε
@@ -56,7 +58,9 @@ import numpy as np
 from .codec import IndexMap, index_map
 from .core import HandshakingTagging, InvalidInput, PairLinkError, RelationSchema, Triple, check_int
 from .data import ParseError, read_json
-from .decoding import decode
+# inference decodes through _decode_cells alone; decode stays a module attribute
+# here because perfbench's trace_targets wraps model.decode
+from .decoding import _decode_cells, decode  # noqa: F401
 
 UNK = "<unk>"
 PROB_FLOOR = 1e-12
@@ -587,21 +591,48 @@ def _boundary_cells(positions: np.ndarray, imap: IndexMap) -> np.ndarray:
     return np.take(imap.row_start, i) + (j - i)
 
 
-def _screen_logits(a: np.ndarray, b: np.ndarray, head: np.ndarray, bias: np.ndarray,
-                   imap: IndexMap) -> np.ndarray:
-    """L₃₂: one head's logits (3, P) at every pair, computed in float32 throughout.
+@dataclass(frozen=True)
+class _Screen:
+    """The float32 screen's entity-head terms, built once per :func:`_infer` call.
+
+    Per class row, ε = ``slope``·M + ``offset`` (:func:`_screen_bound`), and
+    ε is inf unless ``reach`` + M < 2⁶⁴.
+    """
+
+    head_t: np.ndarray  # headᵀ (d, 3), C-ordered float32
+    bias: np.ndarray  # (3,) float32
+    slope: np.ndarray  # (3,)
+    offset: np.ndarray  # (3,)
+    reach: float  # max(S + β), or inf when d is too large for the bound
+
+
+def _entity_screen(params: ModelParams) -> _Screen:
+    """The :class:`_Screen` of a model's entity head."""
+    head, bias = params.taggers.weight[0], params.taggers.bias[0]
+    s, beta, d = np.abs(head).sum(axis=1), np.abs(bias), head.shape[1]
+    return _Screen(
+        np.ascontiguousarray(head.T, dtype=np.float32), bias.astype(np.float32),
+        slope=U32 * 2.1 * s,
+        offset=(U32 * (s * (TANH32_ERR + 4) + 1.01 * (d + 6) * (s + beta))
+                + 2.0 ** -120 * (s + d + 1)),
+        reach=float(np.max(s + beta)) if (d + 6) * U32 < 1e-3 else math.inf,
+    )
+
+
+def _screen_logits(a: np.ndarray, b: np.ndarray, screen: _Screen, imap: IndexMap) -> np.ndarray:
+    """L₃₂: the entity head's logits (3, P) at every pair, computed in float32 throughout.
 
     The product runs as x @ headᵀ over the contiguous pair rows x and a C-ordered
     headᵀ, BLAS's fastest layout; the result is its (3, P) transposed view.
     """
     x = np.take(a.astype(np.float32), imap.rows, axis=0)
     x += np.take(b.astype(np.float32), imap.cols, axis=0)
-    logits = np.tanh(x, out=x) @ np.ascontiguousarray(head.T, dtype=np.float32)
-    logits += bias.astype(np.float32)
+    logits = np.tanh(x, out=x) @ screen.head_t
+    logits += screen.bias
     return logits.T
 
 
-def _screen_bound(head: np.ndarray, bias: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def _screen_bound(screen: _Screen, a: np.ndarray, b: np.ndarray) -> float:
     """ε with |L₃₂ − L₆₄| ≤ ε at every entity logit of one sentence, or inf.
 
     L₆₄ is ``head @ k.T + bias`` over the float64 pair vectors k = tanh(A_i +
@@ -626,12 +657,10 @@ def _screen_bound(head: np.ndarray, bias: np.ndarray, a: np.ndarray, b: np.ndarr
     and (d + 6)·u < 10⁻³, so ε is inf unless S + β + M < 2⁶⁴ and d ≤ 16771;
     a NaN or inf anywhere in the inputs makes it inf too.
     """
-    s, beta, d = np.abs(head).sum(axis=1), np.abs(bias), head.shape[1]
     m = np.abs(a).max() + np.abs(b).max()
-    if not (np.max(s + beta) + m < 2.0 ** 64 and (d + 6) * U32 < 1e-3):
+    if not screen.reach + m < 2.0 ** 64:
         return math.inf
-    eps = U32 * (s * (2.1 * m + TANH32_ERR + 4) + 1.01 * (d + 6) * (s + beta))
-    return float(np.max(eps + 2.0 ** -120 * (s + d + 1)))
+    return float(np.max(screen.slope * m + screen.offset))
 
 
 def _top_gap(scores: np.ndarray) -> np.ndarray:
@@ -641,7 +670,8 @@ def _top_gap(scores: np.ndarray) -> np.ndarray:
     return np.maximum(high, s2) - np.maximum(low, np.minimum(high, s2))
 
 
-def _entity_row(a: np.ndarray, b: np.ndarray, params: ModelParams, imap: IndexMap) -> np.ndarray:
+def _entity_row(a: np.ndarray, b: np.ndarray, params: ModelParams, imap: IndexMap,
+                screen: _Screen) -> np.ndarray:
     """The entity head's tags (P,) from one sentence's projections, equal to the float64 argmax.
 
     Every pair is scored in float32; wherever the top two logits differ by
@@ -651,9 +681,9 @@ def _entity_row(a: np.ndarray, b: np.ndarray, params: ModelParams, imap: IndexMa
     all P pairs are rescored that way.
     """
     heads, bias = params.taggers.weight[:1], params.taggers.bias[:1]
-    eps = _screen_bound(heads[0], bias[0], a, b)
+    eps = _screen_bound(screen, a, b)
     if math.isfinite(eps):
-        logits = _screen_logits(a, b, heads[0], bias[0], imap)
+        logits = _screen_logits(a, b, screen, imap)
         tags, near = _argmax_tags(logits), np.flatnonzero(~(_top_gap(logits) > 2.0 * eps))
     else:
         tags, near = np.empty(imap.length, dtype=np.int8), np.arange(imap.length)
@@ -662,28 +692,33 @@ def _entity_row(a: np.ndarray, b: np.ndarray, params: ModelParams, imap: IndexMa
     return tags
 
 
-def _entity_first_tags(a: np.ndarray, b: np.ndarray, params: ModelParams,
-                       imap: IndexMap) -> np.ndarray:
-    """One sentence's (2N+1, P) tags from its token projections A, B (n, pair_dim).
+def _entity_first_tags(a: np.ndarray, b: np.ndarray, params: ModelParams, imap: IndexMap,
+                       screen: _Screen) -> tuple[np.ndarray, ...]:
+    """One sentence's nonzero tags from its token projections A, B (n, pair_dim).
 
+    Returns the (row, flat cell, tag) of every nonzero cell of its (2N+1, P)
+    tags, row-major, as :func:`~pairlink.decoding._decode_cells` takes them.
     :func:`decode` emits (s, r, o) only for entity spans s and o with a head
     link at (s.head, o.head) and a tail link at (s.tail, o.tail).  So the
     head rows are scored only at the pairs within the entity head positions,
     the tail rows only at the pairs within the entity tail positions, and
-    every other relation cell stays 0: the triples equal those of the argmax
-    over every head at every pair.  Those cells are scored in float64.
+    every other relation cell stays untagged: the triples equal those of the
+    argmax over every head at every pair.  Those cells are scored in float64.
     """
     heads, bias, n_rel = params.taggers.weight, params.taggers.bias, params.n_relations
-    tags = np.zeros((len(heads), imap.length), dtype=np.int8)
-    tags[0] = entity = _entity_row(a, b, params, imap)
+    entity = _entity_row(a, b, params, imap, screen)
+    cells = np.flatnonzero(entity)
+    found = [(np.zeros(len(cells), dtype=np.intp), cells, entity[cells])]
     spans = entity == 1
     if spans.any():
-        for rows, ends in ((slice(1, 1 + n_rel), imap.rows[spans]),
-                           (slice(1 + n_rel, None), imap.cols[spans])):
-            cells = _boundary_cells(ends, imap)
+        for first, ends in ((1, imap.rows[spans]), (1 + n_rel, imap.cols[spans])):
+            cells = _boundary_cells(ends, imap)  # ascending
             k = _pair_cells(a, b, imap, cells)
-            tags[rows, cells] = _argmax_tags(_head_logits(k, heads[rows], bias[rows]))
-    return tags
+            rows = slice(first, first + n_rel)
+            tags = _argmax_tags(_head_logits(k, heads[rows], bias[rows]))
+            row, col = np.nonzero(tags)
+            found.append((row + first, cells[col], tags[row, col]))
+    return tuple(np.concatenate(part) for part in zip(*found))
 
 
 def _infer(sentences, params: ModelParams, schema: RelationSchema,
@@ -694,6 +729,7 @@ def _infer(sentences, params: ModelParams, schema: RelationSchema,
             f"model has {params.n_relations} relations, schema has {len(schema)}"
         )
     sentences = list(sentences)
+    screen = _entity_screen(params)
     results = []
     for start in range(0, len(sentences), batch_size):
         chunk = sentences[start:start + batch_size]
@@ -701,8 +737,9 @@ def _infer(sentences, params: ModelParams, schema: RelationSchema,
         for tokens, h_row in zip(chunk, h):
             n = len(tokens)
             a, b = _projections(h_row[:n], params.kernel)
-            tags = _entity_first_tags(a, b, params, index_map(n))
-            results.append(decode(HandshakingTagging(n, tags), schema))
+            imap = index_map(n)
+            cells = _entity_first_tags(a, b, params, imap, screen)
+            results.append(_decode_cells(imap, params.n_relations, *cells, "lenient"))
     return results
 
 

@@ -25,7 +25,8 @@ from .model import (
     build_vocab,
     clone_params,
     gradient,
-    infer,
+    infer,  # noqa: F401 -- unused here, but perfbench's trace_targets wraps train.infer
+    infer_batch,
     init_model,
     named_tensors,
 )
@@ -185,6 +186,7 @@ def train(
     params = init_model(schema, vocab, seed=config.seed, rng=rng, **dims)
     examples = [(ann.tokens, encode(ann, schema, mode="lenient")) for ann in dataset]
     eval_set = valid if valid is not None else dataset
+    eval_tokens = [ann.tokens for ann in eval_set]
     eval_golds = [set(ann.triples) for ann in eval_set]
 
     tensors = named_tensors(params)
@@ -207,7 +209,7 @@ def train(
         except NumericError:
             diverged = True
             break
-        preds = [infer(ann.tokens, params, schema) for ann in eval_set]
+        preds = infer_batch(eval_tokens, params, schema)
         f1 = micro_prf(preds, eval_golds, mode="exact").f1
         history.append(EpochStats(epoch, float(np.mean(losses)), f1))
         if f1 > best_f1:

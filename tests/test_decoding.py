@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -179,7 +180,7 @@ class TestDecodeCost:
         # decode first finds the rows that hold a tag (a 1-D scan of a row
         # mask); one np.nonzero then reads the cells of those rows and no
         # others, and the tuple views are never built.  The figure's rows sit
-        # among empty relation rows, as under entity-first inference.
+        # among empty relation rows.
         figure_schema, _, figure, expected = figure_fixture
         n_rel = len(figure_schema)
         schema = RelationSchema(figure_schema.relations + ("empty0", "empty1"))
@@ -294,3 +295,102 @@ class TestDecodeBudget:
             warnings.simplefilter("error")
             whole = decode(dense, schema)
         assert first and first < whole
+
+
+def cells_of(tagging):
+    """The row-major (row, flat cell, tag) arrays of a tagging's nonzero cells."""
+    row, cell = np.nonzero(tagging.tags)
+    return row, cell, tagging.tags[row, cell]
+
+
+def decode_body(tagging, schema, mode="lenient"):
+    """:func:`decoding._decode_cells` on a tagging's nonzero cells, with no checks before it."""
+    return decoding._decode_cells(codec.index_map(tagging.n), len(schema), *cells_of(tagging), mode)
+
+
+def outcome_and_warnings(decoder, tagging, schema, mode):
+    """The decoded triples or the error's (class, message), and every warning's (message, file)."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            outcome = decoder(tagging, schema, mode)
+        except InvalidInput as error:
+            outcome = (InvalidInput, str(error))
+    return outcome, [(str(w.message), w.filename) for w in record]
+
+
+class TestDecodeCells:
+    # decode checks its arguments and finds the tagged cells; _decode_cells
+    # is the body that entity-first inference calls with the cells it scored
+    @staticmethod
+    def seeded_taggings():
+        """The seeded random taggings that tests/test_codec.py checks against the oracle."""
+        rng = random.Random(77)
+        cases = []
+        for _ in range(60):
+            schema = RelationSchema(tuple(f"r{r}" for r in range(rng.randint(1, 3))))
+            cases.append((schema, random_tagging(rng, rng.randint(1, 12), len(schema),
+                                                 zero_bias=rng.random())))
+        cases.append((RelationSchema(tuple(f"rel{r:02d}" for r in range(24))),
+                      random_tagging(rng, 100, 24, zero_bias=0.99)))
+        cases.append((RelationSchema(("a", "b", "c")), random_tagging(rng, 5, 3, zero_bias=0.5)))
+        return cases
+
+    @pytest.mark.parametrize("mode", ["lenient", "strict"])
+    def test_the_body_decodes_every_tagging_as_decode_does(self, figure_fixture, schema2, mode):
+        figure_schema, _, figure, _ = figure_fixture
+        cases = [(figure_schema, figure), *self.seeded_taggings()]
+        reversed_entity = sum(2 in tagging.tags[0] for _, tagging in cases)
+        # an entity row of reversed tags only, beside relation links that
+        # would decode if those tags were forward
+        cases.append((schema2, make_tagging(3, {(0, 1): 2, (2, 2): 2}, [{(0, 2): 1}, {}],
+                                            [{(1, 2): 1}, {}])))
+        # all-ones taggings past the budget: 205,905 candidates at n=35 with
+        # one relation, and 24 relations at n=30, cut in their first relation
+        for n, n_rel in ((35, 1), (30, 24)):
+            cases.append((RelationSchema(tuple(f"r{r}" for r in range(n_rel))),
+                          HandshakingTagging(n, np.ones((2 * n_rel + 1, seq_length(n)),
+                                                        dtype=np.int8))))
+        raised = cut = decoded = 0
+        for schema, tagging in cases:
+            want, want_warnings = outcome_and_warnings(decode, tagging, schema, mode)
+            got, got_warnings = outcome_and_warnings(decode_body, tagging, schema, mode)
+            assert got == want and got_warnings == want_warnings
+            assert len(got_warnings) <= 1
+            assert all(filename == __file__ for _, filename in got_warnings)
+            raised += isinstance(got, tuple)
+            cut += len(got_warnings)
+            decoded += isinstance(got, set) and len(got) > 0
+        # strict: every reversed entity row raises, and so do the two past
+        # the budget; of the rest only the figure decodes to triples
+        assert (reversed_entity, raised, cut, decoded) == (
+            (52, 55, 0, 1) if mode == "strict" else (52, 0, 2, 45))
+
+    def test_strict_decode_raises_on_an_entity_row_of_reversed_tags_only(self, schema2):
+        # the body returns no triples when the entity row holds no span, but
+        # only after the strict check has seen the reversed tags
+        tagging = make_tagging(3, {(0, 1): 2, (2, 2): 2}, [{(0, 2): 1}, {}], [{(1, 2): 1}, {}])
+        for decoder in (decode, decode_body):
+            with pytest.raises(InvalidInput, match="^reversed tag in entity sequence at flat "
+                                                   "index 1$"):
+                decoder(tagging, schema2, mode="strict")
+            assert decoder(tagging, schema2, mode="lenient") == set()
+        forward = make_tagging(3, {(0, 1): 1, (2, 2): 1}, [{(0, 2): 1}, {}], [{(1, 2): 1}, {}])
+        assert decode(forward, schema2, mode="strict") == {triple(0, 1, 0, 2, 2)}
+
+    def test_a_dense_tagging_sets_up_only_the_relations_its_sweep_reaches(self):
+        # every cell of a 24-relation tagging at n=100 holds tag 1, so the
+        # budget cuts the sweep inside relation 0's head links; only that
+        # relation's tail links are read into a set (15 MB traced, against
+        # 33 MB when every relation's were)
+        n, schema = 100, RelationSchema(tuple(f"rel{r:02d}" for r in range(24)))
+        dense = HandshakingTagging(n, np.ones((49, seq_length(n)), dtype=np.int8))
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="decode stopped"):
+                kept = decode(dense, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept and {t.relation for t in kept} == {0}
+        assert peak < 20 * 2 ** 20

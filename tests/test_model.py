@@ -584,7 +584,7 @@ class TestGradient:
 
 
 # one 100-token sentence through a paper-scale model straight from init_model,
-# under tracemalloc: 0.7-1.1 s and 19 MB on a 2-vCPU host (0.2 s untraced)
+# under tracemalloc: 0.5-0.7 s and 8 MB on a 2-vCPU host (0.2 s untraced)
 UNTRAINED_BOUND_S, UNTRAINED_BOUND_MB = 5.0, 64
 
 
@@ -783,6 +783,40 @@ class TestEntityFirstInference:
         assert min(shares) < 0.002 and max(shares) > 0.04
         assert emitted > 50
 
+    def test_inference_hands_its_scored_cells_to_the_decoder_body(self, monkeypatch):
+        # no (2N+1, P) tag array: inference builds no HandshakingTagging and
+        # never calls decode, and _decode_cells gets each sentence's nonzero
+        # cells row-major, each once
+        p, words = paper_model(seed=3)
+        rng = random.Random(3)
+        corpus = [tuple(rng.choice(words) for _ in range(rng.randint(20, 60))) for _ in range(4)]
+        margins = np.concatenate([
+            np.log(probs[:, :, 1:].max(axis=2) / probs[:, :, 0]).ravel()
+            for probs in (forward_probs(tokens, p) for tokens in corpus)
+        ])
+        p.taggers.bias[:, 0] += np.quantile(margins, 0.95)
+        want = [full_scoring(tokens, p, PAPER_SCHEMA) for tokens in corpus]
+
+        def dense(*args, **kwargs):
+            raise AssertionError("inference built or decoded a dense tagging")
+
+        seen, real = [], model._decode_cells
+
+        def checked(imap, n_rel, row, cell, tag, mode):
+            step_row, step_cell = np.diff(row), np.diff(cell)
+            assert (step_row >= 0).all() and ((step_row > 0) | (step_cell > 0)).all()
+            assert np.isin(tag, (1, 2)).all() and mode == "lenient"
+            seen.append(np.bincount(row, minlength=2 * n_rel + 1))
+            return real(imap, n_rel, row, cell, tag, mode)
+
+        monkeypatch.setattr(model, "HandshakingTagging", dense)
+        monkeypatch.setattr(model, "decode", dense)
+        monkeypatch.setattr(model, "_decode_cells", checked)
+        assert [infer(tokens, p, PAPER_SCHEMA) for tokens in corpus] == want
+        assert infer_batch(corpus, p, PAPER_SCHEMA) == want
+        assert len(seen) == 8 and sum(map(len, want)) > 5  # 11 here
+        assert all(rows[0] > 0 and rows[1:].sum() > 0 for rows in seen)
+
 
 PAPER_SCHEMA = RelationSchema(tuple(f"rel{r:02d}" for r in range(24)))
 
@@ -821,17 +855,17 @@ class TestFloat32Screen:
     @pytest.mark.parametrize("scale", [1.0, 3.0, 10.0])
     def test_bound_holds_and_the_entity_row_is_the_float64_argmax(self, scale):
         p, words = paper_model(seed=int(scale), scale=scale)
-        head, bias = p.taggers.weight[0], p.taggers.bias[0]
+        screen = model._entity_screen(p)
         rng = random.Random(int(scale))
         worst = 0.0
         for n in range(1, 101):
             tokens = tuple(rng.choice(words) for _ in range(n))
             (a, b), imap, want, tags = entity_reference(tokens, p)
-            eps = model._screen_bound(head, bias, a, b)
-            got = model._screen_logits(a, b, head, bias, imap)
+            eps = model._screen_bound(screen, a, b)
+            got = model._screen_logits(a, b, screen, imap)
             assert got.dtype == np.float32
             worst = max(worst, float(np.abs(got.astype(np.float64) - want).max()) / eps)
-            assert np.array_equal(model._entity_row(a, b, p, imap), tags), n
+            assert np.array_equal(model._entity_row(a, b, p, imap, screen), tags), n
         assert 0.0 < worst <= 1.0
 
     def test_tanh32_error_within_the_bound_allowance(self):
@@ -856,7 +890,7 @@ class TestFloat32Screen:
         p.taggers.bias[0, 0] += np.quantile(logits[1] - logits[0], 0.95)
         (a, b), imap, _, want = entity_reference(tokens, p)
         cells, rows = spy(monkeypatch, "_pair_cells"), spy(monkeypatch, "_pair_rows")
-        got = model._entity_row(a, b, p, imap)
+        got = model._entity_row(a, b, p, imap, model._entity_screen(p))
         assert np.array_equal(got, want)
         assert 0.02 < np.mean(want == 1) < 0.1 and not (want == 2).any()
         assert len(cells) == 1 and np.sum(want == 1) <= cells[0] < imap.length // 4
@@ -869,7 +903,7 @@ class TestFloat32Screen:
         tokens = tuple(random.Random(6).choice(words) for _ in range(40))
         (a, b), imap, _, want = entity_reference(tokens, p)
         cells, rows = spy(monkeypatch, "_pair_cells"), spy(monkeypatch, "_pair_rows")
-        got = model._entity_row(a, b, p, imap)
+        got = model._entity_row(a, b, p, imap, model._entity_screen(p))
         assert np.array_equal(got, want) and not want.any()  # ties go to tag 0
         assert cells == [imap.length]  # every cell is a near-tie, rescored by one gather
         triples = infer(tokens, p, PAPER_SCHEMA)
@@ -882,10 +916,10 @@ class TestFloat32Screen:
         p.kernel.weight[3, 5] = bad
         tokens = tuple(random.Random(8).choice(words) for _ in range(30))
         (a, b), imap, _, want = entity_reference(tokens, p)
-        assert not math.isfinite(model._screen_bound(p.taggers.weight[0], p.taggers.bias[0], a, b))
+        assert not math.isfinite(model._screen_bound(model._entity_screen(p), a, b))
         cells, rows = spy(monkeypatch, "_pair_cells"), spy(monkeypatch, "_pair_rows")
         screened = spy(monkeypatch, "_screen_logits")
-        assert np.array_equal(model._entity_row(a, b, p, imap), want)
+        assert np.array_equal(model._entity_row(a, b, p, imap, model._entity_screen(p)), want)
         assert cells == [imap.length] and rows == [] and screened == []
 
 
