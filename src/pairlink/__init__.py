@@ -17,7 +17,6 @@ from .codec import (
     detect_conflicts,
     dump_tagging_line,
     encode,
-    encode_with_conflicts,
     index_map,
     parse_tagging_line,
     phantom_triples,
@@ -110,7 +109,6 @@ __all__ = [
     "dump_tagging_line",
     "encode",
     "encode_tokens",
-    "encode_with_conflicts",
     "gradient",
     "handshaking_kernel",
     "index_map",

@@ -146,20 +146,18 @@ def cmd_encode(opts: _Options) -> int:
     phantom_total = 0
     self_relating = 0
     for idx, ann in enumerate(result.annotations):
-        if mode == "strict":
-            tagging = codec.encode(ann, schema, mode="strict")
-        else:
-            tagging, conflicts = codec.encode_with_conflicts(ann, schema)
-            for c in sorted(conflicts, key=lambda c: (c.kind, c.relation, c.pair)):
-                conflict_rows.append(
-                    {
-                        "sentence": idx,
-                        "kind": c.kind,
-                        "relation": schema.name_of(c.relation),
-                        "pair": list(c.pair),
-                        "tags": [c.existing_tag, c.incoming_tag],
-                    }
-                )
+        tagging = codec.encode(ann, schema, mode=mode)
+        conflicts = codec.detect_conflicts(ann, schema)
+        for c in sorted(conflicts, key=lambda c: (c.kind, c.relation, c.pair)):
+            conflict_rows.append(
+                {
+                    "sentence": idx,
+                    "kind": c.kind,
+                    "relation": schema.name_of(c.relation),
+                    "pair": list(c.pair),
+                    "tags": [c.existing_tag, c.incoming_tag],
+                }
+            )
         phantom_total += len(codec.phantom_triples(ann, schema))
         self_relating += len(codec.self_relating_triples(ann))
         lines.append(codec.dump_tagging_line(tagging, schema))

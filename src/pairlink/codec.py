@@ -35,8 +35,12 @@ MODES = ("strict", "lenient")
 
 
 def seq_index(i: int, j: int, n: int) -> int:
-    """Flat position of the pair (i, j), j >= i, in row-major order."""
-    if not 0 <= i <= j < n:
+    """Flat position of the pair (i, j), j >= i, in row-major order.
+
+    ``i`` and ``j`` are integers >= 0 and ``n`` >= 1, numpy integers too, bools not.
+    """
+    i, j, n = check_int("i", i, minimum=0), check_int("j", j, minimum=0), check_int("n", n)
+    if not i <= j < n:
         raise InvalidIndex(f"not an upper-triangle pair for n={n}: ({i}, {j})")
     return i * n - (i * (i - 1)) // 2 + (j - i)
 
@@ -128,11 +132,19 @@ def _collect(
     return entity_spans, cells, conflicts
 
 
-def encode_with_conflicts(
-    ann: SentenceAnnotation, schema: RelationSchema
-) -> tuple[HandshakingTagging, list[EncodeConflict]]:
-    """Lenient encode: apply the 1-beats-2 tie-break and report every conflict."""
+def encode(
+    ann: SentenceAnnotation, schema: RelationSchema, mode: str = "strict"
+) -> HandshakingTagging:
+    """Tag sequences for an annotated sentence.
+
+    Strict mode raises :class:`EncodeConflictError` when two triples demand
+    different nonzero tags at the same cell; lenient mode keeps the forward
+    tag (:func:`detect_conflicts` lists the conflicts).
+    """
+    check_choice("mode", mode, MODES)
     entity_spans, cells, conflicts = _collect(ann, schema)
+    if conflicts and mode == "strict":
+        raise EncodeConflictError(conflicts)
     n_rel = len(schema)
     imap = index_map(ann.n)
     row_start = imap.row_start
@@ -142,23 +154,7 @@ def encode_with_conflicts(
     for first_row, kind in ((1, "sh2oh"), (1 + n_rel, "st2ot")):
         for (rid, i, j), tag in cells[kind].items():
             tags[first_row + rid, row_start[i] + (j - i)] = tag
-    return HandshakingTagging(ann.n, tags), conflicts
-
-
-def encode(
-    ann: SentenceAnnotation, schema: RelationSchema, mode: str = "strict"
-) -> HandshakingTagging:
-    """Tag sequences for an annotated sentence.
-
-    Strict mode raises :class:`EncodeConflictError` when two triples demand
-    different nonzero tags at the same cell; lenient mode keeps the forward
-    tag (use :func:`encode_with_conflicts` to also get the conflict list).
-    """
-    check_choice("mode", mode, MODES)
-    tagging, conflicts = encode_with_conflicts(ann, schema)
-    if conflicts and mode == "strict":
-        raise EncodeConflictError(conflicts)
-    return tagging
+    return HandshakingTagging(ann.n, tags)
 
 
 def detect_conflicts(

@@ -270,6 +270,7 @@ def _encode(token_lists, enc: EncoderParams) -> tuple[np.ndarray, dict]:
     it comes first, with its pre-activations zeroed, so the states stay
     exactly 0 until the sentence's last token: each sentence is read
     backward from its own end.  Padded rows of the result are finite filler.
+    The cache keeps the states for :func:`_encoder_backward`.
     """
     ids, mask = _stack_ids(token_lists, enc.vocab)
     x = enc.embed[ids]
@@ -288,8 +289,9 @@ def _encode(token_lists, enc: EncoderParams) -> tuple[np.ndarray, dict]:
         np.matmul(prev, u, out=carry)
         np.add(cur, carry, out=cur)
         np.tanh(cur, out=cur)
-    cache.update(f=s[:, 0].transpose(1, 0, 2), g=s[::-1, 1].transpose(1, 0, 2))  # (B, n_max, state)
-    return np.concatenate([cache["f"], cache["g"]], axis=2), cache
+    cache["s"] = s
+    fwd, bwd = s.transpose(1, 2, 0, 3)  # (B, n_max, state) each, bwd in reversed time
+    return np.concatenate([fwd, bwd[:, ::-1]], axis=2), cache
 
 
 def encode_tokens(tokens, encoder: EncoderParams) -> np.ndarray:
@@ -501,47 +503,39 @@ def _pair_backward(gold: np.ndarray, k: np.ndarray, h: np.ndarray, params: Model
     return nll / (n_heads * n_pairs), d_a @ weight_l + d_b @ weight_r
 
 
-def _recurrence_backward(ds: np.ndarray, s: np.ndarray, x: np.ndarray, w: np.ndarray,
-                         u: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(dw, du, db, dx) of one mixer direction given dL/ds (B, n, state).
-
-    ``s`` are that direction's states s_t = tanh(x_t wᵀ + s_{t-1} uᵀ + b)
-    along axis 1 of its input x (B, n, embed), as :func:`_encode` computes
-    them; the backward direction passes its states and input time-reversed.
-    ``mask`` (B, n) marks the real steps: padding has zero ``ds``, and where
-    it comes first its pre-activations are constants, so no gradient passes
-    through a padded step.
-    """
-    deriv = 1.0 - s**2
-    dpre = ds * deriv
-    for t in range(s.shape[1] - 2, -1, -1):
-        dpre[:, t] += (dpre[:, t + 1] @ u) * deriv[:, t]
-    dpre[~mask] = 0.0
-    state = s.shape[2]
-    rows = dpre.reshape(-1, state)  # (B·n, state)
-    dw = rows.T @ x.reshape(len(rows), -1)
-    du = dpre[:, 1:].reshape(-1, state).T @ s[:, :-1].reshape(-1, state)
-    return dw, du, rows.sum(axis=0), dpre @ w
-
-
 def _encoder_backward(enc_cache: dict, enc: EncoderParams, dh: np.ndarray,
                       grads: dict[str, np.ndarray]) -> None:
-    """Add the encoder's gradients given dL/dh (B, n_max, out_dim), zero at padding."""
-    ids, mask, x = enc_cache["ids"], enc_cache["mask"], enc_cache["x"]
-    f, g, m = enc_cache["f"], enc_cache["g"], enc.mixer
-    s = f.shape[2]
-    dw, du, db, dx = _recurrence_backward(dh[:, :, :s], f, x, m.w_fwd, m.u_fwd, mask)
-    grads["encoder.mixer.w_fwd"] += dw
-    grads["encoder.mixer.u_fwd"] += du
-    grads["encoder.mixer.b_fwd"] += db
-    # the backward direction runs from the stack's end: reverse time, then dx back
-    dw, du, db, dx_bwd = _recurrence_backward(
-        dh[:, ::-1, s:], g[:, ::-1], x[:, ::-1], m.w_bwd, m.u_bwd, mask[:, ::-1]
-    )
-    grads["encoder.mixer.w_bwd"] += dw
-    grads["encoder.mixer.u_bwd"] += du
-    grads["encoder.mixer.b_bwd"] += db
-    dx += dx_bwd[:, ::-1]
+    """Add the encoder's gradients given dL/dh (B, n_max, out_dim), zero at padding.
+
+    Backpropagation through time runs :func:`_encode`'s loop in reverse: both
+    directions step back through the cached states s (n_max, 2, B, state) in
+    one descending loop, dL/dpre_t += (dL/dpre_{t+1} u) ⊙ (1 − s_t²), with u
+    stacked as [u_fwd, u_bwd].  Direction 1's steps are the stack reversed,
+    as in the forward.  Padding has zero dL/dh, and where it comes first its
+    pre-activations are constants, so no gradient passes through a padded
+    step.  dw, du and db are then read off each direction's steps.
+    """
+    ids, mask, x, s = enc_cache["ids"], enc_cache["mask"], enc_cache["x"], enc_cache["s"]
+    m, state = enc.mixer, s.shape[3]
+    deriv = 1.0 - s**2
+    dpre = np.empty_like(s)  # dL/dpre, laid out as s
+    dpre[:, 0] = dh[:, :, :state].transpose(1, 0, 2)
+    dpre[:, 1] = dh[:, ::-1, state:].transpose(1, 0, 2)
+    dpre *= deriv
+    u = np.stack([m.u_fwd, m.u_bwd])
+    for t in range(len(s) - 2, -1, -1):
+        dpre[t] += (dpre[t + 1] @ u) * deriv[t]
+    dpre[~np.stack([mask.T, mask.T[::-1]], axis=1)] = 0.0  # the padded steps, laid out as s
+    dx = []
+    for d, (name, x_d) in enumerate((("fwd", x), ("bwd", x[:, ::-1]))):
+        dp, s_d = dpre[:, d].transpose(1, 0, 2), s[:, d].transpose(1, 0, 2)  # (B, n_max, state)
+        rows = dp.reshape(-1, state)
+        grads[f"encoder.mixer.w_{name}"] += rows.T @ x_d.reshape(len(rows), -1)
+        grads[f"encoder.mixer.u_{name}"] += (dp[:, 1:].reshape(-1, state).T
+                                             @ s_d[:, :-1].reshape(-1, state))
+        grads[f"encoder.mixer.b_{name}"] += rows.sum(axis=0)
+        dx.append(dp @ getattr(m, f"w_{name}"))
+    dx = dx[0] + dx[1][:, ::-1]  # direction 1's steps back in token order
     np.add.at(grads["encoder.embed"], ids[mask], dx[mask])
 
 

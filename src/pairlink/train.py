@@ -171,9 +171,11 @@ def train(
     Gold taggings are produced leniently (cell conflicts resolved by the
     forward-tag tie-break).  After every epoch the model is scored with
     exact-match micro F1 on ``valid`` (the training set when it is None) and
-    the best parameters are kept; an empty training or validation set raises
-    :class:`InvalidInput`.  All randomness flows through one generator seeded
-    from the config, so equal seeds give identical histories.  ``dims`` are
+    the best parameters are kept.  An empty training or validation set raises
+    :class:`InvalidInput`, and so does an evaluation set with no gold triple,
+    whose F1 would read 1.0 at every epoch and keep the untrained epoch 0.
+    All randomness flows through one generator seeded from the config, so
+    equal seeds give identical histories.  ``dims`` are
     :func:`init_model`'s size options (``d_embed``, ``d_state``, ``d_pair``),
     with its defaults.  Every sentence is trained whole, whatever its length.
     """
@@ -181,11 +183,14 @@ def train(
         raise InvalidInput("empty training set")
     if valid is not None and not valid:
         raise InvalidInput("empty validation set")
+    eval_set = valid if valid is not None else dataset
+    if not any(ann.triples for ann in eval_set):
+        raise InvalidInput(f"the {'validation' if valid is not None else 'training'} set "
+                           "holds no gold triple to score")
     rng = np.random.default_rng(config.seed)
     vocab = build_vocab(ann.tokens for ann in dataset)
     params = init_model(schema, vocab, seed=config.seed, rng=rng, **dims)
     examples = [(ann.tokens, encode(ann, schema, mode="lenient")) for ann in dataset]
-    eval_set = valid if valid is not None else dataset
     eval_tokens = [ann.tokens for ann in eval_set]
     eval_golds = [set(ann.triples) for ann in eval_set]
 

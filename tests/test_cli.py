@@ -774,6 +774,23 @@ class TestSelftestAndUsage:
         assert capsys.readouterr().err.endswith("error: empty validation set\n")
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("use_valid", [True, False], ids=["valid", "data-only"])
+    def test_an_evaluation_file_with_no_gold_triple_exits_4(self, workspace, capsys,
+                                                             use_valid):
+        # its F1 read 1.0 every epoch, so epoch 0's parameters were kept
+        tmp_path, schema, data = workspace
+        empty = write_jsonl(tmp_path / "none.jsonl",
+                            [{"text": "Ada works for ACME", "triple_list": []}])
+        ckpt = tmp_path / "x.npz"
+        flags = ["--data", data, "--valid", empty] if use_valid else ["--data", empty]
+        code = main(["train", *flags, "--schema", schema, "--ckpt", str(ckpt),
+                     "--epochs", "30"])
+        assert code == EXIT_DATA
+        which = "validation" if use_valid else "training"
+        assert capsys.readouterr().err.endswith(
+            f"error: the {which} set holds no gold triple to score\n")
+        assert not ckpt.exists()
+
     def test_bad_config_file_exits_3(self, workspace, capsys):
         tmp_path, schema, data = workspace
         config = write(tmp_path / "bad.json", "{broken")

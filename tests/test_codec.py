@@ -22,7 +22,6 @@ from pairlink import (
     detect_conflicts,
     dump_tagging_line,
     encode,
-    encode_with_conflicts,
     index_map,
     parse_tagging_line,
     phantom_triples,
@@ -118,12 +117,13 @@ class TestEncode:
 
     def test_lenient_conflict_keeps_forward_tag(self, schema2):
         ann = annotation(4, [triple(2, 3, 0, 0, 1), triple(0, 1, 0, 2, 3)])
-        tagging, conflicts = encode_with_conflicts(ann, schema2)
-        assert len(conflicts) == 2
+        tagging = encode(ann, schema2, mode="lenient")
+        assert len(detect_conflicts(ann, schema2)) == 2
         # regardless of triple order, the forward tag wins the cell
         assert tagging.sh2oh[0][seq_index(0, 2, 4)] == 1
         assert tagging.st2ot[0][seq_index(1, 3, 4)] == 1
-        assert encode(ann, schema2, mode="lenient") == tagging
+        swapped = annotation(4, [triple(0, 1, 0, 2, 3), triple(2, 3, 0, 0, 1)])
+        assert encode(swapped, schema2, mode="lenient") == tagging
 
     def test_same_relation_opposite_links_in_distinct_cells_coexist(self, schema2):
         # reversal is only a conflict when it lands in the same cell

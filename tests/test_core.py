@@ -10,6 +10,7 @@ import pytest
 
 from pairlink import (
     HandshakingTagging,
+    InvalidIndex,
     InvalidInput,
     ModelParams,
     PairLinkError,
@@ -28,6 +29,7 @@ from pairlink import (
     load_dataset,
     micro_prf,
     parse_tagging_line,
+    seq_index,
     seq_length,
     tag_distribution,
 )
@@ -261,6 +263,23 @@ def tagging_n(value, _):
     return HandshakingTagging(value, np.zeros((3, n * (n + 1) // 2), dtype=np.int8)).n
 
 
+def pair_row(value, _):
+    """The row i of the pair (i, 5) that ``seq_index`` places for n = 8, if at an int."""
+    k = seq_index(value, 5, 8)
+    return next(i for i in range(6) if seq_index(i, 5, 8) == k) if type(k) is int else k
+
+
+def pair_columns(value, _):
+    """The n that ``seq_index`` keeps: how many columns of row 0 it places, if at ints."""
+    placed = []
+    for j in range(10):
+        try:
+            placed.append(seq_index(0, j, value))
+        except InvalidIndex:
+            break
+    return len(placed) if all(type(k) is int for k in placed) else placed
+
+
 # entry point -> (argument name in the error, minimum, what the entry point keeps of a value)
 INT_ARGUMENTS = {
     "TokenSpan.head": ("head", 0, lambda v, _: TokenSpan(v, 5).head),
@@ -272,6 +291,9 @@ INT_ARGUMENTS = {
     "SentenceAnnotation.char_spans.end": ("char offset", 0, lambda v, _: SentenceAnnotation(
         ("a",), text="abcd", char_spans=((0, v),)).char_spans[0][1]),
     "seq_length.n": ("n", 1, n_counted),
+    "seq_index.i": ("i", 0, pair_row),
+    "seq_index.j": ("j", 0, lambda v, _: seq_index(0, v, 8)),  # row 0's pairs sit at j
+    "seq_index.n": ("n", 1, pair_columns),
     "HandshakingTagging.n": ("n", 1, tagging_n),
     "init_model.d_embed": ("d_embed", 1,
                            lambda v, _: small_model(d_embed=v).encoder.embed.shape[1]),

@@ -127,6 +127,17 @@ class TestLoadDataset:
         assert ann.triples == (triple(0, 1, 1, 4, 4),)
         assert ann.char_spans is not None
 
+    def test_a_repeated_mention_takes_its_leftmost_match_in_strict_mode(self, tmp_path,
+                                                                         schema2):
+        # a tie between whole-token matches is not an error in either mode
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [{"text": "Paris is near Paris",
+                            "triple_list": [["Paris", "lives_in", "Paris"]]}])
+        result = load_dataset(path, schema2, mode="strict")
+        assert result.skipped == []
+        (ann,) = result.annotations
+        assert ann.triples == (triple(0, 0, 1, 0, 0),)  # TokenSpan(0, 0) twice
+
     def test_offset_records(self, tmp_path, schema2):
         path = tmp_path / "data.jsonl"
         write_jsonl(

@@ -130,6 +130,12 @@ def test_inference_has_one_behaviour():
         assert "mode" not in inspect.signature(function).parameters
 
 
+def test_encoding_has_one_entry():
+    # encode builds the tagging in both modes; detect_conflicts is the one conflict list
+    assert not hasattr(pairlink, "encode_with_conflicts")
+    assert not hasattr(pairlink.codec, "encode_with_conflicts")
+
+
 def test_the_library_imports_only_the_standard_library_and_its_dependencies():
     # a module that happens to be installed but is not declared would pass the tests
     # and fail to import for users

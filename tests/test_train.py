@@ -168,6 +168,25 @@ class TestTrainLoop:
         with pytest.raises(InvalidInput, match="^empty validation set$"):
             train(data, schema, TrainConfig(epochs=2), valid=[])
 
+    def test_a_validation_set_with_no_gold_triple_rejected(self, monkeypatch):
+        # its F1 read 1.0 every epoch, so the untrained epoch 0 came back
+        data, schema = small_dataset()
+        monkeypatch.setattr(train_mod, "init_model", None)  # raised before any work
+        valid = [annotation(3, [])]
+        with pytest.raises(InvalidInput, match="^the validation set holds no gold triple"):
+            train(data, schema, TrainConfig(epochs=2), valid=valid)
+
+    def test_a_training_set_with_no_gold_triple_and_no_validation_set_rejected(self):
+        _, schema = small_dataset()
+        data = [annotation(3, []), annotation(2, [])]
+        with pytest.raises(InvalidInput, match="^the training set holds no gold triple"):
+            train(data, schema, TrainConfig(epochs=2))
+        # scored on a validation set that holds a triple, it trains
+        valid = [annotation(3, [triple(0, 0, 0, 2, 2)])]
+        result = train(data, schema, TrainConfig(epochs=1), valid=valid,
+                       d_embed=4, d_state=2, d_pair=4)
+        assert len(result.history) == 1
+
     @pytest.mark.parametrize("dims", [{"seed": 1}, {"d_embd": 8}])
     def test_dims_take_only_init_model_sizes(self, dims):
         # the seed comes from the config alone; a misspelt size is not ignored
