@@ -5,7 +5,8 @@ encoded once; every upper-triangle token pair (i, j) gets the representation
 
     k_ij = tanh(W [h_i; h_j] + b)
 
-and 2N+1 independent 3-way softmax heads read the link tag off k_ij (head 0
+gathered by one builder, ``_pair_cells``, at every pair or at a subset, and
+2N+1 independent 3-way softmax heads read the link tag off k_ij (head 0
 scores the entity sequence, heads 1..N the per-relation head-pair sequences,
 heads N+1..2N the tail-pair sequences).  Gradients are derived by hand and
 cross-checked against central finite differences in the test suite; no
@@ -356,23 +357,15 @@ def _projections(h: np.ndarray, kernel: KernelParams) -> tuple[np.ndarray, np.nd
     return a, h @ kernel.weight[:, d:].T
 
 
-def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every pair vector k (P, pair_dim) of one sentence from its projections.
+def _pair_cells(a: np.ndarray, b: np.ndarray, imap: IndexMap, cells) -> np.ndarray:
+    """The pair vectors tanh(A_i + B_j) at flat indices ``cells``, in the dtype of A and B.
 
-    ``k`` is in ``index_map`` order, which lays pairs out row by row: row i,
-    the pairs (i, i), ..., (i, n-1) from row_start[i], is tanh(A_i + B_i),
-    ..., tanh(A_i + B_{n-1}).
+    The one builder of pair vectors, for training, :func:`forward_probs`, the
+    float32 screen and the float64 rescoring; ``slice(None)`` gives all P.
     """
-    n, imap = len(a), index_map(len(a))
-    k = np.empty((imap.length, a.shape[1]))
-    for i, start in enumerate(imap.row_start):
-        np.add(a[i], b[i:], out=k[start:start + n - i])
+    k = np.take(a, imap.rows[cells], axis=0)
+    k += np.take(b, imap.cols[cells], axis=0)
     return np.tanh(k, out=k)
-
-
-def _pair_cells(a: np.ndarray, b: np.ndarray, imap: IndexMap, cells: np.ndarray) -> np.ndarray:
-    """The pair vectors at flat indices ``cells``: the same bits as those rows of :func:`_pair_rows`."""
-    return np.tanh(a[imap.rows[cells]] + b[imap.cols[cells]])
 
 
 def _head_logits(k: np.ndarray, heads: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -391,8 +384,8 @@ def _head_logits(k: np.ndarray, heads: np.ndarray, bias: np.ndarray) -> np.ndarr
 def _logits(tokens, params: ModelParams) -> np.ndarray:
     """One sentence's full forward: every head's logits (2N+1, 3, P)."""
     h = _encode([tokens], params.encoder)[0][0]
-    taggers = params.taggers
-    return _head_logits(_pair_rows(*_projections(h, params.kernel)), taggers.weight, taggers.bias)
+    k = _pair_cells(*_projections(h, params.kernel), index_map(len(h)), slice(None))
+    return _head_logits(k, params.taggers.weight, params.taggers.bias)
 
 
 def forward_probs(tokens, params: ModelParams) -> np.ndarray:
@@ -559,10 +552,11 @@ def gradient(batch, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
     total = 0.0
     scale = 1.0 / len(batch)
     for row, (tokens, tagging) in enumerate(batch):
-        h_row = h[row, :len(tokens)]
-        loss, dh[row, :len(tokens)] = _pair_backward(  # k is a temporary, freed per sentence
-            gold_tags(tagging), _pair_rows(*_projections(h_row, params.kernel)),
-            h_row, params, grads, scale)
+        n = len(tokens)
+        a, b = _projections(h[row, :n], params.kernel)
+        loss, dh[row, :n] = _pair_backward(  # k is a temporary, freed per sentence
+            gold_tags(tagging), _pair_cells(a, b, index_map(n), slice(None)),
+            h[row, :n], params, grads, scale)
         total += loss
     loss = total * scale
     if not math.isfinite(loss):
@@ -616,12 +610,12 @@ def _entity_screen(params: ModelParams) -> _Screen:
 def _screen_logits(a: np.ndarray, b: np.ndarray, screen: _Screen, imap: IndexMap) -> np.ndarray:
     """L₃₂: the entity head's logits (3, P) at every pair, computed in float32 throughout.
 
-    The product runs as x @ headᵀ over the contiguous pair rows x and a C-ordered
+    The pair rows x come from :func:`_pair_cells` on float32 copies of A and B.
+    The product runs as x @ headᵀ over the contiguous rows x and a C-ordered
     headᵀ, BLAS's fastest layout; the result is its (3, P) transposed view.
     """
-    x = np.take(a.astype(np.float32), imap.rows, axis=0)
-    x += np.take(b.astype(np.float32), imap.cols, axis=0)
-    logits = np.tanh(x, out=x) @ screen.head_t
+    x = _pair_cells(a.astype(np.float32), b.astype(np.float32), imap, slice(None))
+    logits = x @ screen.head_t
     logits += screen.bias
     return logits.T
 

@@ -226,11 +226,10 @@ class TestEncoder:
 
 class TestPairKernel:
     @pytest.mark.parametrize("n", [1, 2, 13])
-    def test_row_slices_equal_the_gathered_kernel(self, schema2, n):
-        # k is built row by row, one sentence at a time; it must be bit for
-        # bit the gathered tanh(A[rows] + B[cols]) of each sentence in a stack
-        # of 3, over every cell and over random subsets, which inference
-        # rescores in float64
+    def test_gathered_kernel_matches_the_per_pair_reference(self, schema2, n):
+        # every pair vector of each sentence in a stack of 3 is the per-pair
+        # handshaking_kernel, and a random subset of cells, as inference
+        # rescores in float64, is bit for bit those rows of the whole grid
         words = [f"w{i}" for i in range(20)]
         p = tiny_model(schema2, [words], seed=n, d_embed=6, d_state=5, d_pair=7)
         p.kernel.bias[:] = np.random.default_rng(n).normal(size=7)
@@ -243,11 +242,15 @@ class TestPairKernel:
             a, b = model._projections(row, p.kernel)
             assert np.array_equal(a, row @ p.kernel.weight[:, :d].T + p.kernel.bias)
             assert np.array_equal(b, row @ p.kernel.weight[:, d:].T)
-            grid = model._pair_rows(*model._projections(row, p.kernel))
-            assert np.array_equal(grid, model._pair_cells(a, b, imap, np.arange(imap.length)))
-            for size in (0, 1, imap.length // 2, imap.length):
+            grid = model._pair_cells(a, b, imap, slice(None))
+            assert grid.shape == (imap.length, 7) and grid.dtype == np.float64
+            for cell, (i, j) in enumerate(zip(imap.rows, imap.cols)):
+                want = handshaking_kernel(row[i], row[j], p.kernel)
+                assert np.allclose(grid[cell], want, rtol=0, atol=1e-12), (i, j)
+            for size in (1, imap.length // 2, imap.length):
                 cells = cells_rng.choice(imap.length, size=size, replace=False)
                 assert np.array_equal(model._pair_cells(a, b, imap, cells), grid[cells])
+            assert model._pair_cells(a, b, imap, np.arange(0)).shape == (0, 7)
 
     def test_matches_scalar_loop(self, rng):
         d, pair = 5, 4
@@ -455,7 +458,7 @@ def whole_array_gradient(batch, params):
     for row, (tokens, tagging) in enumerate(batch):
         n, imap = len(tokens), index_map(len(tokens))
         h_row, d = h[row, :n], h.shape[2]
-        k = model._pair_rows(*model._projections(h_row, params.kernel))
+        k = model._pair_cells(*model._projections(h_row, params.kernel), imap, slice(None))
         probs = model.softmax(model._head_logits(k, heads, bias), axis=1)  # (T, 3, P)
         gold = gold_tags(tagging)
         total += loss_from_probs(probs.transpose(0, 2, 1), gold)
@@ -834,17 +837,18 @@ def entity_reference(tokens, p):
     """(projections, index map, the float64 entity logits of every pair and their argmax)."""
     h = encode_tokens(tokens, p.encoder)
     head, bias = p.taggers.weight[0], p.taggers.bias[0]
-    logits = head @ model._pair_rows(*model._projections(h, p.kernel)).T + bias[:, None]
-    return model._projections(h, p.kernel), index_map(len(tokens)), logits, model._argmax_tags(logits)
+    (a, b), imap = model._projections(h, p.kernel), index_map(len(tokens))
+    logits = head @ model._pair_cells(a, b, imap, slice(None)).T + bias[:, None]
+    return (a, b), imap, logits, model._argmax_tags(logits)
 
 
-def spy(monkeypatch, name) -> list[int]:
-    """Record the number of rows each call to ``model.<name>`` returns."""
+def spy(monkeypatch, name) -> list[tuple[str, int]]:
+    """Record the dtype and row count of what each call to ``model.<name>`` returns."""
     seen, real = [], getattr(model, name)
 
     def counting(*args):
         out = real(*args)
-        seen.append(len(out))
+        seen.append((out.dtype.name, len(out)))
         return out
 
     monkeypatch.setattr(model, name, counting)
@@ -889,12 +893,14 @@ class TestFloat32Screen:
         (a, b), imap, logits, _ = entity_reference(tokens, p)
         p.taggers.bias[0, 0] += np.quantile(logits[1] - logits[0], 0.95)
         (a, b), imap, _, want = entity_reference(tokens, p)
-        cells, rows = spy(monkeypatch, "_pair_cells"), spy(monkeypatch, "_pair_rows")
+        built = spy(monkeypatch, "_pair_cells")
         got = model._entity_row(a, b, p, imap, model._entity_screen(p))
         assert np.array_equal(got, want)
         assert 0.02 < np.mean(want == 1) < 0.1 and not (want == 2).any()
-        assert len(cells) == 1 and np.sum(want == 1) <= cells[0] < imap.length // 4
-        assert rows == []
+        # the screen's float32 grid, then one float64 gather of the near-ties alone
+        (screen_dtype, screened), (dtype, rescored) = built
+        assert (screen_dtype, screened, dtype) == ("float32", imap.length, "float64")
+        assert np.sum(want == 1) <= rescored < imap.length // 4
 
     def test_all_ties_rebuild_the_float64_grid(self, monkeypatch):
         p, words = paper_model(seed=6)
@@ -902,13 +908,16 @@ class TestFloat32Screen:
         p.taggers.bias[0, 1:] = p.taggers.bias[0, 0]
         tokens = tuple(random.Random(6).choice(words) for _ in range(40))
         (a, b), imap, _, want = entity_reference(tokens, p)
-        cells, rows = spy(monkeypatch, "_pair_cells"), spy(monkeypatch, "_pair_rows")
+        built = spy(monkeypatch, "_pair_cells")
         got = model._entity_row(a, b, p, imap, model._entity_screen(p))
         assert np.array_equal(got, want) and not want.any()  # ties go to tag 0
-        assert cells == [imap.length]  # every cell is a near-tie, rescored by one gather
+        # every cell is a near-tie: after the float32 screen, one float64 gather rescores all
+        whole = [("float32", imap.length), ("float64", imap.length)]
+        assert built == whole
+        built.clear()
         triples = infer(tokens, p, PAPER_SCHEMA)
-        assert rows == []
-        assert triples == full_scoring(tokens, p, PAPER_SCHEMA)
+        assert built == whole  # no entity span, so no relation cell is built
+        assert triples == full_scoring(tokens, p, PAPER_SCHEMA) == set()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_kernel_weight_scores_every_cell_in_float64(self, bad, monkeypatch):
@@ -917,10 +926,9 @@ class TestFloat32Screen:
         tokens = tuple(random.Random(8).choice(words) for _ in range(30))
         (a, b), imap, _, want = entity_reference(tokens, p)
         assert not math.isfinite(model._screen_bound(model._entity_screen(p), a, b))
-        cells, rows = spy(monkeypatch, "_pair_cells"), spy(monkeypatch, "_pair_rows")
-        screened = spy(monkeypatch, "_screen_logits")
+        built, screened = spy(monkeypatch, "_pair_cells"), spy(monkeypatch, "_screen_logits")
         assert np.array_equal(model._entity_row(a, b, p, imap, model._entity_screen(p)), want)
-        assert cells == [imap.length] and rows == [] and screened == []
+        assert built == [("float64", imap.length)] and screened == []
 
 
 class TestInferBatch:

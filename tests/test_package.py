@@ -97,6 +97,15 @@ def test_a_file_location_is_formatted_in_one_place():
     assert places == ["data"]
 
 
+def test_pair_vectors_get_their_tanh_in_one_place():
+    # model._pair_cells builds every pair vector; the mixer's recurrence and
+    # the per-pair reference handshaking_kernel are the only other tanh calls
+    tree = ast.parse((Path(pairlink.__file__).parent / "model.py").read_text(encoding="utf-8"))
+    places = {getattr(node, "name", "<module>") for node in tree.body for inner in ast.walk(node)
+              if isinstance(inner, ast.Attribute) and inner.attr == "tanh"}
+    assert places == {"_pair_cells", "_encode", "handshaking_kernel"}
+
+
 def test_the_reversed_entity_rule_is_checked_by_decoding_alone():
     # the line parser reads the format only; strict decode and its oracle own the rule
     assert "mode" not in inspect.signature(pairlink.parse_tagging_line).parameters
