@@ -10,7 +10,8 @@ so rerunning an embedded config reproduces them byte for byte.
 Exit codes: 0 success, 1 internal failure or training divergence, 2 usage, 3 a
 file that cannot be read, parsed or written (a directory, bytes that are not
 UTF-8, a corrupt archive), 4 schema/data mismatches (strict encode conflicts too,
-and an eval corpus with no sentence to score).
+an out-of-range option value such as ``--epochs 0``, and an eval corpus with
+no sentence to score).
 """
 
 from __future__ import annotations
@@ -309,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairlink",
         description="Token-pair link tagging: encode, decode, train, and score relation triples.",
-        epilog="exit codes: 0 ok, 1 failure, 2 usage, 3 bad file or path, 4 schema/data mismatch",
+        epilog="exit codes: 0 ok, 1 failure, 2 usage, 3 bad file or path, "
+               "4 schema/data mismatch or out-of-range option value",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -58,9 +58,7 @@ class IndexMap:
     def __init__(self, n: int) -> None:
         self.n = n
         self.length = seq_length(n)
-        self.row_start: tuple[int, ...] = tuple(
-            i * n - (i * (i - 1)) // 2 for i in range(n)
-        )
+        self.row_start: tuple[int, ...] = tuple(seq_index(i, i, n) for i in range(n))
         self.rows, self.cols = np.triu_indices(n)  # row-major, diagonal included
         self.rows.flags.writeable = False
         self.cols.flags.writeable = False
@@ -104,32 +102,34 @@ def _oriented(a: int, b: int) -> tuple[int, int, int]:
 
 def _collect(
     ann: SentenceAnnotation, schema: RelationSchema
-) -> tuple[set[TokenSpan], dict[str, dict[tuple[int, int, int], int]], list[EncodeConflict]]:
+) -> tuple[dict[tuple[int, int], int], list[EncodeConflict]]:
+    """Every nonzero cell of the tag array as {(row, flat index): tag}, and the conflicts.
+
+    Row 0 holds the entity cells, row ``1 + rid`` the head links and row
+    ``1 + N + rid`` the tail links of relation ``rid``.
+    """
     n_rel = len(schema)
-    entity_spans: set[TokenSpan] = set()
-    cells: dict[str, dict[tuple[int, int, int], int]] = {"sh2oh": {}, "st2ot": {}}
+    row_start = index_map(ann.n).row_start
+    cells: dict[tuple[int, int], int] = {}
     conflicts: list[EncodeConflict] = []
     for t in ann.triples:
         if t.relation >= n_rel:
             raise InvalidInput(
                 f"triple uses relation id {t.relation}, schema has only {n_rel}"
             )
-        entity_spans.add(t.subject)
-        entity_spans.add(t.object)
-        for kind, a, b in (
-            ("sh2oh", t.subject.head, t.object.head),
-            ("st2ot", t.subject.tail, t.object.tail),
+        for span in (t.subject, t.object):
+            cells[0, row_start[span.head] + (span.tail - span.head)] = 1
+        for kind, row, a, b in (
+            ("sh2oh", 1 + t.relation, t.subject.head, t.object.head),
+            ("st2ot", 1 + n_rel + t.relation, t.subject.tail, t.object.tail),
         ):
             i, j, tag = _oriented(a, b)
-            bucket = cells[kind]
-            key = (t.relation, i, j)
-            old = bucket.get(key)
-            if old is None:
-                bucket[key] = tag
-            elif old != tag:
+            key = (row, row_start[i] + (j - i))
+            old = cells.setdefault(key, tag)
+            if old != tag:
                 conflicts.append(EncodeConflict(kind, t.relation, (i, j), old, tag))
-                bucket[key] = 1  # forward links win the tie-break
-    return entity_spans, cells, conflicts
+                cells[key] = 1  # forward links win the tie-break
+    return cells, conflicts
 
 
 def encode(
@@ -142,18 +142,12 @@ def encode(
     tag (:func:`detect_conflicts` lists the conflicts).
     """
     check_choice("mode", mode, MODES)
-    entity_spans, cells, conflicts = _collect(ann, schema)
+    cells, conflicts = _collect(ann, schema)
     if conflicts and mode == "strict":
         raise EncodeConflictError(conflicts)
-    n_rel = len(schema)
-    imap = index_map(ann.n)
-    row_start = imap.row_start
-    tags = np.zeros((2 * n_rel + 1, imap.length), dtype=np.int8)
-    for span in entity_spans:
-        tags[0, row_start[span.head] + (span.tail - span.head)] = 1
-    for first_row, kind in ((1, "sh2oh"), (1 + n_rel, "st2ot")):
-        for (rid, i, j), tag in cells[kind].items():
-            tags[first_row + rid, row_start[i] + (j - i)] = tag
+    tags = np.zeros((2 * len(schema) + 1, seq_length(ann.n)), dtype=np.int8)
+    for cell, tag in cells.items():
+        tags[cell] = tag
     return HandshakingTagging(ann.n, tags)
 
 
@@ -161,7 +155,7 @@ def detect_conflicts(
     ann: SentenceAnnotation, schema: RelationSchema
 ) -> list[EncodeConflict]:
     """Cell-level tag conflicts this annotation would produce; [] iff strict encode succeeds."""
-    return _collect(ann, schema)[2]
+    return _collect(ann, schema)[1]
 
 
 def self_relating_triples(ann: SentenceAnnotation) -> tuple[Triple, ...]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pairlink import (
+    EncodeConflict,
     EncodeConflictError,
     InvalidIndex,
     InvalidInput,
@@ -132,6 +133,75 @@ class TestEncode:
         tagging = encode(ann, schema2)
         assert tagging.sh2oh[0][seq_index(0, 2, 6)] == 1
         assert tagging.sh2oh[0][seq_index(1, 4, 6)] == 2
+
+    def test_conflicts_are_listed_in_triple_order_and_repeat(self):
+        # the second triple clashes in both link cells; the third clashes
+        # again with the forward tag the head cell was left holding
+        schema = RelationSchema(("a", "b"))
+        ann = annotation(4, [triple(2, 3, 0, 0, 1), triple(0, 1, 0, 2, 3),
+                             triple(2, 3, 0, 0, 0)])
+        assert detect_conflicts(ann, schema) == [
+            EncodeConflict("sh2oh", 0, (0, 2), 2, 1),
+            EncodeConflict("st2ot", 0, (1, 3), 2, 1),
+            EncodeConflict("sh2oh", 0, (0, 2), 1, 2),
+        ]
+        with pytest.raises(EncodeConflictError) as exc_info:
+            encode(ann, schema)
+        assert str(exc_info.value) == (
+            "3 tag conflict(s); first: sh2oh cell (0, 2) of relation 0 "
+            "wants both tag 2 and tag 1"
+        )
+        assert encode(ann, schema, mode="lenient").tags.tolist() == [
+            [1, 1, 0, 0, 0, 0, 0, 0, 1, 0],
+            [0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+            [0] * 10,
+            [0, 0, 0, 2, 0, 0, 1, 0, 0, 0],
+            [0] * 10,
+        ]
+
+    def test_seeded_sweep_matches_a_cell_by_cell_tagging(self):
+        # reference: each cell collects the tags its triples demand, and
+        # holds 1 when both directions are demanded (forward wins)
+        rng = random.Random(30)
+        clashing = 0
+        for _ in range(300):
+            n, n_rel = rng.randint(1, 30), rng.randint(1, 4)
+            schema = RelationSchema(tuple(f"r{k}" for k in range(n_rel)))
+
+            def span():
+                head = rng.randrange(n)
+                return TokenSpan(head, min(n - 1, head + rng.randrange(3)))
+
+            triples = []
+            for _ in range(rng.randint(0, 6)):
+                t = Triple(span(), rng.randrange(n_rel), span())
+                triples.append(t)
+                if rng.random() < 0.3:  # force a reversed duplicate
+                    triples.append(Triple(t.object, t.relation, t.subject))
+            rng.shuffle(triples)
+            ann = annotation(n, triples)
+            demanded: dict[tuple[int, int], set[int]] = {}
+            for t in triples:
+                for s in (t.subject, t.object):
+                    demanded.setdefault((0, seq_index(s.head, s.tail, n)), set()).add(1)
+                for row, a, b in ((1 + t.relation, t.subject.head, t.object.head),
+                                  (1 + n_rel + t.relation, t.subject.tail, t.object.tail)):
+                    cell = (row, seq_index(min(a, b), max(a, b), n))
+                    demanded.setdefault(cell, set()).add(1 if a <= b else 2)
+            expected = np.zeros((2 * n_rel + 1, seq_length(n)), dtype=np.int8)
+            for cell, tags in demanded.items():
+                expected[cell] = min(tags)
+            assert np.array_equal(encode(ann, schema, mode="lenient").tags, expected)
+            conflicts = detect_conflicts(ann, schema)
+            assert bool(conflicts) == any(len(tags) == 2 for tags in demanded.values())
+            if conflicts:
+                clashing += 1
+                with pytest.raises(EncodeConflictError) as exc_info:
+                    encode(ann, schema)
+                assert exc_info.value.conflicts == conflicts
+            else:
+                assert np.array_equal(encode(ann, schema).tags, expected)
+        assert 50 < clashing < 250  # both branches are exercised
 
     def test_self_relating_triple_round_trips(self, schema2):
         t = triple(1, 2, 0, 1, 2)
