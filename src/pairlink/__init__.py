@@ -32,6 +32,7 @@ from .core import (
     TokenSpan,
     Triple,
     seq_length,
+    tagging_from_dense,
 )
 from .data import (
     AlignmentError,
@@ -126,6 +127,7 @@ __all__ = [
     "seq_length",
     "subset_report",
     "tag_distribution",
+    "tagging_from_dense",
     "tokenize",
     "train",
 ]

@@ -29,6 +29,7 @@ from .core import (
     check_choice,
     check_int,
     seq_length,
+    tagging_from_dense,
 )
 
 MODES = ("strict", "lenient")
@@ -145,10 +146,10 @@ def encode(
     cells, conflicts = _collect(ann, schema)
     if conflicts and mode == "strict":
         raise EncodeConflictError(conflicts)
-    tags = np.zeros((2 * len(schema) + 1, seq_length(ann.n)), dtype=np.int8)
-    for cell, tag in cells.items():
-        tags[cell] = tag
-    return HandshakingTagging(ann.n, tags)
+    keys = sorted(cells)  # row-major
+    row_cell = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    return HandshakingTagging(ann.n, len(schema), row_cell[:, 0], row_cell[:, 1],
+                              np.array([cells[key] for key in keys], dtype=np.int8))
 
 
 def detect_conflicts(
@@ -235,12 +236,12 @@ def dump_tagging_line(tagging: HandshakingTagging, schema: RelationSchema) -> st
     into one uint8 buffer instead of going through Python ints.
     """
     check_relation_count(tagging, schema)
-    tags = tagging.tags
-    text = np.empty((len(tags), 2 * tags.shape[1]), dtype=np.uint8)
-    text[:, 0::2] = tags + ord("0")
-    text[:, 1::2] = ord(",")
-    rows = [row[:-1].tobytes() for row in text]  # drop each row's trailing comma
     n_rel = tagging.n_relations
+    text = np.empty((2 * n_rel + 1, 2 * seq_length(tagging.n)), dtype=np.uint8)
+    text[:, 0::2] = ord("0")
+    text[:, 1::2] = ord(",")
+    text[tagging.row, 2 * tagging.cell] = tagging.tag + ord("0")
+    rows = [row[:-1].tobytes() for row in text]  # drop each row's trailing comma
     # json.dumps writes the head, so relation names get its escaping
     head = json.dumps({"n": tagging.n, "relations": list(schema.relations)},
                       separators=(",", ":"))
@@ -255,8 +256,8 @@ def parse_tagging_line(line: str) -> tuple[HandshakingTagging, RelationSchema]:
     """The tagging and schema of one line; :class:`InvalidInput` if it is malformed.
 
     Each row becomes the tag array through ``bytes(row)``, which rejects
-    anything but ints in [0, 256), and :class:`HandshakingTagging` rejects
-    values above 2.  JSON ``true``/``false`` would pass ``bytes`` as 1 and 0,
+    anything but ints in [0, 256), and :func:`~pairlink.core.tagging_from_dense`
+    rejects values above 2.  JSON ``true``/``false`` would pass ``bytes`` as 1 and 0,
     so a line holding either word, in a relation name too, has its rows also
     scanned for bools.  This reads the line format only: a reversed entity
     tag is well formed, and strict :func:`~pairlink.decoding.decode` rejects it.
@@ -294,4 +295,4 @@ def parse_tagging_line(line: str) -> tuple[HandshakingTagging, RelationSchema]:
         if may_hold_bools and bool in set(map(type, row)):
             raise _bad_tag(r, n_rel, row)
     tags = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(rows), length)
-    return HandshakingTagging(n, tags), schema
+    return tagging_from_dense(n, tags), schema

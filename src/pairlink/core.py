@@ -93,6 +93,9 @@ class Triple:
     object: TokenSpan
 
     def __post_init__(self) -> None:
+        for role, span in (("subject", self.subject), ("object", self.object)):
+            if not isinstance(span, TokenSpan):
+                raise InvalidInput(f"{role} must be a TokenSpan, got {type(span).__name__}")
         object.__setattr__(self, "relation", check_int("relation", self.relation, minimum=0))
 
 
@@ -137,7 +140,8 @@ class RelationSchema:
 class SentenceAnnotation:
     """A tokenized sentence plus its gold relation triples.
 
-    ``triples`` keeps input order but never holds structural duplicates
+    ``text`` is a ``str`` and every triple a :class:`Triple`.  ``triples``
+    keeps input order but never holds structural duplicates
     (set semantics with a stable order, so downstream tie-breaks are
     deterministic).  ``char_spans`` optionally maps each token to its
     (start, end) character offsets in ``text``, end exclusive, with
@@ -154,10 +158,14 @@ class SentenceAnnotation:
         object.__setattr__(self, "tokens", tokens)
         if not tokens:
             raise InvalidInput("a sentence needs at least one token")
+        if not isinstance(self.text, str):
+            raise InvalidInput(f"text must be a str, got {type(self.text).__name__}")
         n = len(tokens)
         seen: set[Triple] = set()
         unique: list[Triple] = []
         for t in self.triples:
+            if not isinstance(t, Triple):
+                raise InvalidInput(f"triples must be Triples, got a {type(t).__name__}")
             for span in (t.subject, t.object):
                 if span.tail >= n:
                     raise InvalidInput(
@@ -206,59 +214,72 @@ def _bad_tag(row: int, n_rel: int, values: list) -> InvalidInput:
                         f"at flat index {k}, expected 0, 1 or 2")
 
 
+_FIELDS = ("n", "n_relations", "row", "cell", "tag")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class HandshakingTagging:
-    """The 2N+1 flattened tag sequences for one sentence of length ``n``.
+    """The 2N+1 flattened tag sequences of one sentence of length ``n``, as their nonzero cells.
 
-    ``n`` is an integer >= 1 (numpy integers are stored as ints, bools
-    rejected).  ``tags`` is one read-only ``(2N+1, seq_length(n))`` int8
-    array whose cells are 0 (no link), 1 (a link read left to right: row
-    token first, column token second) or 2 (a link whose natural direction
-    points into the lower triangle, folded onto the transposed cell).  Row
-    0 is ``eh2et``, which aligns entity start tokens with entity end tokens
-    and is shared by all relations; rows 1..N are
-    ``sh2oh`` and rows N+1..2N are ``st2ot``, one per relation, linking the
-    start tokens (respectively the end tokens) of subject-object pairs.  The
-    constructor takes any integer array-like of that shape and keeps a copy.
-    The library reads only ``tags``; the ``eh2et``/``sh2oh``/``st2ot`` tuple
-    views are kept for the traced hooks of ``perfbench``.
+    The sequences form a (2N+1, seq_length(n)) tag array of 0 (no link), 1 (a
+    link read left to right: row token first, column token second) or 2 (a
+    link whose natural direction points into the lower triangle, folded onto
+    the transposed cell).  Row 0 is ``eh2et``, which aligns entity start
+    tokens with entity end tokens and is shared by all relations; rows 1..N
+    are ``sh2oh`` and rows N+1..2N are ``st2ot``, one per relation, linking
+    the start tokens (respectively the end tokens) of subject-object pairs.
+
+    Almost every cell is 0, and no tag array is stored: ``row``, ``cell`` and
+    ``tag`` hold each other cell's row, flat index and tag, row-major, each
+    once, as read-only copies.  ``tags`` builds the array on each access, and
+    so do the tuple views kept for ``perfbench``'s traced hooks;
+    :func:`tagging_from_dense` reads one.
     """
 
     n: int
-    tags: np.ndarray
+    n_relations: int
+    row: np.ndarray
+    cell: np.ndarray
+    tag: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", check_int("n", self.n))
-        length = seq_length(self.n)
-        try:
-            tags = np.asarray(self.tags)
-        except ValueError:  # ragged nested sequences
-            raise InvalidInput("tag sequences must all have the same length") from None
-        if tags.dtype.kind not in "iu":
-            raise InvalidInput(f"tags must be integers, got dtype {tags.dtype}")
-        if tags.ndim != 2 or tags.shape[0] % 2 == 0 or tags.shape[1] != length:
-            raise InvalidInput(
-                f"tags have shape {tags.shape}, expected (2N+1, {length}) for n={self.n}: "
-                "one entity sequence plus a head and a tail sequence per relation"
-            )
-        if tags.min() < 0 or tags.max() > 2:
-            row = int(np.argmax(((tags < 0) | (tags > 2)).any(axis=1)))
-            raise _bad_tag(row, len(tags) // 2, tags[row].tolist())
-        tags = tags.astype(np.int8)  # always a copy, so nobody else can write to it
-        tags.flags.writeable = False
-        object.__setattr__(self, "tags", tags)
+        n, n_rel = check_int("n", self.n), check_int("n_relations", self.n_relations, minimum=0)
+        length, kept = seq_length(n), []
+        for name, lo, hi, dtype in (("row", 0, 2 * n_rel, np.intp),
+                                    ("cell", 0, length - 1, np.intp), ("tag", 1, 2, np.int8)):
+            arr = np.asarray(getattr(self, name))
+            if arr.ndim != 1 or arr.dtype.kind not in "iu":
+                raise InvalidInput(f"{name} must be a 1-D integer array, got "
+                                   f"{arr.dtype}{list(arr.shape)}")
+            if len(arr) and not lo <= arr.min() <= arr.max() <= hi:  # before a cast can wrap
+                raise InvalidInput(f"each {name} must lie in {lo}..{hi}, got "
+                                   f"{arr[(arr < lo) | (arr > hi)][0]}")
+            kept.append(arr.astype(dtype))  # a copy, so nobody else can write to it
+            kept[-1].flags.writeable = False
+        row, cell, tag = kept
+        if not len(row) == len(cell) == len(tag):
+            raise InvalidInput(f"row, cell and tag must have equal lengths, got "
+                               f"{len(row)}, {len(cell)} and {len(tag)}")
+        if len(row) > 1 and (np.diff(row * length + cell) <= 0).any():
+            raise InvalidInput("cells must be row-major, each listed once")
+        for name, value in zip(_FIELDS, (n, n_rel, row, cell, tag)):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HandshakingTagging):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.tags, other.tags)
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _FIELDS)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.tags.shape, self.tags.tobytes()))
+        return hash((self.n, self.n_relations, self.row.tobytes(), self.cell.tobytes(),
+                     self.tag.tobytes()))
 
     @property
-    def n_relations(self) -> int:
-        return len(self.tags) // 2
+    def tags(self) -> np.ndarray:
+        """The whole (2N+1, seq_length(n)) int8 tag array, built anew on each access."""
+        tags = np.zeros((2 * self.n_relations + 1, seq_length(self.n)), dtype=np.int8)
+        tags[self.row, self.cell] = self.tag
+        return tags
 
     @property
     def eh2et(self) -> tuple[int, ...]:
@@ -274,3 +295,24 @@ class HandshakingTagging:
     def st2ot(self) -> tuple[tuple[int, ...], ...]:
         """The per-relation subject-tail to object-tail sequences, as tuples."""
         return tuple(map(tuple, self.tags[1 + self.n_relations:].tolist()))
+
+
+def tagging_from_dense(n: int, tags) -> HandshakingTagging:
+    """The tagging of length ``n`` whose (2N+1, P) tag array is ``tags``, any integer array-like."""
+    length = seq_length(n)  # checks n
+    try:
+        tags = np.asarray(tags)
+    except ValueError:  # ragged nested sequences
+        raise InvalidInput("tag sequences must all have the same length") from None
+    if tags.dtype.kind not in "iu":
+        raise InvalidInput(f"tags must be integers, got dtype {tags.dtype}")
+    if tags.ndim != 2 or tags.shape[0] % 2 == 0 or tags.shape[1] != length:
+        raise InvalidInput(
+            f"tags have shape {tags.shape}, expected (2N+1, {length}) for n={n}: "
+            "one entity sequence plus a head and a tail sequence per relation"
+        )
+    if tags.min() < 0 or tags.max() > 2:
+        row = int(np.argmax(((tags < 0) | (tags > 2)).any(axis=1)))
+        raise _bad_tag(row, len(tags) // 2, tags[row].tolist())
+    row, cell = np.nonzero(tags)
+    return HandshakingTagging(n, len(tags) // 2, row, cell, tags[row, cell])

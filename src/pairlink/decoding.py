@@ -1,16 +1,14 @@
 """Turning flattened link-tag sequences back into relation triples.
 
-``decode`` is the production path, and :func:`_decode_cells` its body.
-``decode`` checks its arguments, finds the rows of the tagging's (2N+1, P)
-array that hold a tag, then one ``np.nonzero`` over just those rows finds
-every tagged cell.  Entity-first inference hands the cells it scored
-straight to :func:`_decode_cells`, with no tag array at all.  The body loops
-in Python over those cells only.  It groups the entity spans by head
-position, then resolves each head link against the span candidates and the
-tail links of its relation, at most ``DECODE_BUDGET`` (subject, object)
-candidates per tagging.  ``decode_oracle`` recomputes the same answer in
-pure Python by brute force over all entity-span pairs, sharing no index code
-with ``decode``, and exists purely to cross-check it.
+``decode`` is the production path and the one decoder entry: the codec's
+taggings and entity-first inference's both reach it.  It reads the
+tagging's row-major nonzero cells, never a (2N+1, P) tag array, and loops in
+Python over those cells only.  It groups the entity spans by head position,
+then resolves each head link against the span candidates and the tail links
+of its relation, at most ``DECODE_BUDGET`` (subject, object) candidates per
+tagging.  ``decode_oracle`` recomputes the same answer in pure Python by
+brute force over all entity-span pairs, sharing no index code with
+``decode``, and exists purely to cross-check it.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .codec import MODES, IndexMap, check_relation_count, index_map
+from .codec import MODES, check_relation_count, index_map
 from .core import (
     HandshakingTagging,
     InvalidInput,
@@ -66,24 +64,9 @@ def decode(
     """
     check_choice("mode", mode, MODES)
     check_relation_count(tagging, schema)
-    tagged = np.flatnonzero(tagging.tags.any(axis=1))
-    tags = tagging.tags[tagged]
-    # row-major over the tagged rows: entity cells, then head rows, then tail rows
-    local, cell = np.nonzero(tags)
-    return _decode_cells(index_map(tagging.n), len(schema), tagged[local], cell,
-                         tags[local, cell], mode)
-
-
-def _decode_cells(imap: IndexMap, n_rel: int, row: np.ndarray, cell: np.ndarray,
-                  tag: np.ndarray, mode: str) -> set[Triple]:
-    """:func:`decode`'s body, on the nonzero cells of a tagging with ``n_rel`` relations.
-
-    ``row``, ``cell`` and ``tag`` give each nonzero cell's row of the
-    (2N+1, P) tag array, flat index (``imap`` is the sentence's) and tag 1
-    or 2, row-major: rows ascending, cells ascending within a row.  Nothing
-    here checks that; :func:`decode` and entity-first inference both hand
-    over their cells in that order, and ``mode`` is "strict" or "lenient".
-    """
+    imap, n_rel = index_map(tagging.n), len(schema)
+    # row-major: entity cells, then head rows, then tail rows
+    row, cell, tag = tagging.row, tagging.cell, tagging.tag
     forward = tag == 1
     # the cells of row r are starts[r]:starts[r + 1]
     starts = np.searchsorted(row, np.arange(2 * n_rel + 2)).tolist()

@@ -33,8 +33,8 @@ only at entity-boundary pairs: the head rows at the pairs within the entity
 head positions, the tail rows at the pairs within the entity tail positions.
 No other relation cell can reach a triple in :func:`decode`, so the triples
 equal those of scoring every head everywhere.  The nonzero cells it scores
-go straight to decode's body, :func:`~pairlink.decoding._decode_cells`,
-with no (2N+1, P) tag array in between.
+become each sentence's :class:`HandshakingTagging`, which :func:`decode`
+reads, with no (2N+1, P) tag array in between.
 
 The entity head is screened in float32: every pair is scored from float32
 copies of the projections, and wherever the top two logits are more than 2ε
@@ -59,9 +59,7 @@ import numpy as np
 from .codec import IndexMap, index_map
 from .core import HandshakingTagging, InvalidInput, PairLinkError, RelationSchema, Triple, check_int
 from .data import ParseError, read_json
-# inference decodes through _decode_cells alone; decode stays a module attribute
-# here because perfbench's trace_targets wraps model.decode
-from .decoding import _decode_cells, decode  # noqa: F401
+from .decoding import decode
 
 UNK = "<unk>"
 PROB_FLOOR = 1e-12
@@ -396,7 +394,8 @@ def forward_probs(tokens, params: ModelParams) -> np.ndarray:
 def gold_tags(tagging: HandshakingTagging) -> np.ndarray:
     """(2N+1, P) gold tag array in head order: entity, head pairs, tail pairs.
 
-    This is the tagging's own read-only int8 array, not a copy.
+    A new int8 array built from the tagging's cells, for :func:`loss_from_probs`;
+    training reads the cells themselves.
     """
     return tagging.tags
 
@@ -424,11 +423,11 @@ def batch_loss(batch, params: ModelParams) -> float:
 # --- backward ----------------------------------------------------------------
 
 
-def _pair_backward(gold: np.ndarray, k: np.ndarray, h: np.ndarray, params: ModelParams,
+def _pair_backward(gold: HandshakingTagging, k: np.ndarray, h: np.ndarray, params: ModelParams,
                    grads: dict[str, np.ndarray], weight: float) -> tuple[float, np.ndarray]:
     """One sentence's head loss and backward; return (its mean cell loss, dL/dh).
 
-    ``gold`` is the sentence's (2N+1, P) tags, ``k`` its pair vectors (P,
+    ``gold`` is the sentence's gold tagging, ``k`` its pair vectors (P,
     pair_dim), which are consumed, and ``h`` (n, d) its token vectors;
     ``weight`` times the head and kernel gradients is added to ``grads``.
 
@@ -443,17 +442,15 @@ def _pair_backward(gold: np.ndarray, k: np.ndarray, h: np.ndarray, params: Model
     """
     heads, bias = params.taggers.weight, params.taggers.bias
     n_heads, n_pairs = len(heads), len(k)
-    if gold.shape != (n_heads, n_pairs):
-        raise ShapeError(f"gold tags {gold.shape} do not cover the heads' cells "
+    shape = (2 * gold.n_relations + 1, index_map(gold.n).length)
+    if shape != (n_heads, n_pairs):
+        raise ShapeError(f"gold tags {shape} do not cover the heads' cells "
                          f"{(n_heads, n_pairs)}")
     scale = weight / (n_heads * n_pairs)
     flat_heads = heads.reshape(-1, heads.shape[2])  # (T·3, pair_dim)
-    # the nonzero gold cells, ordered by pair; few pairs hold any, so
-    # np.nonzero runs over those pairs' columns only, not over all of gold
-    cols = np.flatnonzero(gold.any(axis=0))
-    tags = gold[:, cols].T
-    at, rows = np.nonzero(tags)
-    cols, tags = cols[at], tags[at, rows]
+    # the nonzero gold cells, ordered by pair, then by row
+    order = np.lexsort((gold.row, gold.cell))
+    rows, cols, tags = gold.row[order], gold.cell[order], gold.tag[order]
     nll = 0.0
     for start in range(0, n_pairs, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, n_pairs)
@@ -555,7 +552,7 @@ def gradient(batch, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
         n = len(tokens)
         a, b = _projections(h[row, :n], params.kernel)
         loss, dh[row, :n] = _pair_backward(  # k is a temporary, freed per sentence
-            gold_tags(tagging), _pair_cells(a, b, index_map(n), slice(None)),
+            tagging, _pair_cells(a, b, index_map(n), slice(None)),
             h[row, :n], params, grads, scale)
         total += loss
     loss = total * scale
@@ -685,7 +682,7 @@ def _entity_first_tags(a: np.ndarray, b: np.ndarray, params: ModelParams, imap: 
     """One sentence's nonzero tags from its token projections A, B (n, pair_dim).
 
     Returns the (row, flat cell, tag) of every nonzero cell of its (2N+1, P)
-    tags, row-major, as :func:`~pairlink.decoding._decode_cells` takes them.
+    tags, row-major, as :class:`HandshakingTagging` takes them.
     :func:`decode` emits (s, r, o) only for entity spans s and o with a head
     link at (s.head, o.head) and a tail link at (s.tail, o.tail).  So the
     head rows are scored only at the pairs within the entity head positions,
@@ -725,9 +722,9 @@ def _infer(sentences, params: ModelParams, schema: RelationSchema,
         for tokens, h_row in zip(chunk, h):
             n = len(tokens)
             a, b = _projections(h_row[:n], params.kernel)
-            imap = index_map(n)
-            cells = _entity_first_tags(a, b, params, imap, screen)
-            results.append(_decode_cells(imap, params.n_relations, *cells, "lenient"))
+            cells = _entity_first_tags(a, b, params, index_map(n), screen)
+            results.append(decode(HandshakingTagging(n, params.n_relations, *cells), schema,
+                                  "lenient"))
     return results
 
 

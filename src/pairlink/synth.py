@@ -15,13 +15,13 @@ import numpy as np
 
 from .codec import detect_conflicts, phantom_triples
 from .core import (
-    HandshakingTagging,
     InvalidInput,
     RelationSchema,
     SentenceAnnotation,
     TokenSpan,
     Triple,
     seq_length,
+    tagging_from_dense,
 )
 
 
@@ -137,7 +137,7 @@ def random_tagging(
         0 if rng.random() < zero_bias else rng.choice((1, 2))
         for _ in range((2 * n_relations + 1) * length)
     ]
-    return HandshakingTagging(n, np.array(cells, dtype=np.int8).reshape(-1, length))
+    return tagging_from_dense(n, np.array(cells, dtype=np.int8).reshape(-1, length))
 
 
 def synthetic_dataset(

@@ -7,13 +7,13 @@ import random
 import pytest
 
 from pairlink import (
-    HandshakingTagging,
     RelationSchema,
     SentenceAnnotation,
     TokenSpan,
     Triple,
     seq_index,
     seq_length,
+    tagging_from_dense,
 )
 
 
@@ -84,7 +84,7 @@ def figure_fixture():
     mayor_st = sequences_with(n, {(1, 4): 1})
     back_sh = sequences_with(n, {(0, 3): 2})
     back_st = sequences_with(n, {(1, 4): 2, (2, 4): 2})
-    tagging = HandshakingTagging(
+    tagging = tagging_from_dense(
         n, [eh2et, mayor_sh, back_sh, back_sh, mayor_st, back_st, back_st]
     )
     new_york = TokenSpan(0, 1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -202,6 +203,22 @@ class TestEncode:
             else:
                 assert np.array_equal(encode(ann, schema).tags, expected)
         assert 50 < clashing < 250  # both branches are exercised
+
+    def test_encoded_paper_scale_examples_hold_only_their_cells(self):
+        # 2,000 paper-scale sentences (n 20-100, 24 relations), as training
+        # encodes them: 1.4 MB of cells, where (2N+1, P) int8 arrays took 199 MB
+        schema = RelationSchema(tuple(f"rel{r:02d}" for r in range(24)))
+        rng = random.Random(2000)
+        anns = [random_annotation(rng, schema, n_min=20, n_max=100, min_triples=1,
+                                  max_triples=8) for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            examples = [(ann.tokens, encode(ann, schema, mode="lenient")) for ann in anns]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(tagging.row) for _, tagging in examples) > 10_000
+        assert held <= 4 * 2 ** 20
 
     def test_self_relating_triple_round_trips(self, schema2):
         t = triple(1, 2, 0, 1, 2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from pairlink import (
     seq_index,
     seq_length,
     tag_distribution,
+    tagging_from_dense,
 )
 from pairlink import model
 
@@ -155,65 +157,114 @@ class TestSentenceAnnotation:
         assert ann.char_spans == ((0, 0), (0, 1), (2, 2))
 
 
+# what breaks the cells row [0, 1, 2], cell [0, 2, 1], tag [1, 2, 1] of a
+# one-relation tagging at n=2 (rows 0..2, flat cells 0..2) -> the error
+CELL_REJECTIONS = {
+    "row above 2N": ({"row": [0, 1, 3]}, "each row must lie in 0..2, got 3"),
+    "negative row": ({"row": [-1, 1, 2]}, "each row must lie in 0..2, got -1"),
+    "row that a cast would wrap": ({"row": np.array([0, 1, 2 ** 63], dtype=np.uint64)},
+                                   f"each row must lie in 0..2, got {2 ** 63}"),
+    "cell past the last pair": ({"cell": [0, 3, 1]}, "each cell must lie in 0..2, got 3"),
+    "negative cell": ({"cell": [0, -1, 1]}, "each cell must lie in 0..2, got -1"),
+    "unsorted cells": ({"row": [0, 0, 1], "cell": [2, 1, 0]},
+                       "cells must be row-major, each listed once"),
+    "unsorted rows": ({"row": [1, 0, 2]}, "cells must be row-major, each listed once"),
+    "repeated cell": ({"row": [0, 0, 2], "cell": [1, 1, 0]},
+                      "cells must be row-major, each listed once"),
+    "tag 0": ({"tag": [0, 2, 1]}, "each tag must lie in 1..2, got 0"),
+    "tag 3": ({"tag": [1, 3, 1]}, "each tag must lie in 1..2, got 3"),
+    "tag that int8 would wrap to 2": ({"tag": [1, 258, 1]}, "each tag must lie in 1..2, got 258"),
+    "float dtype": ({"cell": [0.0, 2.0, 1.0]}, "cell must be a 1-D integer array, got float64[3]"),
+    "bool dtype": ({"tag": [True, True, True]}, "tag must be a 1-D integer array, got bool[3]"),
+    "2-D array": ({"row": [[0, 1, 2]]}, "row must be a 1-D integer array, got int64[1, 3]"),
+    "short tag": ({"tag": [1, 2]}, "row, cell and tag must have equal lengths, got 3, 3 and 2"),
+    "short row": ({"row": [0, 1]}, "row, cell and tag must have equal lengths, got 2, 3 and 3"),
+}
+
+
 class TestHandshakingTagging:
+    # the dense reader: a whole (2N+1, P) tag array
     def test_shape_validation(self):
         with pytest.raises(InvalidInput):
-            HandshakingTagging(3, [(0,) * 5])  # seq_length(3) is 6
+            tagging_from_dense(3, [(0,) * 5])  # seq_length(3) is 6
         with pytest.raises(InvalidInput):
-            HandshakingTagging(3, (0,) * 6)  # one sequence, not a (2N+1, P) array
+            tagging_from_dense(3, (0,) * 6)  # one sequence, not a (2N+1, P) array
         with pytest.raises(InvalidInput):
-            HandshakingTagging(3, [(0,) * 6, (0,) * 5, (0,) * 6])  # ragged
+            tagging_from_dense(3, [(0,) * 6, (0,) * 5, (0,) * 6])  # ragged
 
     def test_relation_sequences_must_pair_up(self):
         flat = (0,) * seq_length(3)
         with pytest.raises(InvalidInput):
-            HandshakingTagging(3, [flat, flat])  # a head sequence without its tail
+            tagging_from_dense(3, [flat, flat])  # a head sequence without its tail
 
     def test_sequences_order_is_entity_subject_tail(self):
         flat = (0,) * seq_length(2)
         sh = ((1, 0, 0), (0, 1, 0))
         st = ((0, 0, 1), (1, 1, 0))
-        tagging = HandshakingTagging(2, [flat, *sh, *st])
+        tagging = tagging_from_dense(2, [flat, *sh, *st])
         assert tagging.n_relations == 2
         assert tagging.tags.shape == (5, 3) and tagging.tags.dtype == np.int8
         assert tagging.tags.tolist() == [list(flat), *map(list, sh), *map(list, st)]
         assert (tagging.eh2et, tagging.sh2oh, tagging.st2ot) == (flat, sh, st)
+        cells = (tagging.row.tolist(), tagging.cell.tolist(), tagging.tag.tolist())
+        assert cells == ([1, 2, 3, 4, 4], [0, 1, 2, 0, 1], [1, 1, 1, 1, 1])
 
     def test_rejects_out_of_range_tags(self):
         for bad_tag in (3, -1, 255, 258):  # 258 would wrap to 2 in int8
             with pytest.raises(InvalidInput):
-                HandshakingTagging(2, [(0, bad_tag, 0)])
+                tagging_from_dense(2, [(0, bad_tag, 0)])
             with pytest.raises(InvalidInput):
-                HandshakingTagging(2, np.array([[0, bad_tag, 0]], dtype=np.int64))
+                tagging_from_dense(2, np.array([[0, bad_tag, 0]], dtype=np.int64))
         # the error names the row's field, as the tagging line parser does
         rows = np.zeros((5, 3), dtype=np.int64)
         rows[3, 2] = 3
         with pytest.raises(InvalidInput, match=r"st2ot\[0\] holds tag 3 at flat index 2"):
-            HandshakingTagging(2, rows)
+            tagging_from_dense(2, rows)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_, object])
     def test_rejects_non_integer_dtypes(self, dtype):
         with pytest.raises(InvalidInput):
-            HandshakingTagging(2, np.array([[0, 1, 0]], dtype=dtype))
+            tagging_from_dense(2, np.array([[0, 1, 0]], dtype=dtype))
 
-    def test_array_is_a_read_only_copy(self):
-        source = np.array([[0, 1, 0], [1, 0, 2], [0, 0, 1]], dtype=np.int8)
-        tagging = HandshakingTagging(2, source)
-        assert not tagging.tags.flags.writeable
-        with pytest.raises(ValueError):
-            tagging.tags[0, 0] = 1
-        source[0, 0] = 2  # the caller's array stays its own
-        assert tagging.tags[0, 0] == 0
+    @pytest.mark.parametrize("case", CELL_REJECTIONS)
+    def test_the_cell_constructor_rejects(self, case):
+        change, message = CELL_REJECTIONS[case]
+        cells = {"row": [0, 1, 2], "cell": [0, 2, 1], "tag": [1, 2, 1], **change}
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            HandshakingTagging(2, 1, **cells)
+
+    def test_the_cell_arrays_are_read_only_copies(self):
+        row, cell, tag = [0, 1, 2], np.array([0, 2, 1]), np.array([1, 2, 1], dtype=np.uint8)
+        tagging = HandshakingTagging(2, 1, row, cell, tag)
+        for arr, dtype in ((tagging.row, np.intp), (tagging.cell, np.intp), (tagging.tag, np.int8)):
+            assert arr.dtype == dtype and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        cell[0], tag[0] = 1, 2  # the caller's arrays stay their own
+        assert (tagging.cell[0], tagging.tag[0]) == (0, 1)
+        # the tag array is built on each access, and writing to it changes nothing
+        tags = tagging.tags
+        assert tags.tolist() == [[1, 0, 0], [0, 0, 2], [0, 1, 0]] and tags is not tagging.tags
+        tags[0, 0] = 2
+        assert tagging.tags[0, 0] == 1
         with pytest.raises(AttributeError):
             tagging.n = 3
 
+    def test_no_cells_is_the_all_zero_tagging(self):
+        empty = np.zeros(0, dtype=np.int64)
+        tagging = HandshakingTagging(3, 2, empty, empty, empty)
+        assert tagging == tagging_from_dense(3, np.zeros((5, 6), dtype=np.int8))
+        assert not tagging.tags.any() and tagging.tags.shape == (5, 6)
+
     def test_equality_compares_n_and_contents(self):
         rows = [[0, 1, 0], [1, 0, 2], [0, 0, 1]]
-        tagging = HandshakingTagging(2, rows)
-        same = HandshakingTagging(2, np.array(rows, dtype=np.uint8))
+        tagging = tagging_from_dense(2, rows)
+        same = tagging_from_dense(2, np.array(rows, dtype=np.uint8))
         assert tagging == same and hash(tagging) == hash(same)
-        assert tagging != HandshakingTagging(2, [[0, 1, 0], [1, 0, 2], [0, 0, 2]])
-        assert tagging != HandshakingTagging(1, [[0], [1], [0]])
+        assert tagging == HandshakingTagging(2, 1, [0, 1, 1, 2], [1, 0, 2, 2], [1, 1, 2, 1])
+        assert tagging != tagging_from_dense(2, [[0, 1, 0], [1, 0, 2], [0, 0, 2]])
+        assert tagging != tagging_from_dense(1, [[0], [1], [0]])
+        assert tagging != tagging_from_dense(2, [*rows, [0, 0, 0], [0, 0, 0]])  # more relations
 
 
 SCHEMA1 = RelationSchema(("r",))
@@ -257,10 +308,13 @@ def n_counted(value, _):
     return math.isqrt(2 * length) if type(length) is int else length
 
 
-def tagging_n(value, _):
-    """The ``n`` a tagging keeps, given tags of the shape that ``value`` asks for."""
+NO_CELLS = np.zeros(0, dtype=np.intp)
+
+
+def dense_n(value, _):
+    """The ``n`` the dense reader keeps, given tags of the shape that ``value`` asks for."""
     n = int(value)
-    return HandshakingTagging(value, np.zeros((3, n * (n + 1) // 2), dtype=np.int8)).n
+    return tagging_from_dense(value, np.zeros((3, n * (n + 1) // 2), dtype=np.int8)).n
 
 
 def pair_row(value, _):
@@ -294,7 +348,11 @@ INT_ARGUMENTS = {
     "seq_index.i": ("i", 0, pair_row),
     "seq_index.j": ("j", 0, lambda v, _: seq_index(0, v, 8)),  # row 0's pairs sit at j
     "seq_index.n": ("n", 1, pair_columns),
-    "HandshakingTagging.n": ("n", 1, tagging_n),
+    "HandshakingTagging.n": ("n", 1, lambda v, _: HandshakingTagging(
+        v, 1, NO_CELLS, NO_CELLS, NO_CELLS).n),
+    "HandshakingTagging.n_relations": ("n_relations", 0, lambda v, _: HandshakingTagging(
+        2, v, NO_CELLS, NO_CELLS, NO_CELLS).n_relations),
+    "tagging_from_dense.n": ("n", 1, dense_n),
     "init_model.d_embed": ("d_embed", 1,
                            lambda v, _: small_model(d_embed=v).encoder.embed.shape[1]),
     "init_model.d_state": ("d_state", 1,
@@ -321,8 +379,34 @@ CHOICE_ARGUMENTS = {
     "TrainConfig.optimizer": ("optimizer", lambda v: TrainConfig(optimizer=v)),
 }
 
+SPAN = TokenSpan(1, 1)
+
+# entry point -> (its one-line error, a call that breaks the entry's type rule)
+TYPE_ARGUMENTS = {
+    # the triples given in the place of text were stored as text, and none kept
+    "SentenceAnnotation.text": ("text must be a str, got tuple", lambda: SentenceAnnotation(
+        ("a", "b"), (Triple(SPAN, 0, SPAN),))),
+    # was accepted, then escaped as a raw TypeError once char_spans read len(text)
+    "SentenceAnnotation.text+char_spans": ("text must be a str, got int",
+                                           lambda: SentenceAnnotation(
+                                               ("a",), text=5, char_spans=((0, 1),))),
+    # escaped as a raw AttributeError
+    "SentenceAnnotation.triples": ("triples must be Triples, got a tuple",
+                                   lambda: SentenceAnnotation(("a", "b"), triples=(
+                                       (SPAN, 0, SPAN),))),
+    "Triple.subject": ("subject must be a TokenSpan, got tuple",
+                       lambda: Triple((0, 0), 0, SPAN)),
+    "Triple.object": ("object must be a TokenSpan, got list", lambda: Triple(SPAN, 0, [1, 1])),
+}
+
 
 class TestArgumentRules:
+    @pytest.mark.parametrize("entry", TYPE_ARGUMENTS)
+    def test_a_value_of_the_wrong_type_is_rejected_in_one_line(self, entry):
+        message, call = TYPE_ARGUMENTS[entry]
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            call()
+
     # JSON holds no numpy integer, so the tagging line's n is left out here
     @pytest.mark.parametrize("entry", [e for e in INT_ARGUMENTS if e != "parse_tagging_line.n"])
     def test_a_numpy_integer_is_kept_as_an_int(self, entry, monkeypatch):

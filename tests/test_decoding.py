@@ -19,6 +19,7 @@ from pairlink import (
     decode_oracle,
     encode,
     seq_length,
+    tagging_from_dense,
 )
 from pairlink import codec, decoding
 from pairlink.codec import IndexMap
@@ -29,7 +30,7 @@ from conftest import sequences_with, triple
 
 def make_tagging(n, eh_cells, sh_cells_per_rel, st_cells_per_rel):
     cells = [eh_cells, *sh_cells_per_rel, *st_cells_per_rel]
-    return HandshakingTagging(n, [sequences_with(n, c) for c in cells])
+    return tagging_from_dense(n, [sequences_with(n, c) for c in cells])
 
 
 def self_links(n, eh_cells):
@@ -177,17 +178,17 @@ class TestOracleEquivalence:
 
 class TestDecodeCost:
     def test_each_sequence_is_swept_exactly_once(self, figure_fixture, monkeypatch):
-        # decode first finds the rows that hold a tag (a 1-D scan of a row
-        # mask); one np.nonzero then reads the cells of those rows and no
-        # others, and the tuple views are never built.  The figure's rows sit
-        # among empty relation rows.
+        # decode reads the tagging's cells and nothing else: no np.nonzero
+        # scan, no tag array and no tuple view.  The figure's rows sit among
+        # empty relation rows, which hold no cell.
         figure_schema, _, figure, expected = figure_fixture
         n_rel = len(figure_schema)
         schema = RelationSchema(figure_schema.relations + ("empty0", "empty1"))
         empty = np.zeros((2, figure.tags.shape[1]), dtype=np.int8)
-        tagging = HandshakingTagging(figure.n, np.concatenate(
+        tagging = tagging_from_dense(figure.n, np.concatenate(
             [figure.tags[:1 + n_rel], empty, figure.tags[1 + n_rel:], empty]))
         tagged_rows = [0, 1, 2, 3, 6, 7, 8]
+        assert np.unique(tagging.row).tolist() == tagged_rows
         scanned = []
         real_nonzero = np.nonzero
 
@@ -195,17 +196,14 @@ class TestDecodeCost:
             scanned.append(a)
             return real_nonzero(a)
 
-        def no_tuple_views(self):
-            raise AssertionError("decode converted a tag row to Python ints")
+        def no_dense_rows(self):
+            raise AssertionError("decode built a tag array or a tuple view")
 
         monkeypatch.setattr(np, "nonzero", counting_nonzero)
-        for view in ("eh2et", "sh2oh", "st2ot"):
-            monkeypatch.setattr(HandshakingTagging, view, property(no_tuple_views))
+        for view in ("tags", "eh2et", "sh2oh", "st2ot"):
+            monkeypatch.setattr(HandshakingTagging, view, property(no_dense_rows))
         assert decode(tagging, schema) == expected
-        cell_scans = [a for a in scanned if np.ndim(a) == 2]
-        assert len(cell_scans) == 1
-        assert np.array_equal(cell_scans[0], tagging.tags[tagged_rows])
-        assert all(np.shape(a) == (len(tagging.tags),) for a in scanned if np.ndim(a) != 2)
+        assert scanned == []
 
 
 def decode_outcome(decoder, tagging, schema, mode):
@@ -233,7 +231,7 @@ class TestRowSkipEdges:
         ],
     )
     def test_decode_equals_oracle(self, schema2, mode, cells, want):
-        tagging = HandshakingTagging(4, [sequences_with(4, c) for c in cells])
+        tagging = tagging_from_dense(4, [sequences_with(4, c) for c in cells])
         got = decode_outcome(decode, tagging, schema2, mode)
         assert got == decode_outcome(decode_oracle, tagging, schema2, mode)
         reversed_entity = 2 in tagging.tags[0]
@@ -283,7 +281,7 @@ class TestDecodeBudget:
     def test_a_dense_tagging_is_cut_at_the_same_triples_every_time(self, monkeypatch):
         # every cell holds tag 1: 205,905 candidates at n=35 with one relation
         n, schema = 35, RelationSchema(("r",))
-        dense = HandshakingTagging(n, np.ones((3, seq_length(n)), dtype=np.int8))
+        dense = tagging_from_dense(n, np.ones((3, seq_length(n)), dtype=np.int8))
         with pytest.warns(UserWarning, match="decode stopped") as record:
             first, second = decode(dense, schema), decode(dense, schema)
         assert len(record) == 2 and first == second
@@ -298,14 +296,9 @@ class TestDecodeBudget:
 
 
 def cells_of(tagging):
-    """The row-major (row, flat cell, tag) arrays of a tagging's nonzero cells."""
+    """The row-major (row, flat cell, tag) arrays of the nonzero cells of a tagging's tag array."""
     row, cell = np.nonzero(tagging.tags)
     return row, cell, tagging.tags[row, cell]
-
-
-def decode_body(tagging, schema, mode="lenient"):
-    """:func:`decoding._decode_cells` on a tagging's nonzero cells, with no checks before it."""
-    return decoding._decode_cells(codec.index_map(tagging.n), len(schema), *cells_of(tagging), mode)
 
 
 def outcome_and_warnings(decoder, tagging, schema, mode):
@@ -320,8 +313,8 @@ def outcome_and_warnings(decoder, tagging, schema, mode):
 
 
 class TestDecodeCells:
-    # decode checks its arguments and finds the tagged cells; _decode_cells
-    # is the body that entity-first inference calls with the cells it scored
+    # decode reads a tagging's cells, whether the dense reader or entity-first
+    # inference built it
     @staticmethod
     def seeded_taggings():
         """The seeded random taggings that tests/test_codec.py checks against the oracle."""
@@ -337,7 +330,8 @@ class TestDecodeCells:
         return cases
 
     @pytest.mark.parametrize("mode", ["lenient", "strict"])
-    def test_the_body_decodes_every_tagging_as_decode_does(self, figure_fixture, schema2, mode):
+    def test_the_cells_decode_every_tagging_as_the_oracle_does(self, figure_fixture, schema2,
+                                                               mode):
         figure_schema, _, figure, _ = figure_fixture
         cases = [(figure_schema, figure), *self.seeded_taggings()]
         reversed_entity = sum(2 in tagging.tags[0] for _, tagging in cases)
@@ -345,17 +339,22 @@ class TestDecodeCells:
         # would decode if those tags were forward
         cases.append((schema2, make_tagging(3, {(0, 1): 2, (2, 2): 2}, [{(0, 2): 1}, {}],
                                             [{(1, 2): 1}, {}])))
-        # all-ones taggings past the budget: 205,905 candidates at n=35 with
-        # one relation, and 24 relations at n=30, cut in their first relation
+        # all-ones taggings past the budget, which the oracle does not cut:
+        # 205,905 candidates at n=35 with one relation, and 24 relations at
+        # n=30, cut in their first relation
         for n, n_rel in ((35, 1), (30, 24)):
             cases.append((RelationSchema(tuple(f"r{r}" for r in range(n_rel))),
-                          HandshakingTagging(n, np.ones((2 * n_rel + 1, seq_length(n)),
+                          tagging_from_dense(n, np.ones((2 * n_rel + 1, seq_length(n)),
                                                         dtype=np.int8))))
         raised = cut = decoded = 0
-        for schema, tagging in cases:
-            want, want_warnings = outcome_and_warnings(decode, tagging, schema, mode)
-            got, got_warnings = outcome_and_warnings(decode_body, tagging, schema, mode)
-            assert got == want and got_warnings == want_warnings
+        for k, (schema, tagging) in enumerate(cases):
+            # the tagging that inference would build from the same cells
+            scored = HandshakingTagging(tagging.n, len(schema), *cells_of(tagging))
+            got, got_warnings = outcome_and_warnings(decode, scored, schema, mode)
+            assert (got, got_warnings) == outcome_and_warnings(decode, tagging, schema, mode)
+            if k < len(cases) - 2:
+                assert (got, got_warnings) == outcome_and_warnings(decode_oracle, tagging,
+                                                                   schema, mode)
             assert len(got_warnings) <= 1
             assert all(filename == __file__ for _, filename in got_warnings)
             raised += isinstance(got, tuple)
@@ -367,10 +366,10 @@ class TestDecodeCells:
             (52, 55, 0, 1) if mode == "strict" else (52, 0, 2, 45))
 
     def test_strict_decode_raises_on_an_entity_row_of_reversed_tags_only(self, schema2):
-        # the body returns no triples when the entity row holds no span, but
+        # decode returns no triples when the entity row holds no span, but
         # only after the strict check has seen the reversed tags
         tagging = make_tagging(3, {(0, 1): 2, (2, 2): 2}, [{(0, 2): 1}, {}], [{(1, 2): 1}, {}])
-        for decoder in (decode, decode_body):
+        for decoder in (decode, decode_oracle):
             with pytest.raises(InvalidInput, match="^reversed tag in entity sequence at flat "
                                                    "index 1$"):
                 decoder(tagging, schema2, mode="strict")
@@ -384,7 +383,7 @@ class TestDecodeCells:
         # relation's tail links are read into a set (15 MB traced, against
         # 33 MB when every relation's were)
         n, schema = 100, RelationSchema(tuple(f"rel{r:02d}" for r in range(24)))
-        dense = HandshakingTagging(n, np.ones((49, seq_length(n)), dtype=np.int8))
+        dense = tagging_from_dense(n, np.ones((49, seq_length(n)), dtype=np.int8))
         tracemalloc.start()
         try:
             with pytest.warns(UserWarning, match="decode stopped"):

@@ -40,6 +40,7 @@ from pairlink import (
     seq_index,
     seq_length,
     tag_distribution,
+    tagging_from_dense,
 )
 from pairlink.cli import EXIT_OK, main
 from pairlink.model import (
@@ -347,9 +348,8 @@ class TestForwardAndLoss:
         eh = one_cell(0)
         sh = tuple(map(one_cell, (1, 2, 3)))
         st = tuple(map(one_cell, (4, 5, 6)))
-        tagging = HandshakingTagging(n, [eh, *sh, *st])
+        tagging = tagging_from_dense(n, [eh, *sh, *st])
         gold = gold_tags(tagging)
-        assert gold is tagging.tags  # training reads the tagging's own array
         assert gold[0].tolist() == list(eh)
         assert [gold[row].tolist() for row in (1, 2, 3)] == [list(s) for s in sh]
         assert [gold[row].tolist() for row in (4, 5, 6)] == [list(s) for s in st]
@@ -437,10 +437,10 @@ def tile_edge_batch(schema, n, rng):
     """An ``n``-token and a 3-token example, the first with gold links at its ``TILE_EDGES``."""
     batch = batch_of_lengths(schema, rng, (n, 3))
     tokens, tagging = batch[0]
-    tags = tagging.tags.copy()
+    tags = tagging.tags  # a new array on each access
     for m, cell in enumerate(c for c in TILE_EDGES if c < tags.shape[1]):
         tags[m % len(tags), cell] = 1 + m % 2
-    batch[0] = (tokens, HandshakingTagging(n, tags))
+    batch[0] = (tokens, tagging_from_dense(n, tags))
     return batch
 
 
@@ -638,7 +638,7 @@ class TestInfer:
     def test_a_cut_decode_warns_at_the_caller(self, schema2):
         # every head holds tag 1 at every cell: 225,680 candidates at n=30
         n = 30
-        dense = HandshakingTagging(n, np.ones((2 * len(schema2) + 1, seq_length(n)),
+        dense = tagging_from_dense(n, np.ones((2 * len(schema2) + 1, seq_length(n)),
                                               dtype=np.int8))
         tokens, p = model_emitting(dense)
         with pytest.warns(UserWarning, match="decode stopped") as record:
@@ -654,7 +654,7 @@ class TestInfer:
 
     def test_each_cut_sentence_of_a_batch_warns_once_at_the_caller(self, schema2):
         n = 30
-        dense = HandshakingTagging(n, np.ones((2 * len(schema2) + 1, seq_length(n)),
+        dense = tagging_from_dense(n, np.ones((2 * len(schema2) + 1, seq_length(n)),
                                               dtype=np.int8))
         tokens, p = model_emitting(dense)
         with pytest.warns(UserWarning, match="decode stopped"):
@@ -696,7 +696,7 @@ class TestInfer:
 def full_scoring(tokens, params, schema, mode="lenient"):
     """Reference inference: every head scored at every pair, argmax, decode."""
     logits = model._logits(tokens, params)
-    return decode(HandshakingTagging(len(tokens), model._argmax_tags(logits)), schema,
+    return decode(tagging_from_dense(len(tokens), model._argmax_tags(logits)), schema,
                   mode=mode)
 
 
@@ -748,13 +748,13 @@ class TestEntityFirstInference:
         gold = {triple(1, 2, 0, 1, 2), triple(3, 4, 1, 0, 0), triple(0, 0, 0, 3, 4)}
         tags = np.array(encode(annotation(5, gold), schema2).tags)
         tags[1:, [seq_index(1, 4, 5), seq_index(2, 3, 5)]] = 1
-        tokens, p = model_emitting(HandshakingTagging(5, tags))
+        tokens, p = model_emitting(tagging_from_dense(5, tags))
         assert full_scoring(tokens, p, schema2, "strict") == gold
         assert assert_inference_equals_full_scoring([tokens], p, schema2) == len(gold)
         # a reversed entity tag: strict decoding raises on it, inference
         # decodes leniently and ignores it
         tags[0, seq_index(0, 2, 5)] = 2
-        tokens, p = model_emitting(HandshakingTagging(5, tags))
+        tokens, p = model_emitting(tagging_from_dense(5, tags))
         with pytest.raises(InvalidInput, match="reversed tag in entity sequence"):
             full_scoring(tokens, p, schema2, "strict")
         assert infer(tokens, p, schema2) == infer_batch([tokens], p, schema2)[0] == gold
@@ -786,10 +786,10 @@ class TestEntityFirstInference:
         assert min(shares) < 0.002 and max(shares) > 0.04
         assert emitted > 50
 
-    def test_inference_hands_its_scored_cells_to_the_decoder_body(self, monkeypatch):
-        # no (2N+1, P) tag array: inference builds no HandshakingTagging and
-        # never calls decode, and _decode_cells gets each sentence's nonzero
-        # cells row-major, each once
+    def test_inference_hands_its_scored_cells_to_decode(self, monkeypatch):
+        # no (2N+1, P) tag array: each sentence's HandshakingTagging holds the
+        # nonzero cells that _entity_first_tags scored, row-major, each once,
+        # and inference calls model.decode exactly once per sentence with it
         p, words = paper_model(seed=3)
         rng = random.Random(3)
         corpus = [tuple(rng.choice(words) for _ in range(rng.randint(20, 60))) for _ in range(4)]
@@ -800,25 +800,32 @@ class TestEntityFirstInference:
         p.taggers.bias[:, 0] += np.quantile(margins, 0.95)
         want = [full_scoring(tokens, p, PAPER_SCHEMA) for tokens in corpus]
 
-        def dense(*args, **kwargs):
-            raise AssertionError("inference built or decoded a dense tagging")
+        def no_tag_array(self):
+            raise AssertionError("inference built a dense tag array")
 
-        seen, real = [], model._decode_cells
+        scored, decoded = [], []
+        real_scoring, real_decode = model._entity_first_tags, model.decode
 
-        def checked(imap, n_rel, row, cell, tag, mode):
-            step_row, step_cell = np.diff(row), np.diff(cell)
-            assert (step_row >= 0).all() and ((step_row > 0) | (step_cell > 0)).all()
-            assert np.isin(tag, (1, 2)).all() and mode == "lenient"
-            seen.append(np.bincount(row, minlength=2 * n_rel + 1))
-            return real(imap, n_rel, row, cell, tag, mode)
+        def scoring(*args):
+            cells = real_scoring(*args)
+            scored.append(cells)
+            return cells
 
-        monkeypatch.setattr(model, "HandshakingTagging", dense)
-        monkeypatch.setattr(model, "decode", dense)
-        monkeypatch.setattr(model, "_decode_cells", checked)
+        def checked(tagging, schema, mode):
+            assert type(tagging) is HandshakingTagging and mode == "lenient"
+            assert schema is PAPER_SCHEMA and len(decoded) == len(scored) - 1
+            for got, want_cells in zip((tagging.row, tagging.cell, tagging.tag), scored[-1]):
+                assert np.array_equal(got, want_cells)
+            decoded.append(np.bincount(tagging.row, minlength=2 * len(schema) + 1))
+            return real_decode(tagging, schema, mode)
+
+        monkeypatch.setattr(HandshakingTagging, "tags", property(no_tag_array))
+        monkeypatch.setattr(model, "_entity_first_tags", scoring)
+        monkeypatch.setattr(model, "decode", checked)
         assert [infer(tokens, p, PAPER_SCHEMA) for tokens in corpus] == want
         assert infer_batch(corpus, p, PAPER_SCHEMA) == want
-        assert len(seen) == 8 and sum(map(len, want)) > 5  # 11 here
-        assert all(rows[0] > 0 and rows[1:].sum() > 0 for rows in seen)
+        assert len(decoded) == len(scored) == 8 and sum(map(len, want)) > 5  # 11 here
+        assert all(rows[0] > 0 and rows[1:].sum() > 0 for rows in decoded)
 
 
 PAPER_SCHEMA = RelationSchema(tuple(f"rel{r:02d}" for r in range(24)))
