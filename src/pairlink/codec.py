@@ -103,15 +103,16 @@ def _oriented(a: int, b: int) -> tuple[int, int, int]:
 
 def _collect(
     ann: SentenceAnnotation, schema: RelationSchema
-) -> tuple[dict[tuple[int, int], int], list[EncodeConflict]]:
-    """Every nonzero cell of the tag array as {(row, flat index): tag}, and the conflicts.
+) -> tuple[dict[int, int], list[EncodeConflict]]:
+    """Every nonzero cell of the tag array as {flat index: tag}, and the conflicts.
 
     Row 0 holds the entity cells, row ``1 + rid`` the head links and row
-    ``1 + N + rid`` the tail links of relation ``rid``.
+    ``1 + N + rid`` the tail links of relation ``rid``; the cell at (i, j)
+    of row r has flat index ``r * P + row_start[i] + (j - i)``.
     """
-    n_rel = len(schema)
-    row_start = index_map(ann.n).row_start
-    cells: dict[tuple[int, int], int] = {}
+    n_rel, imap = len(schema), index_map(ann.n)
+    row_start = imap.row_start
+    cells: dict[int, int] = {}
     conflicts: list[EncodeConflict] = []
     for t in ann.triples:
         if t.relation >= n_rel:
@@ -119,13 +120,13 @@ def _collect(
                 f"triple uses relation id {t.relation}, schema has only {n_rel}"
             )
         for span in (t.subject, t.object):
-            cells[0, row_start[span.head] + (span.tail - span.head)] = 1
+            cells[row_start[span.head] + (span.tail - span.head)] = 1
         for kind, row, a, b in (
             ("sh2oh", 1 + t.relation, t.subject.head, t.object.head),
             ("st2ot", 1 + n_rel + t.relation, t.subject.tail, t.object.tail),
         ):
             i, j, tag = _oriented(a, b)
-            key = (row, row_start[i] + (j - i))
+            key = row * imap.length + row_start[i] + (j - i)
             old = cells.setdefault(key, tag)
             if old != tag:
                 conflicts.append(EncodeConflict(kind, t.relation, (i, j), old, tag))
@@ -146,10 +147,9 @@ def encode(
     cells, conflicts = _collect(ann, schema)
     if conflicts and mode == "strict":
         raise EncodeConflictError(conflicts)
-    keys = sorted(cells)  # row-major
-    row_cell = np.array(keys, dtype=np.intp).reshape(-1, 2)
-    return HandshakingTagging(ann.n, len(schema), row_cell[:, 0], row_cell[:, 1],
-                              np.array([cells[key] for key in keys], dtype=np.int8))
+    index = sorted(cells)
+    return HandshakingTagging(ann.n, len(schema), np.array(index, dtype=np.intp),
+                              np.array([cells[k] for k in index], dtype=np.int8))
 
 
 def detect_conflicts(
@@ -240,7 +240,7 @@ def dump_tagging_line(tagging: HandshakingTagging, schema: RelationSchema) -> st
     text = np.empty((2 * n_rel + 1, 2 * seq_length(tagging.n)), dtype=np.uint8)
     text[:, 0::2] = ord("0")
     text[:, 1::2] = ord(",")
-    text[tagging.row, 2 * tagging.cell] = tagging.tag + ord("0")
+    text.reshape(-1)[2 * tagging.index] = tagging.tag + ord("0")  # a view: cell k's digit is at 2k
     rows = [row[:-1].tobytes() for row in text]  # drop each row's trailing comma
     # json.dumps writes the head, so relation names get its escaping
     head = json.dumps({"n": tagging.n, "relations": list(schema.relations)},

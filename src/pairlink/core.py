@@ -15,6 +15,7 @@ concurrent readers.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,11 +53,33 @@ def check_choice(name: str, value, choices: tuple) -> None:
         raise InvalidInput(f"{name} must be one of {choices}, got {value!r}")
 
 
+def check_sequence(name: str, values, error: type[InvalidInput] = InvalidInput) -> tuple:
+    """``values`` as a tuple, else ``error``: a ``str`` or a mapping is no sequence here.
+
+    Where tokens, relation names or sentences are expected, a ``str`` would
+    be read as its characters and a mapping as its keys, so both are rejected,
+    as is a value that is not iterable.
+    """
+    if isinstance(values, (str, Mapping)) or not isinstance(values, Iterable):
+        raise error(f"{name} must be a sequence, not {type(values).__name__}")
+    return tuple(values)
+
+
+def check_strings(name: str, values, error: type[InvalidInput] = InvalidInput) -> tuple[str, ...]:
+    """``values`` as a tuple, else ``error``: the one rule for a sequence of tokens or names.
+
+    :func:`check_sequence`, then every element must be a non-empty ``str``; O(n).
+    """
+    values = check_sequence(name, values, error)
+    for value in values:
+        if not isinstance(value, str) or not value:
+            raise error(f"{name} must be non-empty strings, got {value!r}")
+    return values
+
+
 def check_relation_name(name, error: type[InvalidInput] = InvalidInput) -> str:
     """``name`` if it is a non-empty ``str``, else ``error``: the one rule for a relation name."""
-    if not isinstance(name, str) or not name:
-        raise error(f"relation names must be non-empty strings, got {name!r}")
-    return name
+    return check_strings("relation names", (name,), error)[0]
 
 
 def seq_length(n: int) -> int:
@@ -107,13 +130,13 @@ class RelationSchema:
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        relations = tuple(self.relations)
+        relations = check_strings("relation names", self.relations)
         object.__setattr__(self, "relations", relations)
         if not relations:
             raise InvalidInput("a schema needs at least one relation")
         ids: dict[str, int] = {}
         for rid, name in enumerate(relations):
-            if check_relation_name(name) in ids:
+            if name in ids:
                 raise InvalidInput(f"duplicate relation name: {name!r}")
             ids[name] = rid
         object.__setattr__(self, "_ids", ids)
@@ -140,7 +163,8 @@ class RelationSchema:
 class SentenceAnnotation:
     """A tokenized sentence plus its gold relation triples.
 
-    ``text`` is a ``str`` and every triple a :class:`Triple`.  ``triples``
+    ``tokens`` follows :func:`check_strings`, ``text`` is a ``str`` and
+    every triple a :class:`Triple`.  ``triples``
     keeps input order but never holds structural duplicates
     (set semantics with a stable order, so downstream tie-breaks are
     deterministic).  ``char_spans`` optionally maps each token to its
@@ -154,7 +178,7 @@ class SentenceAnnotation:
     char_spans: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
-        tokens = tuple(self.tokens)
+        tokens = check_strings("tokens", self.tokens)
         object.__setattr__(self, "tokens", tokens)
         if not tokens:
             raise InvalidInput("a sentence needs at least one token")
@@ -214,7 +238,7 @@ def _bad_tag(row: int, n_rel: int, values: list) -> InvalidInput:
                         f"at flat index {k}, expected 0, 1 or 2")
 
 
-_FIELDS = ("n", "n_relations", "row", "cell", "tag")
+_FIELDS = ("n", "n_relations", "index", "tag")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -229,25 +253,29 @@ class HandshakingTagging:
     are ``sh2oh`` and rows N+1..2N are ``st2ot``, one per relation, linking
     the start tokens (respectively the end tokens) of subject-object pairs.
 
-    Almost every cell is 0, and no tag array is stored: ``row``, ``cell`` and
-    ``tag`` hold each other cell's row, flat index and tag, row-major, each
-    once, as read-only copies.  ``tags`` builds the array on each access, and
-    so do the tuple views kept for ``perfbench``'s traced hooks;
-    :func:`tagging_from_dense` reads one.
+    Almost every cell is 0, and no tag array is stored: ``index`` holds each
+    other cell's flat index ``row * seq_length(n) + pair`` in the array,
+    strictly ascending, and ``tag`` its tag, as read-only copies (9 bytes a
+    cell).  ``tags`` builds the array on each access, and so do the tuple
+    views kept for ``perfbench``'s traced hooks; :func:`tagging_from_dense`
+    reads one.
     """
 
     n: int
     n_relations: int
-    row: np.ndarray
-    cell: np.ndarray
+    index: np.ndarray
     tag: np.ndarray
 
     def __post_init__(self) -> None:
         n, n_rel = check_int("n", self.n), check_int("n_relations", self.n_relations, minimum=0)
-        length, kept = seq_length(n), []
-        for name, lo, hi, dtype in (("row", 0, 2 * n_rel, np.intp),
-                                    ("cell", 0, length - 1, np.intp), ("tag", 1, 2, np.int8)):
-            arr = np.asarray(getattr(self, name))
+        kept = []
+        for name, lo, hi, dtype in (("index", 0, (2 * n_rel + 1) * seq_length(n) - 1, np.intp),
+                                    ("tag", 1, 2, np.int8)):
+            try:
+                arr = np.asarray(getattr(self, name))
+            except ValueError:  # ragged nested sequences
+                raise InvalidInput(f"{name} must be a 1-D integer array, got a ragged "
+                                   "sequence") from None
             if arr.ndim != 1 or arr.dtype.kind not in "iu":
                 raise InvalidInput(f"{name} must be a 1-D integer array, got "
                                    f"{arr.dtype}{list(arr.shape)}")
@@ -256,13 +284,13 @@ class HandshakingTagging:
                                    f"{arr[(arr < lo) | (arr > hi)][0]}")
             kept.append(arr.astype(dtype))  # a copy, so nobody else can write to it
             kept[-1].flags.writeable = False
-        row, cell, tag = kept
-        if not len(row) == len(cell) == len(tag):
-            raise InvalidInput(f"row, cell and tag must have equal lengths, got "
-                               f"{len(row)}, {len(cell)} and {len(tag)}")
-        if len(row) > 1 and (np.diff(row * length + cell) <= 0).any():
-            raise InvalidInput("cells must be row-major, each listed once")
-        for name, value in zip(_FIELDS, (n, n_rel, row, cell, tag)):
+        index, tag = kept
+        if len(index) != len(tag):
+            raise InvalidInput(f"index and tag must have equal lengths, got "
+                               f"{len(index)} and {len(tag)}")
+        if len(index) > 1 and (np.diff(index) <= 0).any():
+            raise InvalidInput("index must be strictly ascending")
+        for name, value in zip(_FIELDS, (n, n_rel, index, tag)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
@@ -271,15 +299,14 @@ class HandshakingTagging:
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _FIELDS)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.n_relations, self.row.tobytes(), self.cell.tobytes(),
-                     self.tag.tobytes()))
+        return hash((self.n, self.n_relations, self.index.tobytes(), self.tag.tobytes()))
 
     @property
     def tags(self) -> np.ndarray:
         """The whole (2N+1, seq_length(n)) int8 tag array, built anew on each access."""
-        tags = np.zeros((2 * self.n_relations + 1, seq_length(self.n)), dtype=np.int8)
-        tags[self.row, self.cell] = self.tag
-        return tags
+        tags = np.zeros((2 * self.n_relations + 1) * seq_length(self.n), dtype=np.int8)
+        tags[self.index] = self.tag
+        return tags.reshape(2 * self.n_relations + 1, -1)
 
     @property
     def eh2et(self) -> tuple[int, ...]:
@@ -314,5 +341,6 @@ def tagging_from_dense(n: int, tags) -> HandshakingTagging:
     if tags.min() < 0 or tags.max() > 2:
         row = int(np.argmax(((tags < 0) | (tags > 2)).any(axis=1)))
         raise _bad_tag(row, len(tags) // 2, tags[row].tolist())
-    row, cell = np.nonzero(tags)
-    return HandshakingTagging(n, len(tags) // 2, row, cell, tags[row, cell])
+    flat = tags.reshape(-1)
+    index = np.flatnonzero(flat)
+    return HandshakingTagging(n, len(tags) // 2, index, flat[index])

@@ -26,6 +26,7 @@ from .core import (
     Triple,
     check_choice,
     check_relation_name,
+    check_strings,
     is_int,
 )
 
@@ -206,9 +207,7 @@ def _record_to_annotation(obj, schema, standard):
         raise ParseError("'text' must be a string")
     tokens = obj.get("tokens")
     if tokens is not None:
-        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-            raise ParseError("'tokens' must be a list of strings")
-        offsets = None
+        tokens, offsets = check_strings("'tokens'", tokens, ParseError), None
     else:
         tokens, offsets = tokenize_with_offsets(text)
     if not tokens:

@@ -2,13 +2,14 @@
 
 ``decode`` is the production path and the one decoder entry: the codec's
 taggings and entity-first inference's both reach it.  It reads the
-tagging's row-major nonzero cells, never a (2N+1, P) tag array, and loops in
+tagging's ascending flat indices, never a (2N+1, P) tag array, and loops in
 Python over those cells only.  It groups the entity spans by head position,
-then resolves each head link against the span candidates and the tail links
-of its relation, at most ``DECODE_BUDGET`` (subject, object) candidates per
-tagging.  ``decode_oracle`` recomputes the same answer in pure Python by
-brute force over all entity-span pairs, sharing no index code with
-``decode``, and exists purely to cross-check it.
+then sweeps one relation at a time: it reads the relation's head links when
+the sweep reaches it, and its tail links once, when a head link first has
+span candidates.  It tries at most ``DECODE_BUDGET`` (subject, object)
+candidates per tagging.  ``decode_oracle`` recomputes the same answer in
+pure Python by brute force over all entity-span pairs, sharing no index
+code with ``decode``, and exists purely to cross-check it.
 """
 
 from __future__ import annotations
@@ -65,53 +66,51 @@ def decode(
     check_choice("mode", mode, MODES)
     check_relation_count(tagging, schema)
     imap, n_rel = index_map(tagging.n), len(schema)
-    # row-major: entity cells, then head rows, then tail rows
-    row, cell, tag = tagging.row, tagging.cell, tagging.tag
-    forward = tag == 1
-    # the cells of row r are starts[r]:starts[r + 1]
-    starts = np.searchsorted(row, np.arange(2 * n_rel + 2)).tolist()
-    is_span = forward[:starts[1]]
+    index, tag = tagging.index, tagging.tag
+    # the cells of row r are starts[r]:starts[r + 1]: entity, head rows, tail rows
+    starts = np.searchsorted(index, np.arange(2 * n_rel + 2) * imap.length).tolist()
+    is_span = tag[:starts[1]] == 1
     if mode == "strict" and not is_span.all():
-        k = int(cell[np.argmin(is_span)])
+        k = int(index[np.argmin(is_span)])
         raise InvalidInput(f"reversed tag in entity sequence at flat index {k}")
     if not is_span.any():
         return set()
-    spans = cell[:starts[1]][is_span]
+    spans = index[:starts[1]][is_span]
     by_head: dict[int, list[TokenSpan]] = {}
     for i, j in zip(imap.rows[spans].tolist(), imap.cols[spans].tolist()):
         by_head.setdefault(i, []).append(TokenSpan(i, j))
 
-    def links(lo: int, hi: int) -> tuple[list[int], list[int]]:
-        """(sources, targets) of cells lo:hi: a forward tag links row token to column token."""
-        rows, cols, ahead = imap.rows[cell[lo:hi]], imap.cols[cell[lo:hi]], forward[lo:hi]
+    def links(r: int) -> tuple[list[int], list[int]]:
+        """(sources, targets) of row r's cells: a forward tag links row token to column token."""
+        lo, hi = starts[r], starts[r + 1]
+        pairs, ahead = index[lo:hi] - r * imap.length, tag[lo:hi] == 1
+        rows, cols = imap.rows[pairs], imap.cols[pairs]
         return np.where(ahead, rows, cols).tolist(), np.where(ahead, cols, rows).tolist()
 
-    heads_at, tails_at = starts[1], starts[1 + n_rel]
-    # a relation's tail links, read into a set when one of its head links first has candidates
-    tail_links: dict[int, set[tuple[int, int]]] = {}
     result: set[Triple] = set()
     no_spans: tuple[TokenSpan, ...] = ()
     tried = 0
-    for rid, subj_head, obj_head in zip((row[heads_at:tails_at] - 1).tolist(),
-                                        *links(heads_at, tails_at)):
-        subjects, objects = by_head.get(subj_head, no_spans), by_head.get(obj_head, no_spans)
-        tried += len(subjects) * len(objects)
-        if tried > DECODE_BUDGET:
-            if mode == "strict":
-                raise InvalidInput(f"tagging needs more than {DECODE_BUDGET:,} candidate pairs")
-            warnings.warn(f"decode stopped at {DECODE_BUDGET:,} candidate pairs; "
-                          f"kept {len(result):,} triples", stacklevel=_outside_level())
-            break
-        if not (subjects and objects):
-            continue
-        tails = tail_links.get(rid)
-        if tails is None:
-            tails = tail_links[rid] = set(zip(*links(starts[1 + n_rel + rid],
-                                                     starts[2 + n_rel + rid])))
-        for s in subjects:
-            for o in objects:
-                if (s.tail, o.tail) in tails:
-                    result.add(Triple(s, rid, o))
+    for rid in range(n_rel):
+        if starts[1 + rid] == starts[2 + rid]:
+            continue  # no head link
+        tails = None  # the relation's tail links, read when a head link first has candidates
+        for subj_head, obj_head in zip(*links(1 + rid)):
+            subjects, objects = by_head.get(subj_head, no_spans), by_head.get(obj_head, no_spans)
+            tried += len(subjects) * len(objects)
+            if tried > DECODE_BUDGET:
+                if mode == "strict":
+                    raise InvalidInput(f"tagging needs more than {DECODE_BUDGET:,} candidate pairs")
+                warnings.warn(f"decode stopped at {DECODE_BUDGET:,} candidate pairs; "
+                              f"kept {len(result):,} triples", stacklevel=_outside_level())
+                return result
+            if not (subjects and objects):
+                continue
+            if tails is None:
+                tails = set(zip(*links(1 + n_rel + rid)))
+            for s in subjects:
+                for o in objects:
+                    if (s.tail, o.tail) in tails:
+                        result.add(Triple(s, rid, o))
     return result
 
 

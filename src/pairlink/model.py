@@ -57,7 +57,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .codec import IndexMap, index_map
-from .core import HandshakingTagging, InvalidInput, PairLinkError, RelationSchema, Triple, check_int
+from .core import (HandshakingTagging, InvalidInput, PairLinkError, RelationSchema, Triple,
+                   check_int, check_sequence, check_strings)
 from .data import ParseError, read_json
 from .decoding import decode
 
@@ -176,10 +177,13 @@ class ModelParams:
 
 
 def build_vocab(token_lists) -> dict[str, int]:
-    """Token -> id map over a corpus, id 0 reserved for unknown tokens."""
+    """Token -> id map over a corpus, id 0 reserved for unknown tokens.
+
+    Each token list follows :func:`~pairlink.core.check_strings`.
+    """
     vocab = {UNK: 0}
     for tokens in token_lists:
-        for tok in tokens:
+        for tok in check_strings("tokens", tokens):
             vocab.setdefault(tok, len(vocab))
     return vocab
 
@@ -448,9 +452,9 @@ def _pair_backward(gold: HandshakingTagging, k: np.ndarray, h: np.ndarray, param
                          f"{(n_heads, n_pairs)}")
     scale = weight / (n_heads * n_pairs)
     flat_heads = heads.reshape(-1, heads.shape[2])  # (T·3, pair_dim)
-    # the nonzero gold cells, ordered by pair, then by row
-    order = np.lexsort((gold.row, gold.cell))
-    rows, cols, tags = gold.row[order], gold.cell[order], gold.tag[order]
+    rows, cols = np.divmod(gold.index, n_pairs)  # each nonzero gold cell's (row, pair)
+    order = np.lexsort((rows, cols))  # by pair, then by row
+    rows, cols, tags = rows[order], cols[order], gold.tag[order]
     nll = 0.0
     for start in range(0, n_pairs, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, n_pairs)
@@ -681,8 +685,8 @@ def _entity_first_tags(a: np.ndarray, b: np.ndarray, params: ModelParams, imap: 
                        screen: _Screen) -> tuple[np.ndarray, ...]:
     """One sentence's nonzero tags from its token projections A, B (n, pair_dim).
 
-    Returns the (row, flat cell, tag) of every nonzero cell of its (2N+1, P)
-    tags, row-major, as :class:`HandshakingTagging` takes them.
+    Returns the (flat index, tag) of every nonzero cell of its (2N+1, P)
+    tags, ascending, as :class:`HandshakingTagging` takes them.
     :func:`decode` emits (s, r, o) only for entity spans s and o with a head
     link at (s.head, o.head) and a tail link at (s.tail, o.tail).  So the
     head rows are scored only at the pairs within the entity head positions,
@@ -693,7 +697,7 @@ def _entity_first_tags(a: np.ndarray, b: np.ndarray, params: ModelParams, imap: 
     heads, bias, n_rel = params.taggers.weight, params.taggers.bias, params.n_relations
     entity = _entity_row(a, b, params, imap, screen)
     cells = np.flatnonzero(entity)
-    found = [(np.zeros(len(cells), dtype=np.intp), cells, entity[cells])]
+    found = [(cells, entity[cells])]
     spans = entity == 1
     if spans.any():
         for first, ends in ((1, imap.rows[spans]), (1 + n_rel, imap.cols[spans])):
@@ -702,7 +706,7 @@ def _entity_first_tags(a: np.ndarray, b: np.ndarray, params: ModelParams, imap: 
             rows = slice(first, first + n_rel)
             tags = _argmax_tags(_head_logits(k, heads[rows], bias[rows]))
             row, col = np.nonzero(tags)
-            found.append((row + first, cells[col], tags[row, col]))
+            found.append(((row + first) * imap.length + cells[col], tags[row, col]))
     return tuple(np.concatenate(part) for part in zip(*found))
 
 
@@ -713,7 +717,7 @@ def _infer(sentences, params: ModelParams, schema: RelationSchema,
         raise InvalidInput(
             f"model has {params.n_relations} relations, schema has {len(schema)}"
         )
-    sentences = list(sentences)
+    sentences = [check_strings("tokens", s) for s in check_sequence("sentences", sentences)]
     screen = _entity_screen(params)
     results = []
     for start in range(0, len(sentences), batch_size):
@@ -740,7 +744,9 @@ def infer(tokens, params: ModelParams, schema: RelationSchema) -> set[Triple]:
     so its tags equal the float64 argmax (see the module docstring).  The
     result equals ``infer_batch([tokens], ...)[0]``: both run one body.
 
-    A sentence of any length is scored whole.  The tags are decoded
+    A sentence of any length is scored whole; ``tokens`` follows
+    :func:`~pairlink.core.check_strings`, so a ``str`` is refused rather
+    than read as one-character tokens.  The tags are decoded
     leniently: a reversed entity tag is ignored, and a tagging past
     :data:`~pairlink.decoding.DECODE_BUDGET` is cut with a warning that
     points at the caller.
@@ -755,7 +761,8 @@ def infer_batch(sentences, params: ModelParams, schema: RelationSchema,
     Each chunk of ``batch_size`` sentences, an integer >= 1 (numpy integers
     too, bools not), runs one encoder pass as a right-padded stack, then the
     pair kernel and heads one sentence at a time; decoded triple sets equal
-    per-sentence :func:`infer`.
+    per-sentence :func:`infer`.  ``sentences`` is a sequence, not a ``str``,
+    and each sentence follows :func:`~pairlink.core.check_strings`.
     """
     return _infer(sentences, params, schema, check_int("batch_size", batch_size))
 

@@ -242,7 +242,9 @@ class TestEncodeDecode:
         out = tmp_path / "out.jsonl"
         code = main([command, "--data", data, "--schema", schema, "--out", str(out)])
         assert code == EXIT_INPUT
-        assert capsys.readouterr().err == f"error: {data}:1: 'tokens' must be a list of strings\n"
+        problem = ("'tokens' must be non-empty strings, got 7" if isinstance(tokens, list)
+                   else f"'tokens' must be a sequence, not {type(tokens).__name__}")
+        assert capsys.readouterr().err == f"error: {data}:1: {problem}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["encode", "stats"])
@@ -336,7 +338,7 @@ SENTENCE = "Ada works for ACME"
 MALFORMED = {
     "text_not_a_string": ({"text": 5, "triple_list": []}, "'text' must be a string"),
     "tokens_not_strings": ({"text": SENTENCE, "tokens": ["Ada", 7], "triple_list": []},
-                           "'tokens' must be a list of strings"),
+                           "'tokens' must be non-empty strings, got 7"),
     "entry_not_a_triple": ({"text": SENTENCE, "triple_list": [["Ada", "works_for"]]},
                            "each triple_list entry must be [subject, relation, object]"),
     "bad_subject": ({"text": SENTENCE, "triple_list": [[[-3, 3], "works_for", "ACME"]]},

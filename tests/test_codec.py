@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -217,7 +218,7 @@ class TestEncode:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert sum(len(tagging.row) for _, tagging in examples) > 10_000
+        assert sum(len(tagging.index) for _, tagging in examples) > 10_000
         assert held <= 4 * 2 ** 20
 
     def test_self_relating_triple_round_trips(self, schema2):
@@ -319,6 +320,20 @@ class TestSerialization:
             assert dump_tagging_line(parsed_tagging, parsed_schema) == line
             assert "\n" not in line
         assert compared == len(cases) == 63  # no tagging here comes near the budget
+
+    def test_paper_scale_lines_match_their_recorded_digest(self):
+        # the tag-line format itself: 12 seeded paper-scale sentences (24
+        # relations, n 20-100, 44 triples, 2,485,636 bytes of lines), hashed
+        # when the tagging still stored (row, cell) pairs; a change of
+        # representation or of the dump must leave these bytes alone
+        schema = RelationSchema(tuple(f"rel{r:02d}" for r in range(24)))
+        rng = random.Random(2010)
+        anns = [random_annotation(rng, schema, n_min=20, n_max=100, min_triples=1,
+                                  max_triples=8) for _ in range(12)]
+        lines = "\n".join(dump_tagging_line(encode(ann, schema), schema) for ann in anns)
+        assert len(lines) == 2_485_636 + 11
+        assert hashlib.sha256(lines.encode("ascii")).hexdigest() == (
+            "f1e0ccca85e1033eedfb91b560ed82223e7dfb873e5b01a8c52e8b028bba60d2")
 
     def test_obj_shape(self, schema2):
         tagging = encode(annotation(3, [triple(0, 0, 0, 1, 2)]), schema2)

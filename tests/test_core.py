@@ -25,6 +25,7 @@ from pairlink import (
     decode,
     decode_oracle,
     encode,
+    infer,
     infer_batch,
     init_model,
     load_dataset,
@@ -157,28 +158,30 @@ class TestSentenceAnnotation:
         assert ann.char_spans == ((0, 0), (0, 1), (2, 2))
 
 
-# what breaks the cells row [0, 1, 2], cell [0, 2, 1], tag [1, 2, 1] of a
-# one-relation tagging at n=2 (rows 0..2, flat cells 0..2) -> the error
+# what breaks the cells index [0, 5, 7], tag [1, 2, 1] of a one-relation
+# tagging at n=2 (rows 0..2 of 3 pairs, flat indices 0..8) -> the error
 CELL_REJECTIONS = {
-    "row above 2N": ({"row": [0, 1, 3]}, "each row must lie in 0..2, got 3"),
-    "negative row": ({"row": [-1, 1, 2]}, "each row must lie in 0..2, got -1"),
-    "row that a cast would wrap": ({"row": np.array([0, 1, 2 ** 63], dtype=np.uint64)},
-                                   f"each row must lie in 0..2, got {2 ** 63}"),
-    "cell past the last pair": ({"cell": [0, 3, 1]}, "each cell must lie in 0..2, got 3"),
-    "negative cell": ({"cell": [0, -1, 1]}, "each cell must lie in 0..2, got -1"),
-    "unsorted cells": ({"row": [0, 0, 1], "cell": [2, 1, 0]},
-                       "cells must be row-major, each listed once"),
-    "unsorted rows": ({"row": [1, 0, 2]}, "cells must be row-major, each listed once"),
-    "repeated cell": ({"row": [0, 0, 2], "cell": [1, 1, 0]},
-                      "cells must be row-major, each listed once"),
+    "index in row 2N+1": ({"index": [0, 5, 9]}, "each index must lie in 0..8, got 9"),
+    "negative index": ({"index": [-1, 5, 7]}, "each index must lie in 0..8, got -1"),
+    "index that a cast would wrap": ({"index": np.array([0, 5, 2 ** 63], dtype=np.uint64)},
+                                     f"each index must lie in 0..8, got {2 ** 63}"),
+    "index past int64": ({"index": [0, 5, 2 ** 64 + 7]},
+                         "index must be a 1-D integer array, got object[3]"),
+    "unsorted index": ({"index": [5, 0, 7]}, "index must be strictly ascending"),
+    "repeated index": ({"index": [0, 5, 5]}, "index must be strictly ascending"),
     "tag 0": ({"tag": [0, 2, 1]}, "each tag must lie in 1..2, got 0"),
     "tag 3": ({"tag": [1, 3, 1]}, "each tag must lie in 1..2, got 3"),
     "tag that int8 would wrap to 2": ({"tag": [1, 258, 1]}, "each tag must lie in 1..2, got 258"),
-    "float dtype": ({"cell": [0.0, 2.0, 1.0]}, "cell must be a 1-D integer array, got float64[3]"),
+    "float dtype": ({"index": [0.0, 5.0, 7.0]},
+                    "index must be a 1-D integer array, got float64[3]"),
     "bool dtype": ({"tag": [True, True, True]}, "tag must be a 1-D integer array, got bool[3]"),
-    "2-D array": ({"row": [[0, 1, 2]]}, "row must be a 1-D integer array, got int64[1, 3]"),
-    "short tag": ({"tag": [1, 2]}, "row, cell and tag must have equal lengths, got 3, 3 and 2"),
-    "short row": ({"row": [0, 1]}, "row, cell and tag must have equal lengths, got 2, 3 and 3"),
+    "2-D array": ({"index": [[0, 5, 7]]}, "index must be a 1-D integer array, got int64[1, 3]"),
+    # escaped as NumPy's raw ValueError ("setting an array element with a sequence")
+    "ragged index": ({"index": [[0], [5, 7]]},
+                     "index must be a 1-D integer array, got a ragged sequence"),
+    "ragged tag": ({"tag": [[1, 2], [1]]}, "tag must be a 1-D integer array, got a ragged sequence"),
+    "short tag": ({"tag": [1, 2]}, "index and tag must have equal lengths, got 3 and 2"),
+    "short index": ({"index": [0, 5]}, "index and tag must have equal lengths, got 2 and 3"),
 }
 
 
@@ -206,8 +209,8 @@ class TestHandshakingTagging:
         assert tagging.tags.shape == (5, 3) and tagging.tags.dtype == np.int8
         assert tagging.tags.tolist() == [list(flat), *map(list, sh), *map(list, st)]
         assert (tagging.eh2et, tagging.sh2oh, tagging.st2ot) == (flat, sh, st)
-        cells = (tagging.row.tolist(), tagging.cell.tolist(), tagging.tag.tolist())
-        assert cells == ([1, 2, 3, 4, 4], [0, 1, 2, 0, 1], [1, 1, 1, 1, 1])
+        # rows 1, 2, 3, 4, 4 at pairs 0, 1, 2, 0, 1 of 3
+        assert (tagging.index.tolist(), tagging.tag.tolist()) == ([3, 7, 11, 12, 13], [1] * 5)
 
     def test_rejects_out_of_range_tags(self):
         for bad_tag in (3, -1, 255, 258):  # 258 would wrap to 2 in int8
@@ -229,19 +232,20 @@ class TestHandshakingTagging:
     @pytest.mark.parametrize("case", CELL_REJECTIONS)
     def test_the_cell_constructor_rejects(self, case):
         change, message = CELL_REJECTIONS[case]
-        cells = {"row": [0, 1, 2], "cell": [0, 2, 1], "tag": [1, 2, 1], **change}
+        cells = {"index": [0, 5, 7], "tag": [1, 2, 1], **change}
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             HandshakingTagging(2, 1, **cells)
 
     def test_the_cell_arrays_are_read_only_copies(self):
-        row, cell, tag = [0, 1, 2], np.array([0, 2, 1]), np.array([1, 2, 1], dtype=np.uint8)
-        tagging = HandshakingTagging(2, 1, row, cell, tag)
-        for arr, dtype in ((tagging.row, np.intp), (tagging.cell, np.intp), (tagging.tag, np.int8)):
+        index, tag = np.array([0, 5, 7]), np.array([1, 2, 1], dtype=np.uint8)
+        tagging = HandshakingTagging(2, 1, index, tag)
+        assert tagging.__slots__ == ("n", "n_relations", "index", "tag")  # no row array
+        for arr, dtype in ((tagging.index, np.intp), (tagging.tag, np.int8)):
             assert arr.dtype == dtype and not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1
-        cell[0], tag[0] = 1, 2  # the caller's arrays stay their own
-        assert (tagging.cell[0], tagging.tag[0]) == (0, 1)
+        index[0], tag[0] = 1, 2  # the caller's arrays stay their own
+        assert (tagging.index[0], tagging.tag[0]) == (0, 1)
         # the tag array is built on each access, and writing to it changes nothing
         tags = tagging.tags
         assert tags.tolist() == [[1, 0, 0], [0, 0, 2], [0, 1, 0]] and tags is not tagging.tags
@@ -252,7 +256,7 @@ class TestHandshakingTagging:
 
     def test_no_cells_is_the_all_zero_tagging(self):
         empty = np.zeros(0, dtype=np.int64)
-        tagging = HandshakingTagging(3, 2, empty, empty, empty)
+        tagging = HandshakingTagging(3, 2, empty, empty)
         assert tagging == tagging_from_dense(3, np.zeros((5, 6), dtype=np.int8))
         assert not tagging.tags.any() and tagging.tags.shape == (5, 6)
 
@@ -261,7 +265,7 @@ class TestHandshakingTagging:
         tagging = tagging_from_dense(2, rows)
         same = tagging_from_dense(2, np.array(rows, dtype=np.uint8))
         assert tagging == same and hash(tagging) == hash(same)
-        assert tagging == HandshakingTagging(2, 1, [0, 1, 1, 2], [1, 0, 2, 2], [1, 1, 2, 1])
+        assert tagging == HandshakingTagging(2, 1, [1, 3, 5, 8], [1, 1, 2, 1])
         assert tagging != tagging_from_dense(2, [[0, 1, 0], [1, 0, 2], [0, 0, 2]])
         assert tagging != tagging_from_dense(1, [[0], [1], [0]])
         assert tagging != tagging_from_dense(2, [*rows, [0, 0, 0], [0, 0, 0]])  # more relations
@@ -349,9 +353,9 @@ INT_ARGUMENTS = {
     "seq_index.j": ("j", 0, lambda v, _: seq_index(0, v, 8)),  # row 0's pairs sit at j
     "seq_index.n": ("n", 1, pair_columns),
     "HandshakingTagging.n": ("n", 1, lambda v, _: HandshakingTagging(
-        v, 1, NO_CELLS, NO_CELLS, NO_CELLS).n),
+        v, 1, NO_CELLS, NO_CELLS).n),
     "HandshakingTagging.n_relations": ("n_relations", 0, lambda v, _: HandshakingTagging(
-        2, v, NO_CELLS, NO_CELLS, NO_CELLS).n_relations),
+        2, v, NO_CELLS, NO_CELLS).n_relations),
     "tagging_from_dense.n": ("n", 1, dense_n),
     "init_model.d_embed": ("d_embed", 1,
                            lambda v, _: small_model(d_embed=v).encoder.embed.shape[1]),
@@ -399,8 +403,56 @@ TYPE_ARGUMENTS = {
     "Triple.object": ("object must be a TokenSpan, got list", lambda: Triple(SPAN, 0, [1, 1])),
 }
 
+# entry point -> (its one-line error, a call given a str, or an element that
+# is not a non-empty str, where a sequence of tokens or names is expected)
+SEQUENCE_ARGUMENTS = {
+    # scored the three one-character tokens "a", " " and "b"
+    "infer.tokens": ("tokens must be a sequence, not str",
+                     lambda: infer("a b", small_model(), SCHEMA1)),
+    "infer.token": ("tokens must be non-empty strings, got 1",
+                    lambda: infer(("a", 1), small_model(), SCHEMA1)),
+    # ran the two one-token sentences "a" and "b"
+    "infer_batch.sentences": ("sentences must be a sequence, not str",
+                              lambda: infer_batch("ab", small_model(), SCHEMA1)),
+    "infer_batch.sentence": ("tokens must be a sequence, not str",
+                             lambda: infer_batch([("a",), "ab"], small_model(), SCHEMA1)),
+    "infer_batch.token": ("tokens must be non-empty strings, got None",
+                          lambda: infer_batch([("a", None)], small_model(), SCHEMA1)),
+    # gave the relations ('a', 'b')
+    "RelationSchema.relations": ("relation names must be a sequence, not str",
+                                 lambda: RelationSchema("ab")),
+    "RelationSchema.mapping": ("relation names must be a sequence, not dict",
+                               lambda: RelationSchema({"a": 0})),
+    # added the tokens "a" and "b"
+    "build_vocab.tokens": ("tokens must be a sequence, not str", lambda: build_vocab(["ab"])),
+    "build_vocab.token": ("tokens must be non-empty strings, got 2",
+                          lambda: build_vocab([("a",), (2,)])),
+    # both were accepted: the characters, or the ints, became the tokens
+    "SentenceAnnotation.tokens": ("tokens must be a sequence, not str",
+                                  lambda: SentenceAnnotation("ab")),
+    "SentenceAnnotation.token": ("tokens must be non-empty strings, got 1",
+                                 lambda: SentenceAnnotation((1, 2))),
+    "SentenceAnnotation.empty token": ("tokens must be non-empty strings, got ''",
+                                       lambda: SentenceAnnotation(("a", ""))),
+    "SentenceAnnotation.not iterable": ("tokens must be a sequence, not int",
+                                        lambda: SentenceAnnotation(5)),
+}
+
 
 class TestArgumentRules:
+    @pytest.mark.parametrize("entry", SEQUENCE_ARGUMENTS)
+    def test_a_str_or_a_non_string_element_is_rejected_in_one_line(self, entry):
+        message, call = SEQUENCE_ARGUMENTS[entry]
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_any_iterable_of_strings_is_kept_as_a_tuple(self):
+        for tokens in (["a", "b"], ("a", "b"), iter("ab"), np.array(["a", "b"])):
+            assert SentenceAnnotation(tokens).tokens == ("a", "b")
+        assert RelationSchema(r for r in ("x", "y")).relations == ("x", "y")
+        assert infer(["a", "b"], small_model(), SCHEMA1) == infer(("a", "b"), small_model(),
+                                                                   SCHEMA1)
+
     @pytest.mark.parametrize("entry", TYPE_ARGUMENTS)
     def test_a_value_of_the_wrong_type_is_rejected_in_one_line(self, entry):
         message, call = TYPE_ARGUMENTS[entry]

@@ -229,8 +229,9 @@ class TestLoadDataset:
         path = tmp_path / "data.jsonl"
         write_jsonl(path, [{"text": "Ada here", "triple_list": []},
                            {"text": "Ada 7 here", "tokens": tokens, "triple_list": []}])
-        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:2: 'tokens' must be a "
-                                             "list of strings$"):
+        problem = ("'tokens' must be non-empty strings, got 7" if isinstance(tokens, list)
+                   else f"'tokens' must be a sequence, not {type(tokens).__name__}")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:2: {problem}')}$"):
             load_dataset(path, schema2, mode=mode)
 
     @pytest.mark.parametrize("mode", ["strict", "lenient"])

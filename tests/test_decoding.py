@@ -188,7 +188,7 @@ class TestDecodeCost:
         tagging = tagging_from_dense(figure.n, np.concatenate(
             [figure.tags[:1 + n_rel], empty, figure.tags[1 + n_rel:], empty]))
         tagged_rows = [0, 1, 2, 3, 6, 7, 8]
-        assert np.unique(tagging.row).tolist() == tagged_rows
+        assert np.unique(tagging.index // seq_length(figure.n)).tolist() == tagged_rows
         scanned = []
         real_nonzero = np.nonzero
 
@@ -296,9 +296,10 @@ class TestDecodeBudget:
 
 
 def cells_of(tagging):
-    """The row-major (row, flat cell, tag) arrays of the nonzero cells of a tagging's tag array."""
-    row, cell = np.nonzero(tagging.tags)
-    return row, cell, tagging.tags[row, cell]
+    """The ascending (flat index, tag) arrays of the nonzero cells of a tagging's tag array."""
+    flat = tagging.tags.ravel()
+    index = np.flatnonzero(flat)
+    return index, flat[index]
 
 
 def outcome_and_warnings(decoder, tagging, schema, mode):
@@ -377,12 +378,10 @@ class TestDecodeCells:
         forward = make_tagging(3, {(0, 1): 1, (2, 2): 1}, [{(0, 2): 1}, {}], [{(1, 2): 1}, {}])
         assert decode(forward, schema2, mode="strict") == {triple(0, 1, 0, 2, 2)}
 
-    def test_a_dense_tagging_sets_up_only_the_relations_its_sweep_reaches(self):
-        # every cell of a 24-relation tagging at n=100 holds tag 1, so the
-        # budget cuts the sweep inside relation 0's head links; only that
-        # relation's tail links are read into a set (15 MB traced, against
-        # 33 MB when every relation's were)
-        n, schema = 100, RelationSchema(tuple(f"rel{r:02d}" for r in range(24)))
+    @staticmethod
+    def dense_decode(n):
+        """An all-ones 24-relation tagging at n, its lenient decode, and decode's traced peak."""
+        schema = RelationSchema(tuple(f"rel{r:02d}" for r in range(24)))
         dense = tagging_from_dense(n, np.ones((49, seq_length(n)), dtype=np.int8))
         tracemalloc.start()
         try:
@@ -391,5 +390,23 @@ class TestDecodeCells:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert kept and {t.relation for t in kept} == {0}
-        assert peak < 20 * 2 ** 20
+        return dense, kept, peak
+
+    def test_a_dense_tagging_sets_up_only_the_relations_its_sweep_reaches(self):
+        # the budget cuts the sweep inside relation 0's head links, so only
+        # that relation's head and tail links are read: 5.8 MB traced, most
+        # of it the 50,335 triples kept, against 8.7 MB when every relation's
+        # head links were listed up front; the bound is 5.8 MB plus 1.2 MB slack
+        dense, kept, peak = self.dense_decode(100)
+        assert kept and {t.relation for t in kept} == {0} and len(kept) == 50_335
+        assert peak < 7 * 2 ** 20
+        # the tagging holds a flat index (intp) and a tag (int8) per nonzero cell
+        assert dense.index.nbytes + dense.tag.nbytes == 9 * 49 * seq_length(100)
+
+    def test_a_dense_tagging_at_n200_reads_one_relation_at_a_time(self):
+        # 9.0 MB traced, against 24.6 MB when every relation's head links
+        # were listed up front; the bound is 9.0 MB plus 3 MB slack
+        dense, kept, peak = self.dense_decode(200)
+        assert kept and {t.relation for t in kept} == {0} and len(kept) == 40_199
+        assert peak < 12 * 2 ** 20
+        assert dense.index.nbytes + dense.tag.nbytes == 9 * 49 * seq_length(200)

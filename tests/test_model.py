@@ -814,9 +814,10 @@ class TestEntityFirstInference:
         def checked(tagging, schema, mode):
             assert type(tagging) is HandshakingTagging and mode == "lenient"
             assert schema is PAPER_SCHEMA and len(decoded) == len(scored) - 1
-            for got, want_cells in zip((tagging.row, tagging.cell, tagging.tag), scored[-1]):
+            for got, want_cells in zip((tagging.index, tagging.tag), scored[-1]):
                 assert np.array_equal(got, want_cells)
-            decoded.append(np.bincount(tagging.row, minlength=2 * len(schema) + 1))
+            rows = tagging.index // seq_length(tagging.n)
+            decoded.append(np.bincount(rows, minlength=2 * len(schema) + 1))
             return real_decode(tagging, schema, mode)
 
         monkeypatch.setattr(HandshakingTagging, "tags", property(no_tag_array))
